@@ -16,6 +16,7 @@ reruns of the same request and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -27,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from . import criterion as crit
-from .conformal_energy import neumann_residual  # noqa: F401  (re-exported for drivers)
 from .errors import (
     ChartConsistencyError,
     ChartDomainError,
@@ -396,7 +396,10 @@ def cmd_dump_grid(args: argparse.Namespace, cfg: RunConfig) -> None:
 # === argument wiring =====================================================
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls
+    (parsing does not modify it)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write the payload to PATH instead of stdout")
     common.add_argument("--format", default=None, choices=("json", "csv"), help="payload format")

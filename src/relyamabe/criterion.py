@@ -35,8 +35,9 @@ from .errors import (
 from .lie_curvature import (
     BergerParams,
     FrameMetric,
+    _curvature,
+    _frobenius,
     curvature_report,
-    einstein_locus_check,
     su2_structure_constants,
 )
 from .su2_chart import MetricField
@@ -94,6 +95,11 @@ def _as_frame_metric(m) -> FrameMetric:
     return m if isinstance(m, FrameMetric) else FrameMetric(np.asarray(m, dtype=float))
 
 
+def _volume_ratio(G: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """sqrt(det H / det G) of stacked (N, 3, 3) metrics."""
+    return np.sqrt(np.linalg.det(H) / np.linalg.det(G))
+
+
 def volume_ratio(g, h) -> float:
     """Volume distortion gamma = sqrt(det h / det g).
 
@@ -119,7 +125,7 @@ def volume_ratio(g, h) -> float:
         return mean
     gm = _as_frame_metric(g)
     hm = _as_frame_metric(h)
-    return float(np.sqrt(hm.det() / gm.det()))
+    return float(_volume_ratio(gm.matrix[None], hm.matrix[None])[0])
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,55 @@ class CriterionReport:
         }
 
 
+def _pencil(G: np.ndarray, r_g: np.ndarray, H: np.ndarray, r_h: np.ndarray):
+    """The comparison for stacked metrics G, H (N, 3, 3) and scalar
+    curvatures r_g, r_h (N,): the pencil eigenvalues (N, 3) in a
+    G-orthonormal frame, the scales ||R_g G||_F (N,) and the verdicts
+    (N,), decided as `theorem1_check` describes."""
+    chol = np.linalg.cholesky(G)
+    h_on = np.swapaxes(np.linalg.solve(chol, np.swapaxes(np.linalg.solve(chol, H), 1, 2)), 1, 2)
+    rg = r_g[:, None, None]
+    pencil = rg * np.eye(3) - r_h[:, None, None] * 0.5 * (h_on + np.swapaxes(h_on, 1, 2))
+    eigs = np.linalg.eigvalsh(pencil)
+    scale = _frobenius(rg * G)
+    min_eig = eigs[:, 0]
+    verdict = np.select(
+        [
+            r_h <= 0.0,
+            r_g <= 0.0,
+            min_eig > _STRICT_REL_TOL * scale,
+            min_eig >= -(_PSD_REL_TOL * scale),
+        ],
+        [
+            VERDICT_AUTO_NONPOSITIVE,
+            VERDICT_NOT_APPLICABLE,
+            VERDICT_APPLIES_STRICT,
+            VERDICT_APPLIES_BOUNDARY,
+        ],
+        default=VERDICT_FAILS,
+    )
+    return eigs, scale, verdict
+
+
+def _criterion_report(eigs, scale, verdict, gamma, r_g: float, r_h: float) -> CriterionReport:
+    """One row of `_pencil` output as a report."""
+    min_eig = float(eigs[0])
+    scale = float(scale)
+    return CriterionReport(
+        gamma=float(gamma),
+        min_eig=min_eig,
+        strict_margin=min_eig / scale if scale > 0.0 else float("nan"),
+        verdict=str(verdict),
+        notes={
+            "r_g": r_g,
+            "r_h": r_h,
+            "eigenvalues": eigs.tolist(),
+            "tol_strict": _STRICT_REL_TOL * scale,
+            "tol_psd": _PSD_REL_TOL * scale,
+        },
+    )
+
+
 def theorem1_check(g, r_g: float, h, r_h: float) -> CriterionReport:
     """Decide whether R_g * G - R_h * H is positive (semi)definite.
 
@@ -162,41 +217,10 @@ def theorem1_check(g, r_g: float, h, r_h: float) -> CriterionReport:
     r_h = float(r_h)
     if not (np.isfinite(r_g) and np.isfinite(r_h)):
         raise InvalidMetricError(f"scalar curvatures must be finite, got {r_g}, {r_h}")
-
-    chol = gm.cholesky()
-    h_on = np.linalg.solve(chol, np.linalg.solve(chol, hm.matrix).T).T
-    pencil = r_g * np.eye(3) - r_h * 0.5 * (h_on + h_on.T)
-    eigs = np.linalg.eigvalsh(pencil)
-    min_eig = float(eigs[0])
-    scale = float(np.linalg.norm(r_g * gm.matrix))
-    tol_strict = _STRICT_REL_TOL * scale
-    tol_psd = _PSD_REL_TOL * scale
-
-    if r_h <= 0.0:
-        verdict = VERDICT_AUTO_NONPOSITIVE
-    elif r_g <= 0.0:
-        verdict = VERDICT_NOT_APPLICABLE
-    elif min_eig > tol_strict:
-        verdict = VERDICT_APPLIES_STRICT
-    elif min_eig >= -tol_psd:
-        verdict = VERDICT_APPLIES_BOUNDARY
-    else:
-        verdict = VERDICT_FAILS
-
-    margin = min_eig / scale if scale > 0.0 else float("nan")
-    return CriterionReport(
-        gamma=volume_ratio(gm, hm),
-        min_eig=min_eig,
-        strict_margin=margin,
-        verdict=verdict,
-        notes={
-            "r_g": r_g,
-            "r_h": r_h,
-            "eigenvalues": eigs.tolist(),
-            "tol_strict": tol_strict,
-            "tol_psd": tol_psd,
-        },
+    eigs, scale, verdict = _pencil(
+        gm.matrix[None], np.array([r_g]), hm.matrix[None], np.array([r_h])
     )
+    return _criterion_report(eigs[0], scale[0], verdict[0], volume_ratio(gm, hm), r_g, r_h)
 
 
 @dataclass(frozen=True)
@@ -220,6 +244,39 @@ class BergerClassification:
         }
 
 
+def _classify_berger(s: np.ndarray, t: np.ndarray) -> dict:
+    """Classify diag(1, s, t) for arrays of in-domain parameters (as
+    `berger_classify` describes) in one stacked computation.  Returns
+    columns: "R", "einstein_dev", "eigs", "scale", "check" (the pairwise
+    verdict), "gamma" and "verdict" (the classification)."""
+    H = np.zeros((len(s), 3, 3))
+    H[:, 0, 0] = 1.0
+    H[:, 1, 1] = s
+    H[:, 2, 2] = t
+    G = np.broadcast_to(np.eye(3), H.shape)
+    _, _, _, scalar, _, deviation = _curvature(su2_structure_constants().c, H)
+    eigs, scale, check = _pencil(G, np.full(len(s), _ROUND_SCALAR), H, scalar)
+    verdict = np.select(
+        [
+            deviation <= _EINSTEIN_TOL,
+            check == VERDICT_AUTO_NONPOSITIVE,
+            check == VERDICT_APPLIES_STRICT,
+            check == VERDICT_APPLIES_BOUNDARY,
+        ],
+        [CLASS_EINSTEIN, CLASS_AUTO_NONPOSITIVE, CLASS_STRICT, CLASS_BOUNDARY],
+        default=CLASS_UNRESOLVED,
+    )
+    return {
+        "R": scalar,
+        "einstein_dev": deviation,
+        "eigs": eigs,
+        "scale": scale,
+        "check": check,
+        "gamma": _volume_ratio(G, H),
+        "verdict": verdict,
+    }
+
+
 def berger_classify(p: BergerParams) -> BergerClassification:
     """Classify diag(1, s, t) against the round sphere (G = I, R_g = 6).
 
@@ -230,24 +287,17 @@ def berger_classify(p: BergerParams) -> BergerClassification:
     the round bound, and a failing one leaves the metric unresolved by
     this criterion.
     """
-    rep = curvature_report(su2_structure_constants(), p.metric())
-    check = theorem1_check(FrameMetric.round(), _ROUND_SCALAR, p.metric(), rep.scalar)
-    if rep.einstein_deviation <= _EINSTEIN_TOL:
-        verdict = CLASS_EINSTEIN
-    elif check.verdict == VERDICT_AUTO_NONPOSITIVE:
-        verdict = CLASS_AUTO_NONPOSITIVE
-    elif check.verdict == VERDICT_APPLIES_STRICT:
-        verdict = CLASS_STRICT
-    elif check.verdict == VERDICT_APPLIES_BOUNDARY:
-        verdict = CLASS_BOUNDARY
-    else:
-        verdict = CLASS_UNRESOLVED
+    col = _classify_berger(np.array([p.s]), np.array([p.t]))
+    scalar = float(col["R"][0])
     return BergerClassification(
         params=p,
-        verdict=verdict,
-        scalar=rep.scalar,
-        einstein_deviation=rep.einstein_deviation,
-        report=check,
+        verdict=str(col["verdict"][0]),
+        scalar=scalar,
+        einstein_deviation=float(col["einstein_dev"][0]),
+        report=_criterion_report(
+            col["eigs"][0], col["scale"][0], col["check"][0], col["gamma"][0],
+            _ROUND_SCALAR, scalar,
+        ),
     )
 
 
@@ -276,10 +326,10 @@ def _bisect(fun: Callable[[float], float], lo: float, hi: float, tol: float, wha
     return 0.5 * (lo + hi)
 
 
-def _berger_min_eig(s: float, t: float) -> float:
-    p = BergerParams(s, t)
-    scal = curvature_report(su2_structure_constants(), p.metric()).scalar
-    return theorem1_check(FrameMetric.round(), _ROUND_SCALAR, p.metric(), scal).min_eig
+def _berger_min_eig(frame, s: float, t: float) -> float:
+    metric = BergerParams(s, t).metric()
+    scal = curvature_report(frame, metric).scalar
+    return theorem1_check(FrameMetric.round(), _ROUND_SCALAR, metric, scal).min_eig
 
 
 def boundary_curve(s: float, tol: float = 1e-8) -> float:
@@ -291,8 +341,9 @@ def boundary_curve(s: float, tol: float = 1e-8) -> float:
         raise InvalidMetricError(f"boundary_curve needs s >= 1, got {s}")
     if not np.isfinite(tol) or tol <= 0.0:
         raise InvalidMetricError(f"tolerance must be positive, got {tol}")
+    frame = su2_structure_constants()
     t_star = _bisect(
-        lambda t: _berger_min_eig(s, t), s + 1e-3, s + 4.0, tol, "criterion boundary curve"
+        lambda t: _berger_min_eig(frame, s, t), s + 1e-3, s + 4.0, tol, "criterion boundary curve"
     )
     # Self-check against the closed-form root t = s + sqrt(s) + 1; the
     # bisection is the computation, the closed form only guards it.
@@ -314,10 +365,10 @@ def scalar_sign_curve(s: float, tol: float = 1e-8) -> float:
     if not np.isfinite(tol) or tol <= 0.0:
         raise InvalidMetricError(f"tolerance must be positive, got {tol}")
 
+    frame = su2_structure_constants()
+
     def fun(t: float) -> float:
-        return curvature_report(
-            su2_structure_constants(), BergerParams(s, t).metric()
-        ).scalar
+        return curvature_report(frame, BergerParams(s, t).metric()).scalar
 
     t_zero = _bisect(fun, s, s + 8.0, tol, "scalar curvature sign curve")
     expected = (1.0 + math.sqrt(s)) ** 2
@@ -399,6 +450,11 @@ def corollary_path_check(
     samples (endpoint excluded) where the comparison verdict is strict
     or boundary; a degenerate path (t_start = t_end) has empty interior
     and delta 0 with nothing to check.
+
+    The curvature and the comparison of all samples are one stacked
+    computation.  Unlike `berger_sweep`, nothing is masked: a sample
+    the path rejects (outside the normalized domain) raises
+    InvalidMetricError before any of it runs.
     """
     t_start = float(t_start)
     t_end = float(t_end)
@@ -420,23 +476,21 @@ def corollary_path_check(
         )
 
     ts = t_start + (t_end - t_start) * np.arange(steps + 1) / steps
-    frame = su2_structure_constants()
-    ref_metric = path(t_start).metric()
-    ref_scalar = curvature_report(frame, ref_metric).scalar
-    samples = []
-    for t in ts:
-        p = path(float(t))
-        rep = curvature_report(frame, p.metric())
-        check = theorem1_check(ref_metric, ref_scalar, p.metric(), rep.scalar)
-        samples.append(
-            PathSample(
-                t=float(t),
-                scalar=rep.scalar,
-                min_eig=check.min_eig,
-                gamma=check.gamma,
-                verdict=check.verdict,
-            )
+    H = np.stack([path(t).metric().matrix for t in ts.tolist()])
+    _, _, _, scalar, _, _ = _curvature(su2_structure_constants().c, H)
+    # ts[0] == t_start, so the first sample is the reference metric
+    G = np.broadcast_to(H[0], H.shape)
+    eigs, _, verdict = _pencil(G, np.full(len(ts), scalar[0]), H, scalar)
+    samples = [
+        PathSample(t=t, scalar=r, min_eig=m, gamma=g, verdict=v)
+        for t, r, m, g, v in zip(
+            ts.tolist(),
+            scalar.tolist(),
+            eigs[:, 0].tolist(),
+            _volume_ratio(G, H).tolist(),
+            verdict.tolist(),
         )
+    ]
 
     endpoint_scalar = samples[-1].scalar
     for smp in samples[:-1]:
@@ -477,35 +531,33 @@ def corollary_path_check(
 
 def berger_sweep(s_values, t_values) -> list[dict]:
     """Classify a grid of Berger parameters; one row per (s, t) in
-    s-major order.  Pairs outside the normalized domain t >= s get the
-    verdict "invalid" with NaN numeric columns."""
-    rows = []
-    for s in np.asarray(s_values, dtype=float):
-        for t in np.asarray(t_values, dtype=float):
-            try:
-                cls = berger_classify(BergerParams(float(s), float(t)))
-            except InvalidMetricError:
-                rows.append(
-                    {
-                        "s": float(s),
-                        "t": float(t),
-                        "R": float("nan"),
-                        "einstein_dev": float("nan"),
-                        "min_eig": float("nan"),
-                        "gamma": float("nan"),
-                        "verdict": "invalid",
-                    }
-                )
-                continue
-            rows.append(
-                {
-                    "s": float(s),
-                    "t": float(t),
-                    "R": cls.scalar,
-                    "einstein_dev": cls.einstein_deviation,
-                    "min_eig": cls.report.min_eig,
-                    "gamma": cls.report.gamma,
-                    "verdict": cls.verdict,
-                }
-            )
-    return rows
+    s-major order.
+
+    The whole grid is one stacked computation.  Pairs outside the
+    normalized domain (non-finite, s < 1, or t < s) are masked out of
+    it: their rows carry the verdict "invalid" and NaN numeric columns,
+    and the remaining rows are exactly what `berger_classify` returns
+    for the same parameters.
+    """
+    s, t = (
+        a.ravel()
+        for a in np.meshgrid(
+            np.asarray(s_values, dtype=float), np.asarray(t_values, dtype=float), indexing="ij"
+        )
+    )
+    valid = np.isfinite(s) & np.isfinite(t) & (1.0 <= s) & (s <= t)
+    cols = {
+        "s": s,
+        "t": t,
+        "R": np.full(s.shape, np.nan),
+        "einstein_dev": np.full(s.shape, np.nan),
+        "min_eig": np.full(s.shape, np.nan),
+        "gamma": np.full(s.shape, np.nan),
+        "verdict": np.full(s.shape, "invalid", dtype=object),
+    }
+    classified = _classify_berger(s[valid], t[valid])
+    classified["min_eig"] = classified["eigs"][:, 0]
+    for key in ("R", "einstein_dev", "min_eig", "gamma", "verdict"):
+        cols[key][valid] = classified[key]
+    lists = {key: col.tolist() for key, col in cols.items()}
+    return [dict(zip(lists, row)) for row in zip(*lists.values())]

@@ -18,6 +18,7 @@ Sign conventions: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,21 +56,25 @@ class LieAlgebraFrame:
     c[k, i, j] is the X_k coefficient of [X_i, X_j].  `matrices` holds
     the concrete 2x2 basis when the frame came from one (it is None
     for frames loaded from bare structure constants); `labels` names
-    the basis directions.
+    the basis directions.  Both arrays are private read-only copies, so
+    a frame shared between callers (the cached su(2) frame) cannot be
+    altered through them.
     """
 
     c: np.ndarray
     matrices: np.ndarray | None = None
     labels: tuple[str, ...] = ("X1", "X2", "X3")
-    dim: int = 3
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.shape != (self.dim,) * 3:
-            raise InputFormatError(
-                f"structure constants must be {(self.dim,) * 3}, got {c.shape}"
-            )
+        c = np.array(self.c, dtype=float)
+        if c.shape != (3, 3, 3):
+            raise InputFormatError(f"structure constants must be (3, 3, 3), got {c.shape}")
+        c.setflags(write=False)
         object.__setattr__(self, "c", c)
+        if self.matrices is not None:
+            mats = np.array(self.matrices, dtype=complex)
+            mats.setflags(write=False)
+            object.__setattr__(self, "matrices", mats)
         anti = np.abs(c + np.swapaxes(c, 1, 2)).max()
         if anti > _IDENTITY_TOL:
             raise InputFormatError(
@@ -91,8 +96,8 @@ class LieAlgebraFrame:
         if self.matrices is None:
             raise InputFormatError("frame has no matrix realization to check against")
         worst = 0.0
-        for i in range(self.dim):
-            for j in range(self.dim):
+        for i in range(3):
+            for j in range(3):
                 comm = self.matrices[i] @ self.matrices[j] - self.matrices[j] @ self.matrices[i]
                 recon = np.einsum("k,kab->ab", self.c[:, i, j], self.matrices)
                 worst = max(worst, float(np.abs(comm - recon).max()))
@@ -129,10 +134,12 @@ def frame_from_matrices(mats, labels=("X1", "X2", "X3")) -> LieAlgebraFrame:
     return frame
 
 
+@functools.cache
 def su2_structure_constants() -> LieAlgebraFrame:
     """The su(2) frame, with structure constants computed from the 2x2
     matrix commutators (the cyclic factor-2 table is an output here,
-    never an input)."""
+    never an input).  Built on the first call and shared by every later
+    one; the frame is immutable."""
     return frame_from_matrices(np.stack([_X1, _X2, _X3]))
 
 
@@ -163,12 +170,6 @@ class FrameMetric:
     def berger(cls, s: float, t: float) -> "FrameMetric":
         return cls(np.diag([1.0, float(s), float(t)]))
 
-    def cholesky(self) -> np.ndarray:
-        return np.linalg.cholesky(self.matrix)
-
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix))
-
 
 @dataclass(frozen=True)
 class BergerParams:
@@ -190,6 +191,52 @@ class BergerParams:
         return FrameMetric.berger(self.s, self.t)
 
 
+def _connection(c: np.ndarray, G: np.ndarray, G_inv: np.ndarray) -> np.ndarray:
+    """Connection coefficients of stacked metrics G (N, 3, 3) with
+    inverses G_inv, shape (N, 3, 3, 3); see `levi_civita`."""
+    c_low = np.einsum("mij,nmk->nijk", c, G)
+    # indices: c_low[n, i, j, k] = <[X_i, X_j], X_k>, so the Koszul cyclic
+    # terms are -c_low[n, j, k, i] and +c_low[n, k, i, j]
+    gamma_low = 0.5 * (
+        c_low - np.transpose(c_low, (0, 3, 1, 2)) + np.transpose(c_low, (0, 2, 3, 1))
+    )
+    return np.einsum("nijk,nkl->nlij", gamma_low, G_inv)
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms of stacked 3x3 matrices, summed in the same order
+    as np.linalg.norm of a single matrix."""
+    flat = np.ascontiguousarray(x).reshape(len(x), 1, 9)
+    return np.sqrt((flat @ np.swapaxes(flat, 1, 2))[:, 0, 0])
+
+
+def _curvature(c: np.ndarray, G: np.ndarray):
+    """Curvature of stacked left invariant metrics G (N, 3, 3), all in
+    the frame with structure constants c.
+
+    Returns (gamma, riemann, ricci, scalar, ricci_eigenvalues,
+    einstein_deviation) with a leading axis of length N, each entry as
+    described on `CurvatureReport`.  R(X_i, X_j) X_k = nabla_i nabla_j
+    X_k - nabla_j nabla_i X_k - nabla_{[X_i, X_j]} X_k; no closed form
+    is assumed anywhere.
+    """
+    G_inv = np.linalg.inv(G)
+    gamma = _connection(c, G, G_inv)
+    riemann = np.einsum("nmjk,nlim->nlkij", gamma, gamma)
+    riemann -= np.einsum("nmik,nljm->nlkij", gamma, gamma)
+    riemann -= np.einsum("mij,nlmk->nlkij", c, gamma)
+    ricci = np.einsum("nikij->njk", riemann)
+    ricci = 0.5 * (ricci + np.swapaxes(ricci, 1, 2))
+    scalar = np.einsum("njk,njk->n", G_inv, ricci)
+
+    # Ricci in a G-orthonormal frame via the Cholesky factor G = L L^T.
+    L = np.linalg.cholesky(G)
+    ric_on = np.swapaxes(np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, ricci), 1, 2)), 1, 2)
+    ric_on = 0.5 * (ric_on + np.swapaxes(ric_on, 1, 2))
+    deviation = _frobenius(ric_on - (scalar / 3.0)[:, None, None] * np.eye(3))
+    return gamma, riemann, ricci, scalar, np.linalg.eigvalsh(ric_on), deviation
+
+
 def levi_civita(frame: LieAlgebraFrame, metric: FrameMetric) -> np.ndarray:
     """Connection coefficients gamma[k, i, j] with
     nabla_{X_i} X_j = gamma[k, i, j] X_k.
@@ -199,14 +246,8 @@ def levi_civita(frame: LieAlgebraFrame, metric: FrameMetric) -> np.ndarray:
     Gamma_{ij,k} = (c_{ijk} - c_{jki} + c_{kij}) / 2 with
     c_{ijk} = c^m_{ij} G_{mk}, raised by G^{-1}.
     """
-    G = metric.matrix
-    c_low = np.einsum("mij,mk->ijk", frame.c, G)
-    # indices: c_low[i, j, k] = <[X_i, X_j], X_k>, so the Koszul cyclic
-    # terms are -c_low[j, k, i] and +c_low[k, i, j]
-    gamma_low = 0.5 * (
-        c_low - np.transpose(c_low, (2, 0, 1)) + np.transpose(c_low, (1, 2, 0))
-    )
-    return np.einsum("ijk,kl->lij", gamma_low, np.linalg.inv(G))
+    G = metric.matrix[None]
+    return _connection(frame.c, G, np.linalg.inv(G))[0]
 
 
 @dataclass(frozen=True)
@@ -240,31 +281,17 @@ class CurvatureReport:
 
 
 def curvature_report(frame: LieAlgebraFrame, metric: FrameMetric) -> CurvatureReport:
-    """Full curvature computation for a left invariant metric via
-    R(X_i, X_j) X_k = nabla_i nabla_j X_k - nabla_j nabla_i X_k
-    - nabla_{[X_i, X_j]} X_k; no closed form is assumed anywhere."""
-    gamma = levi_civita(frame, metric)
-    riemann = (
-        np.einsum("mjk,lim->lkij", gamma, gamma)
-        - np.einsum("mik,ljm->lkij", gamma, gamma)
-        - np.einsum("mij,lmk->lkij", frame.c, gamma)
-    )
-    ricci = np.einsum("ikij->jk", riemann)
-    ricci = 0.5 * (ricci + ricci.T)
-    scalar = float(np.einsum("jk,jk->", np.linalg.inv(metric.matrix), ricci))
-
-    # Ricci in a G-orthonormal frame via the Cholesky factor G = L L^T.
-    L = metric.cholesky()
-    ric_on = np.linalg.solve(L, np.linalg.solve(L, ricci).T).T
-    ric_on = 0.5 * (ric_on + ric_on.T)
+    """Full curvature computation for one left invariant metric (the
+    single-metric case of the stacked engine)."""
+    gamma, riemann, ricci, scalar, eigs, deviation = _curvature(frame.c, metric.matrix[None])
     return CurvatureReport(
         metric=metric,
-        gamma_coeffs=gamma,
-        riemann=riemann,
-        ricci=ricci,
-        scalar=scalar,
-        ricci_eigenvalues=np.linalg.eigvalsh(ric_on),
-        einstein_deviation=float(np.linalg.norm(ric_on - (scalar / 3.0) * np.eye(3))),
+        gamma_coeffs=gamma[0],
+        riemann=riemann[0],
+        ricci=ricci[0],
+        scalar=float(scalar[0]),
+        ricci_eigenvalues=eigs[0],
+        einstein_deviation=float(deviation[0]),
     )
 
 

@@ -72,6 +72,17 @@ class TestCurvature:
         assert main(["curvature", "--spec", str(spec)]) == 2
         assert "oops" in capsys.readouterr().err
 
+    def test_bad_structure_constants_rejected_on_every_load(self, tmp_path, capsys):
+        c = np.zeros((3, 3, 3))
+        c[2, 0, 1] = 2.0  # missing the antisymmetric partner
+        spec = tmp_path / "bad_c.json"
+        spec.write_text(
+            json.dumps({"metric": np.eye(3).tolist(), "structure_constants": c.tolist()})
+        )
+        for _ in range(2):
+            assert main(["curvature", "--spec", str(spec)]) == 2
+            assert "antisymmetric" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["curvature", "--spec", str(tmp_path / "nope.json")]) == 2
 

@@ -69,6 +69,21 @@ class TestStructureConstants:
         with pytest.raises(InputFormatError):
             LieAlgebraFrame(np.zeros((3, 3)))
 
+    def test_cached_frame_is_shared_and_read_only(self):
+        frame = su2_structure_constants()
+        assert su2_structure_constants() is frame
+        with pytest.raises(ValueError):
+            frame.c[2, 0, 1] = 0.0
+        with pytest.raises(ValueError):
+            frame.matrices[0, 0, 0] = 0.0
+        assert frame.c[2, 0, 1] == 2.0
+
+    def test_frame_copies_the_callers_array(self, frame):
+        c = frame.c.copy()
+        loaded = LieAlgebraFrame(c)
+        c[2, 0, 1] = 5.0  # the caller's array stays writable ...
+        assert loaded.c[2, 0, 1] == 2.0  # ... and the frame keeps its own copy
+
 
 class TestMetricTypes:
     def test_round_and_berger_constructors(self):
