@@ -10,7 +10,7 @@ function is the true minimizer and the value is 6 * pi^(4/3); for the
 squashed metrics the constant is expected to stay minimal, and the
 descent provides numerical evidence.
 
-The script runs the projected-gradient minimizer, prints the descent
+The script runs the normalized-descent minimizer, prints the descent
 trace, and compares against the closed-form energy of the metric.
 """
 

@@ -22,6 +22,7 @@ coordinate tangent vectors over this frame.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +105,6 @@ class HopfGrid:
         for name, n in (("n_eta", self.n_eta), ("n_xi1", self.n_xi1), ("n_xi2", self.n_xi2)):
             if int(n) != n or n < _MIN_CELLS:
                 raise InputFormatError(f"{name} must be an integer >= {_MIN_CELLS}, got {n}")
-        object.__setattr__(self, "_ops_cache", {})
 
     @classmethod
     def cube(cls, n: int) -> "HopfGrid":
@@ -147,19 +147,31 @@ class HopfGrid:
         return np.meshgrid(self.eta, self.xi1, self.xi2, indexing="ij")
 
     def diff_ops(self, width: int = 3) -> tuple[sps.csr_matrix, ...]:
-        """Sparse d/d_eta, d/d_xi1, d/d_xi2 acting on flattened fields."""
-        cache = self.__dict__["_ops_cache"]
-        if width not in cache:
-            de, d1, d2 = self.spacings
-            i1 = sps.identity(self.n_eta)
-            i2 = sps.identity(self.n_xi1)
-            i3 = sps.identity(self.n_xi2)
-            cache[width] = (
-                sps.kron(sps.kron(_d1_matrix(self.n_eta, de, False, width), i2), i3).tocsr(),
-                sps.kron(sps.kron(i1, _d1_matrix(self.n_xi1, d1, False, width)), i3).tocsr(),
-                sps.kron(sps.kron(i1, i2), _d1_matrix(self.n_xi2, d2, True, width)).tocsr(),
-            )
-        return cache[width]
+        """Sparse d/d_eta, d/d_xi1, d/d_xi2 acting on flattened fields,
+        shared by every grid of the same shape."""
+        return _stencils(self.shape, width)[0]
+
+
+@functools.lru_cache(maxsize=4)
+def _stencils(shape: tuple[int, int, int], width: int):
+    """The derivative operators of a grid of `shape`, and for each the
+    row index of every stored entry (the layout _apply_stencil reads).
+    Built on first use; the row arrays are read-only because every
+    caller shares them."""
+    grid = HopfGrid(*shape)
+    de, d1, d2 = grid.spacings
+    i1 = sps.identity(grid.n_eta)
+    i2 = sps.identity(grid.n_xi1)
+    i3 = sps.identity(grid.n_xi2)
+    ops = (
+        sps.kron(sps.kron(_d1_matrix(grid.n_eta, de, False, width), i2), i3).tocsr(),
+        sps.kron(sps.kron(i1, _d1_matrix(grid.n_xi1, d1, False, width)), i3).tocsr(),
+        sps.kron(sps.kron(i1, i2), _d1_matrix(grid.n_xi2, d2, True, width)).tocsr(),
+    )
+    rows = tuple(np.repeat(np.arange(op.shape[0]), np.diff(op.indptr)) for op in ops)
+    for r in rows:
+        r.setflags(write=False)
+    return ops, rows
 
 
 def frame_fields(z, w) -> np.ndarray:
@@ -268,19 +280,16 @@ def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
     return MetricField(grid=grid, g=g, params=params, chart_residual=resid)
 
 
-def _apply_stencil(op: sps.csr_matrix, flat: np.ndarray) -> np.ndarray:
+def _apply_stencil(op: sps.csr_matrix, rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """Apply a derivative stencil in difference form:
-    out_i = sum_j w_ij (f_j - f_i).
+    out_i = sum_j w_ij (f_j - f_i), with `rows` the row index of each
+    stored entry of `op`.
 
     Algebraically this equals the matvec (the stencil weights sum to
     zero), but every term is an exact floating-point zero on constant
     fields, so derivatives of constants come out as 0.0 rather than
     accumulated roundoff — an identity downstream quadratures rely on.
     """
-    rows = getattr(op, "_stencil_rows", None)
-    if rows is None:
-        rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-        op._stencil_rows = rows
     contrib = op.data * (flat[op.indices] - flat[rows])
     return np.bincount(rows, weights=contrib, minlength=op.shape[0])
 
@@ -291,8 +300,11 @@ def partial_derivatives(f: np.ndarray, grid: HopfGrid, width: int = 3) -> np.nda
     if f.shape != grid.shape:
         raise InputFormatError(f"field shape {f.shape} does not match grid {grid.shape}")
     ops = grid.diff_ops(width)
+    rows = _stencils(grid.shape, width)[1]
     flat = f.reshape(-1)
-    return np.stack([_apply_stencil(op, flat).reshape(grid.shape) for op in ops], axis=-1)
+    return np.stack(
+        [_apply_stencil(op, r, flat).reshape(grid.shape) for op, r in zip(ops, rows)], axis=-1
+    )
 
 
 def integrate(f, metric: MetricField) -> float:
@@ -378,13 +390,14 @@ def boundary_second_form(metric: MetricField, margin: float | None = None) -> Bo
     if margin is None:
         margin = max(2.0 * d_eta, _COLLAR_FLOOR)
     ops = grid.diff_ops(width=5)
+    rows = _stencils(grid.shape, 5)[1]
 
     dg = np.empty(grid.shape + (3, 3, 3))  # [..., c, a, b] = d_c g_ab
     for a in range(3):
         for b in range(3):
             flat = metric.g[..., a, b].reshape(-1)
             for c in range(3):
-                dg[..., c, a, b] = _apply_stencil(ops[c], flat).reshape(grid.shape)
+                dg[..., c, a, b] = _apply_stencil(ops[c], rows[c], flat).reshape(grid.shape)
     gamma = 0.5 * (
         np.einsum("...im,...amb->...iab", metric.inv, dg)
         + np.einsum("...im,...bma->...iab", metric.inv, dg)

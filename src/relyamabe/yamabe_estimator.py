@@ -1,20 +1,30 @@
-"""Projected-gradient estimation of the conformal quotient infimum.
+"""Descent estimate of the conformal quotient infimum.
 
-The Rayleigh-type quotient Q(u) from the conformal energy module is
-minimized over positive grid fields by normalized gradient descent
-with a backtracking line search: each step moves against the quotient
-gradient and renormalizes to unit critical norm.  The objective trace
-is non-increasing by construction (steps are only accepted when they
-do not increase Q).
+The Rayleigh-type quotient Q(u) = N(u) / ||u||_6^2 from the conformal
+energy module, with N(u) = a u^T A u + sum(w R u^2) and A the sparse
+stiffness matrix, is minimized over grid fields by normalized descent
+with a backtracking line search.  The search direction g is the
+quadrature-weighted L^2 gradient of the numerator N alone; it is
+neither the gradient of Q nor its projection onto the constraint
+sphere ||u||_6 = 1, which normalization after each step enforces
+instead.  Steps are only accepted when they do not increase Q, so the
+objective trace is non-increasing by construction.
+
+Each iteration makes one stiffness product, A g.  Along a trial
+x = f - s g the product A x is A f - s A g, so every backtracking trial
+forms its candidate's product by linearity, and the accepted
+candidate's product is carried forward as the next iteration's A f.
 
 The landscape is benign — on round and Berger backgrounds the known
 minimizers are low-frequency — so a deterministic multistart (the
 constant plus a few seeded low-frequency perturbations) suffices; the
-whole procedure is reproducible bit for bit from the seed.
+whole procedure is reproducible bit for bit from the seed.  Each start
+is logged on the `relyamabe` logger at DEBUG.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +55,8 @@ _BACKTRACKS = 40
 #: step growth factor after an accepted step
 _GROWTH = 1.3
 _LP = 6  # critical exponent, 2n/(n-2) at n = 3
+
+_log = logging.getLogger("relyamabe")
 
 
 @dataclass(frozen=True)
@@ -109,8 +121,9 @@ def _stiffness(metric: MetricField) -> sps.csr_matrix:
 
 
 class _QuotientWork:
-    """Flattened-array quotient, gradient, and normalization used inside
-    the descent loop."""
+    """Flattened-array quotient, search direction and trial steps used
+    inside the descent loop.  The methods take stiffness products from
+    the caller and form none; the loop decides which ones it makes."""
 
     def __init__(self, metric: MetricField, scalar):
         self.a = CONFORMAL_COEFF
@@ -119,29 +132,46 @@ class _QuotientWork:
         r = np.asarray(scalar, dtype=float)
         self.r = np.full(self.w.shape, float(r)) if r.ndim == 0 else r.reshape(-1)
 
-    def normalize(self, f: np.ndarray) -> np.ndarray:
-        return f / np.sum(self.w * np.abs(f) ** _LP) ** (1.0 / _LP)
+    def norm(self, f: np.ndarray) -> float:
+        """Critical norm ||f||_6 under the grid quadrature."""
+        return np.sum(self.w * np.abs(f) ** _LP) ** (1.0 / _LP)
 
-    def quotient(self, f: np.ndarray) -> float:
-        num = self.a * (f @ (self.stiffness @ f)) + np.sum(self.w * self.r * f * f)
+    def quotient(self, f: np.ndarray, af: np.ndarray) -> float:
+        """Q(f), given af = A f."""
+        num = self.a * (f @ af) + np.sum(self.w * self.r * f * f)
         den = np.sum(self.w * np.abs(f) ** _LP) ** (1.0 / 3.0)
         return num / den
 
-    def gradient(self, f: np.ndarray) -> np.ndarray:
-        """Gradient of the numerator against the quadrature inner
-        product; the projection step handles the constraint."""
-        return (2.0 * self.a * (self.stiffness @ f) + 2.0 * self.w * self.r * f) / self.w
+    def gradient(self, f: np.ndarray, af: np.ndarray) -> np.ndarray:
+        """L^2 gradient of the numerator N(f) = a f^T A f + sum(w R f^2)
+        against the quadrature inner product, given af = A f.  It
+        ignores the denominator of Q; the descent renormalizes instead."""
+        return (2.0 * self.a * af + 2.0 * self.w * self.r * f) / self.w
+
+    def trial(
+        self, f: np.ndarray, af: np.ndarray, g: np.ndarray, ag: np.ndarray, s: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The normalized candidate of the step f - s g and its stiffness
+        product, formed by linearity from af = A f and ag = A g."""
+        x = f - s * g
+        nrm = self.norm(x)
+        return x / nrm, (af - s * ag) / nrm
 
 
 def _minimize_one(work: _QuotientWork, f0: np.ndarray, opts: EstimatorOptions):
-    """Backtracking projected gradient descent from one start.
+    """Backtracking normalized descent from one start.
 
-    Returns (f, q, trace, converged).  A line search that exhausts its
-    halvings without finding a non-increasing step means the iterate is
-    stationary to machine precision, which also counts as converged.
+    Returns (f, q, trace, converged, reason), reason being why the loop
+    stopped: "tol" (`_CONSECUTIVE` accepted steps with relative decrease
+    below tol), "stationary" (a line search exhausted its halvings
+    without a non-increasing step: the iterate is stationary to machine
+    precision, which also counts as converged) or "max_iters".  The
+    loop makes one stiffness product per iteration plus one at the
+    start.
     """
-    f = work.normalize(f0)
-    q = work.quotient(f)
+    f = f0 / work.norm(f0)
+    af = work.stiffness @ f
+    q = work.quotient(f, af)
     trace = [q]
     if not np.isfinite(q):
         raise NumericalFailureError(
@@ -150,11 +180,12 @@ def _minimize_one(work: _QuotientWork, f0: np.ndarray, opts: EstimatorOptions):
     step = opts.step
     n_small = 0
     for _ in range(opts.max_iters):
-        grad = work.gradient(f)
+        g = work.gradient(f, af)
+        ag = work.stiffness @ g
         accepted = False
         for _ in range(_BACKTRACKS):
-            cand = work.normalize(f - step * grad)
-            qc = work.quotient(cand)
+            cand, acand = work.trial(f, af, g, ag, step)
+            qc = work.quotient(cand, acand)
             if not np.isfinite(qc):
                 step *= 0.5
                 continue
@@ -163,15 +194,15 @@ def _minimize_one(work: _QuotientWork, f0: np.ndarray, opts: EstimatorOptions):
                 break
             step *= 0.5
         if not accepted:
-            return f, q, trace, True
+            return f, q, trace, True, "stationary"
         rel = abs(q - qc) / max(abs(q), 1e-30)
-        f, q = cand, qc
+        f, af, q = cand, acand, qc
         trace.append(q)
         step *= _GROWTH
         n_small = n_small + 1 if rel < opts.tol else 0
         if n_small >= _CONSECUTIVE:
-            return f, q, trace, True
-    return f, q, trace, False
+            return f, q, trace, True, "tol"
+    return f, q, trace, False, "max_iters"
 
 
 def _random_start(rng: np.random.Generator, meshes) -> np.ndarray:
@@ -206,8 +237,12 @@ def estimate(metric: MetricField, scalar, options: EstimatorOptions | None = Non
         starts.append(_random_start(rng, meshes))
 
     best = None
-    for f0 in starts:
-        f, q, trace, conv = _minimize_one(work, f0, opts)
+    for k, f0 in enumerate(starts):
+        f, q, trace, conv, reason = _minimize_one(work, f0, opts)
+        _log.debug(
+            "start %s: %d iterations, stopped on %s, Q = %.17g, converged = %s",
+            "constant" if k == 0 else f"seeded {k}", len(trace) - 1, reason, q, conv,
+        )
         if not np.isfinite(q):
             raise NumericalFailureError(
                 f"minimization produced a non-finite quotient ({q})", trace=trace

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import math
 
 import numpy as np
@@ -211,6 +212,15 @@ class TestYamabe:
         out2 = tmp_path / "again.json"
         main(list(args) + ["--out", str(out2), "--quiet"])
         assert a == out2.read_bytes()
+
+    def test_payload_unchanged_by_debug_logging(self, tmp_path, caplog):
+        argv = ["yamabe", "--geometry", "berger:1,3.5", "--resolution", "8", "--quiet"]
+        assert main(argv + ["--out", str(tmp_path / "off.json")]) == 0
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="relyamabe"):
+            assert main(argv + ["--out", str(tmp_path / "on.json")]) == 0
+        assert len(caplog.records) == 4  # the constant and three restarts
+        assert (tmp_path / "on.json").read_bytes() == (tmp_path / "off.json").read_bytes()
 
     def test_tiny_resolution_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "yamabe", "--resolution", "3")

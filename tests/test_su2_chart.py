@@ -70,6 +70,7 @@ class TestHopfGrid:
 
     def test_diff_ops_cached(self, grid16):
         assert grid16.diff_ops(3)[0] is grid16.diff_ops(3)[0]
+        assert HopfGrid.cube(16).diff_ops(3) is grid16.diff_ops(3)  # keyed by shape
 
     def test_partial_derivative_exactness_on_linear(self, grid16):
         eta, _, _ = grid16.meshes()
