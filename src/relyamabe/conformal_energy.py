@@ -28,7 +28,7 @@ from .errors import (
     InputFormatError,
     InvalidMetricError,
 )
-from .su2_chart import MetricField, grad_sq, integrate, partial_derivatives
+from .su2_chart import MetricField, _axis_derivative, grad_sq, integrate, partial_derivatives
 
 __all__ = [
     "DIM",
@@ -158,7 +158,7 @@ def laplace_beltrami(f: np.ndarray, metric: MetricField) -> np.ndarray:
     flux = metric.sqrt_det[..., None] * np.einsum("...ij,...j->...i", metric.inv, df)
     out = np.zeros(metric.grid.shape)
     for i in range(3):
-        out += partial_derivatives(flux[..., i], metric.grid)[..., i]
+        out += _axis_derivative(flux[..., i], metric.grid, i)
     return out / metric.sqrt_det
 
 

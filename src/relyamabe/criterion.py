@@ -460,7 +460,7 @@ def corollary_path_check(
     t_end = float(t_end)
     if not (np.isfinite(t_start) and np.isfinite(t_end)) or t_end < t_start:
         raise InvalidMetricError(f"need t_start <= t_end, got [{t_start}, {t_end}]")
-    if int(steps) != steps or steps < 1:
+    if steps != steps or steps in (np.inf, -np.inf) or int(steps) != steps or steps < 1:
         raise InvalidMetricError(f"steps must be a positive integer, got {steps}")
 
     if t_end == t_start:

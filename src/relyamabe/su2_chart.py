@@ -84,7 +84,7 @@ def _d1_matrix(n: int, h: float, periodic: bool, width: int) -> sps.csr_matrix:
         wts = np.linalg.solve(a, rhs)
         # re-center the zeroth moment (best effort at the matrix level;
         # exact annihilation of constants is enforced at application
-        # time by _apply_stencil's difference form)
+        # time by _axis_derivative's difference form)
         wts -= wts.mean()
         rows.extend([i] * width)
         cols.extend(idx.tolist())
@@ -103,7 +103,7 @@ class HopfGrid:
 
     def __post_init__(self):
         for name, n in (("n_eta", self.n_eta), ("n_xi1", self.n_xi1), ("n_xi2", self.n_xi2)):
-            if int(n) != n or n < _MIN_CELLS:
+            if n != n or n in (np.inf, -np.inf) or int(n) != n or n < _MIN_CELLS:
                 raise InputFormatError(f"{name} must be an integer >= {_MIN_CELLS}, got {n}")
 
     @classmethod
@@ -149,29 +149,36 @@ class HopfGrid:
     def diff_ops(self, width: int = 3) -> tuple[sps.csr_matrix, ...]:
         """Sparse d/d_eta, d/d_xi1, d/d_xi2 acting on flattened fields,
         shared by every grid of the same shape."""
-        return _stencils(self.shape, width)[0]
+        return _stencils(self.shape, width)
 
 
 @functools.lru_cache(maxsize=4)
-def _stencils(shape: tuple[int, int, int], width: int):
-    """The derivative operators of a grid of `shape`, and for each the
-    row index of every stored entry (the layout _apply_stencil reads).
-    Built on first use; the row arrays are read-only because every
-    caller shares them."""
+def _stencils(shape: tuple[int, int, int], width: int) -> tuple[sps.csr_matrix, ...]:
+    """The derivative operators of a grid of `shape`, built on first use."""
     grid = HopfGrid(*shape)
     de, d1, d2 = grid.spacings
     i1 = sps.identity(grid.n_eta)
     i2 = sps.identity(grid.n_xi1)
     i3 = sps.identity(grid.n_xi2)
-    ops = (
+    return (
         sps.kron(sps.kron(_d1_matrix(grid.n_eta, de, False, width), i2), i3).tocsr(),
         sps.kron(sps.kron(i1, _d1_matrix(grid.n_xi1, d1, False, width)), i3).tocsr(),
         sps.kron(sps.kron(i1, i2), _d1_matrix(grid.n_xi2, d2, True, width)).tocsr(),
     )
-    rows = tuple(np.repeat(np.arange(op.shape[0]), np.diff(op.indptr)) for op in ops)
-    for r in rows:
-        r.setflags(write=False)
-    return ops, rows
+
+
+@functools.lru_cache(maxsize=16)
+def _axis_stencil(n: int, h: float, periodic: bool, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `_d1_matrix` as two read-only (k, n) tables, k the
+    window length: wts[j, i] is the weight of the j-th stored entry of
+    row i and idx[j, i] its column, in the matrix's stored order."""
+    d = _d1_matrix(n, h, periodic, width)
+    k = d.indptr[1]
+    wts = d.data.reshape(n, k).T.copy()
+    idx = d.indices.reshape(n, k).T.copy()
+    wts.setflags(write=False)
+    idx.setflags(write=False)
+    return wts, idx
 
 
 def frame_fields(z, w) -> np.ndarray:
@@ -231,7 +238,14 @@ class MetricField:
             raise InvalidMetricError("metric field is not positive definite at every cell")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "det", det)
-        object.__setattr__(self, "inv", np.linalg.inv(g))
+        inv = np.linalg.inv(g)
+        object.__setattr__(self, "inv", inv)
+        # contiguous copies of the components g^{ij}, which grad_sq reads
+        # on every call
+        inv_ij = tuple(
+            tuple(np.ascontiguousarray(inv[..., i, j]) for j in range(3)) for i in range(3)
+        )
+        object.__setattr__(self, "_inv_ij", inv_ij)
         object.__setattr__(self, "sqrt_det", np.sqrt(det))
         object.__setattr__(self, "weight", self.sqrt_det * self.grid.cell_volume)
 
@@ -280,31 +294,38 @@ def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
     return MetricField(grid=grid, g=g, params=params, chart_residual=resid)
 
 
-def _apply_stencil(op: sps.csr_matrix, rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Apply a derivative stencil in difference form:
-    out_i = sum_j w_ij (f_j - f_i), with `rows` the row index of each
-    stored entry of `op`.
+def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int, width: int = 3) -> np.ndarray:
+    """d f / d x_axis in difference form: out_i = sum_j w_ij (f_j - f_i),
+    the window's entries summed in stored order from 0.0.  f is a grid
+    field, or any block of it that keeps whole lines along `axis`.
 
-    Algebraically this equals the matvec (the stencil weights sum to
-    zero), but every term is an exact floating-point zero on constant
-    fields, so derivatives of constants come out as 0.0 rather than
-    accumulated roundoff — an identity downstream quadratures rely on.
+    Algebraically this equals the matvec with the axis operator of
+    `HopfGrid.diff_ops` (the stencil weights sum to zero), but every
+    term is an exact floating-point zero on constant fields, so
+    derivatives of constants come out as 0.0 rather than accumulated
+    roundoff — an identity downstream quadratures rely on.
     """
-    contrib = op.data * (flat[op.indices] - flat[rows])
-    return np.bincount(rows, weights=contrib, minlength=op.shape[0])
+    n = grid.shape[axis]
+    wts, idx = _axis_stencil(n, grid.spacings[axis], axis == 2, width)
+    bcast = [1, 1, 1]
+    bcast[axis] = n
+    out = np.zeros(f.shape)
+    for w, j in zip(wts, idx):
+        out += w.reshape(bcast) * (np.take(f, j, axis=axis) - f)
+    return out
+
+
+def _derivatives(f: np.ndarray, grid: HopfGrid, width: int = 3) -> list[np.ndarray]:
+    """[d_eta f, d_xi1 f, d_xi2 f] of a grid field."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != grid.shape:
+        raise InputFormatError(f"field shape {f.shape} does not match grid {grid.shape}")
+    return [_axis_derivative(f, grid, i, width) for i in range(3)]
 
 
 def partial_derivatives(f: np.ndarray, grid: HopfGrid, width: int = 3) -> np.ndarray:
     """Stacked coordinate derivatives df[..., i] = d_i f at every cell."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != grid.shape:
-        raise InputFormatError(f"field shape {f.shape} does not match grid {grid.shape}")
-    ops = grid.diff_ops(width)
-    rows = _stencils(grid.shape, width)[1]
-    flat = f.reshape(-1)
-    return np.stack(
-        [_apply_stencil(op, r, flat).reshape(grid.shape) for op, r in zip(ops, rows)], axis=-1
-    )
+    return np.stack(_derivatives(f, grid, width), axis=-1)
 
 
 def integrate(f, metric: MetricField) -> float:
@@ -315,8 +336,14 @@ def integrate(f, metric: MetricField) -> float:
 def grad_sq(f: np.ndarray, metric: MetricField) -> np.ndarray:
     """|df|^2_g = g^{ij} d_i f d_j f at every cell (clamped at zero:
     the form is positive semidefinite, negatives are pure roundoff)."""
-    df = partial_derivatives(f, metric.grid)
-    return np.maximum(np.einsum("...ij,...i,...j->...", metric.inv, df, df), 0.0)
+    df = _derivatives(f, metric.grid)
+    # term by term, in the order and with the products of
+    # einsum("...ij,...i,...j->...", inv, df, df)
+    acc = np.zeros(metric.grid.shape)
+    for i in range(3):
+        for j in range(3):
+            acc += metric._inv_ij[i][j] * df[i] * df[j]
+    return np.maximum(acc, 0.0)
 
 
 # === boundary geometry of the faces xi1 = 0 and xi1 = pi ================
@@ -389,23 +416,32 @@ def boundary_second_form(metric: MetricField, margin: float | None = None) -> Bo
     d_eta = grid.spacings[0]
     if margin is None:
         margin = max(2.0 * d_eta, _COLLAR_FLOOR)
-    ops = grid.diff_ops(width=5)
-    rows = _stencils(grid.shape, 5)[1]
 
-    dg = np.empty(grid.shape + (3, 3, 3))  # [..., c, a, b] = d_c g_ab
+    # Only the cell layers next to the faces are read, and of the
+    # Christoffel symbols only Gamma^{xi1}_ab.
+    layers = [0, grid.n_xi1 - 1]
+    dg = np.empty((grid.n_eta, 2, grid.n_xi2, 3, 3, 3))  # [..., c, a, b] = d_c g_ab
     for a in range(3):
         for b in range(3):
-            flat = metric.g[..., a, b].reshape(-1)
-            for c in range(3):
-                dg[..., c, a, b] = _apply_stencil(ops[c], rows[c], flat).reshape(grid.shape)
-    gamma = 0.5 * (
-        np.einsum("...im,...amb->...iab", metric.inv, dg)
-        + np.einsum("...im,...bma->...iab", metric.inv, dg)
-        - np.einsum("...im,...mab->...iab", metric.inv, dg)
+            gab = np.ascontiguousarray(metric.g[..., a, b])
+            face = gab[:, layers]
+            dg[..., 0, a, b] = _axis_derivative(face, grid, 0, width=5)
+            dg[..., 1, a, b] = _axis_derivative(gab, grid, 1, width=5)[:, layers]
+            dg[..., 2, a, b] = _axis_derivative(face, grid, 2, width=5)
+    inv = metric.inv[:, layers]
+    row = inv[..., 1, :]
+    gamma1 = 0.5 * (
+        np.einsum("...m,...amb->...ab", row, dg)
+        + np.einsum("...m,...bma->...ab", row, dg)
+        - np.einsum("...m,...mab->...ab", row, dg)
     )
-    inv_dphi = 1.0 / np.sqrt(metric.inv[..., 1, 1])
+    inv_dphi = 1.0 / np.sqrt(inv[..., 1, 1])
     tang = [0, 2]
-    hess = -gamma[..., 1, :, :][..., tang, :][..., :, tang] * inv_dphi[..., None, None]
+    hess = -gamma1[..., tang, :][..., :, tang] * inv_dphi[..., None, None]
+    # ghat is inverted on the whole grid, not on the face layers alone:
+    # einsum's summation order below follows its operands' memory
+    # layout, and this one keeps the face data bit-identical to the
+    # formula with all Christoffel symbols on the whole grid
     ghat = metric.g[..., tang, :][..., :, tang]
     ghat_inv = np.linalg.inv(ghat)
 
@@ -415,9 +451,9 @@ def boundary_second_form(metric: MetricField, margin: float | None = None) -> Bo
             f"collar margin {margin:.3f} excludes every cell; refine the grid"
         )
     faces = []
-    for j, name, sign in ((0, "xi1=0", 1.0), (grid.n_xi1 - 1, "xi1=pi", -1.0)):
+    for j, name, sign in ((0, "xi1=0", 1.0), (1, "xi1=pi", -1.0)):
         ii = sign * hess[:, j, :, :, :]
-        ghi = ghat_inv[:, j, :, :, :]
+        ghi = ghat_inv[:, layers[j], :, :, :]
         mean_curv = np.einsum("...ab,...ab->...", ghi, ii)
         shape_op = np.einsum("...ac,...cb->...ab", ghi, ii)
         ii_norm = np.sqrt(np.maximum(np.einsum("...ab,...ba->...", shape_op, shape_op), 0.0))

@@ -38,7 +38,7 @@ from .conformal_energy import (
     rayleigh_quotient,
 )
 from .errors import InputFormatError, NumericalFailureError
-from .su2_chart import MetricField
+from .su2_chart import HopfGrid, MetricField
 
 __all__ = [
     "EstimatorOptions",
@@ -59,6 +59,12 @@ _LP = 6  # critical exponent, 2n/(n-2) at n = 3
 _log = logging.getLogger("relyamabe")
 
 
+def _not_whole(x) -> bool:
+    """True unless x is a finite whole number; nan and inf are caught
+    before int(), which would raise on them."""
+    return x != x or x in (np.inf, -np.inf) or int(x) != x
+
+
 @dataclass(frozen=True)
 class EstimatorOptions:
     """Tuning knobs of the minimizer.  restarts counts the random
@@ -71,15 +77,15 @@ class EstimatorOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.max_iters) != self.max_iters or self.max_iters < 1:
+        if _not_whole(self.max_iters) or self.max_iters < 1:
             raise InputFormatError(f"max_iters must be a positive integer, got {self.max_iters}")
         if not np.isfinite(self.step) or self.step <= 0.0:
             raise InputFormatError(f"step must be positive, got {self.step}")
         if not np.isfinite(self.tol) or self.tol <= 0.0:
             raise InputFormatError(f"tol must be positive, got {self.tol}")
-        if int(self.restarts) != self.restarts or self.restarts < 1:
+        if _not_whole(self.restarts) or self.restarts < 1:
             raise InputFormatError(f"restarts must be a positive integer, got {self.restarts}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if _not_whole(self.seed) or self.seed < 0:
             raise InputFormatError(f"seed must be a non-negative integer, got {self.seed}")
 
 
@@ -290,32 +296,41 @@ class ProbeReport:
         }
 
 
+def _probe_trials(grid: HopfGrid, n_trials: int, seed: int):
+    """The probe's trials in order, the constant first; the cosines of
+    the 1-D axes are computed once per call."""
+    e = grid.eta[:, None, None]
+    x1 = grid.xi1[None, :, None]
+    x2 = grid.xi2[None, None, :]
+    cos_x1 = {m: np.cos(m * x1) for m in (1, 2)}
+    cos_e = {p: np.cos(2 * p * e) for p in (1, 2)}
+    sin2_x1 = np.sin(x1) ** 2
+    rng = np.random.default_rng(seed)
+    yield np.ones(grid.shape)
+    for _ in range(n_trials - 1):
+        a = rng.uniform(-0.25, 0.25, size=3)
+        m = int(rng.integers(1, 3))
+        p = int(rng.integers(1, 3))
+        ph = float(rng.uniform(0.0, 2.0 * np.pi))
+        yield 1.0 + a[0] * cos_x1[m] + sin2_x1 * (a[1] * cos_e[p] + a[2] * np.cos(x2 + ph))
+
+
 def yamabe_property_probe(
     metric: MetricField, scalar, n_trials: int = 100, seed: int = 0
 ) -> ProbeReport:
     """Evaluate the quotient on a deterministic family of admissible
-    trials: the constant, then positive low-frequency fields whose
-    xi1-dependence vanishes quadratically at the faces (so they remain
-    admissible for the boundary problem)."""
-    if int(n_trials) != n_trials or n_trials < 1:
+    trials: the constant, then positive low-frequency fields
+
+        u = 1 + a0 cos(m xi1) + sin^2(xi1) (a1 cos(2 p eta) + a2 cos(xi2 + ph)),
+
+    m, p in {1, 2}.  Every trial has zero normal derivative at the faces
+    xi1 in {0, pi}; the sin^2 part also vanishes there quadratically,
+    the a0 cos(m xi1) part does not."""
+    if _not_whole(n_trials) or n_trials < 1:
         raise InputFormatError(f"n_trials must be a positive integer, got {n_trials}")
-    e, x1, x2 = metric.grid.meshes()
-    rng = np.random.default_rng(seed)
     best_q = np.inf
     best_k = 0
-    for k in range(n_trials):
-        if k == 0:
-            u = np.ones(metric.grid.shape)
-        else:
-            a = rng.uniform(-0.25, 0.25, size=3)
-            m = int(rng.integers(1, 3))
-            p = int(rng.integers(1, 3))
-            ph = float(rng.uniform(0.0, 2.0 * np.pi))
-            u = (
-                1.0
-                + a[0] * np.cos(m * x1)
-                + np.sin(x1) ** 2 * (a[1] * np.cos(2 * p * e) + a[2] * np.cos(x2 + ph))
-            )
+    for k, u in enumerate(_probe_trials(metric.grid, int(n_trials), seed)):
         q = rayleigh_quotient(QuotientInput(f=u, metric=metric, scalar_curvature=scalar))
         if q < best_q:
             best_q, best_k = q, k

@@ -198,6 +198,11 @@ class TestPathCheck:
         for s in rep.samples[:-1]:
             assert s.verdict in ("AppliesStrict", "AppliesBoundary")
 
+    @pytest.mark.parametrize("steps", [0, 2.5, float("nan"), float("inf")])
+    def test_bad_step_count_rejected(self, steps):
+        with pytest.raises(InvalidMetricError):
+            corollary_path_check(berger_path(1.0), 3.0, 4.0, steps)
+
     def test_degenerate_path(self):
         rep = corollary_path_check(berger_path(1.0), 3.0, 3.0, 5)
         assert rep.delta == 0.0

@@ -64,6 +64,14 @@ class TestHopfGrid:
         with pytest.raises(InputFormatError):
             HopfGrid.cube(3)
 
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), -float("inf")])
+    def test_non_integer_cell_count_rejected(self, axis, bad):
+        counts = [8, 8, 8]
+        counts[axis] = bad
+        with pytest.raises(InputFormatError):
+            HopfGrid(*counts)
+
     def test_embedding_lies_on_sphere(self, grid16):
         z, w = embedding(grid16)
         assert np.abs(np.abs(z) ** 2 + np.abs(w) ** 2 - 1.0).max() <= 1e-14

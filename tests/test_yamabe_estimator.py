@@ -40,6 +40,11 @@ class TestOptions:
             {"restarts": 0},
             {"seed": -1},
             {"step": 0.0},
+        ]
+        + [
+            {name: bad}
+            for name in ("max_iters", "restarts", "seed")
+            for bad in (float("nan"), float("inf"), -float("inf"))
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -210,6 +215,11 @@ class TestProbe:
     def test_bad_trial_count_rejected(self, berger13_16):
         with pytest.raises(InputFormatError):
             yamabe_property_probe(berger13_16, 2.0, n_trials=0)
+
+    @pytest.mark.parametrize("n_trials", [2.5, float("nan"), float("inf"), -float("inf")])
+    def test_non_integer_trial_count_rejected(self, berger13_16, n_trials):
+        with pytest.raises(InputFormatError):
+            yamabe_property_probe(berger13_16, 2.0, n_trials=n_trials)
 
     def test_serializable(self, berger13_16):
         report = yamabe_property_probe(berger13_16, 2.0, n_trials=3, seed=1)
