@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -226,25 +225,28 @@ def _pythonify(value):
     return value
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, (np.floating, float)):
-        f = float(value)
-        return repr(f) if math.isfinite(f) else "nan"
-    if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
-        return str(int(value))
-    return str(value)
+def _csv_column(col) -> list[str]:
+    """The CSV cells of one column: repr of each finite float, "nan" for
+    each non-finite one, and str of any other value."""
+    col = np.asarray(col)
+    if col.dtype.kind != "f":
+        return list(map(str, col.tolist()))
+    cells = list(map(repr, col.tolist()))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        cells[i] = "nan"
+    return cells
 
 
-def render_rows_csv(rows, columns) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(_csv_cell(row[c]) for c in columns) + "\n")
-    return buf.getvalue()
+def render_rows_csv(table, columns) -> str:
+    """CSV of a table held as named columns of equal length: a header
+    line, then one line per row, each column formatted in one pass."""
+    cells = [_csv_column(table[c]) for c in columns]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 def render_payload(payload, cfg: RunConfig, columns=None) -> str:
-    """Render either a dict payload or a (rows, columns) table."""
+    """Render either a dict payload or, when `columns` names them in
+    order, a table held as a mapping of column name to values."""
     if cfg.format == "csv":
         if columns is not None:
             return render_rows_csv(payload, columns)
@@ -262,7 +264,9 @@ def render_payload(payload, cfg: RunConfig, columns=None) -> str:
             lines.append(f"{key},{val}")
         return "\n".join(lines) + "\n"
     if columns is not None:
-        return json.dumps({"rows": _pythonify(list(payload))}, indent=2, sort_keys=True) + "\n"
+        lists = [np.asarray(payload[c]).tolist() for c in columns]
+        rows = [dict(zip(columns, row)) for row in zip(*lists)]
+        return json.dumps({"rows": _pythonify(rows)}, indent=2, sort_keys=True) + "\n"
     return json.dumps(_pythonify(payload), indent=2, sort_keys=True) + "\n"
 
 
@@ -312,10 +316,11 @@ def cmd_curvature(args: argparse.Namespace, cfg: RunConfig) -> None:
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> None:
     s_values = parse_range(args.s, "--s")
     t_values = parse_range(args.t, "--t")
-    rows = crit.berger_sweep(s_values, t_values)
-    n_valid = sum(1 for r in rows if r["verdict"] != "invalid")
-    summary = f"swept {len(rows)} parameter pairs ({n_valid} in domain)"
-    emit(render_payload(rows, cfg, columns=_SWEEP_COLUMNS), summary, cfg)
+    table = crit._sweep_columns(s_values, t_values)
+    verdict = table["verdict"]
+    n_valid = int(np.count_nonzero(verdict != "invalid"))
+    summary = f"swept {len(verdict)} parameter pairs ({n_valid} in domain)"
+    emit(render_payload(table, cfg, columns=_SWEEP_COLUMNS), summary, cfg)
 
 
 def cmd_criterion(args: argparse.Namespace, cfg: RunConfig) -> None:
@@ -363,7 +368,8 @@ def cmd_pathcheck(args: argparse.Namespace, cfg: RunConfig) -> None:
     )
     if cfg.format == "csv":
         columns = ("t", "scalar", "min_eig", "gamma", "verdict")
-        emit(render_payload([s.to_dict() for s in report.samples], cfg, columns), summary, cfg)
+        table = {c: [getattr(smp, c) for smp in report.samples] for c in columns}
+        emit(render_payload(table, cfg, columns), summary, cfg)
     else:
         emit(render_payload(payload, cfg), summary, cfg)
 
@@ -385,12 +391,9 @@ def cmd_dump_grid(args: argparse.Namespace, cfg: RunConfig) -> None:
         "g_xi1_xi2": metric.g[..., 1, 2],
         "g_xi2_xi2": metric.g[..., 2, 2],
     }
-    flat = {k: v.reshape(-1) for k, v in comps.items()}
-    rows = [
-        {k: float(flat[k][i]) for k in _GRID_COLUMNS} for i in range(grid.size)
-    ]
+    table = {k: v.reshape(-1) for k, v in comps.items()}
     summary = f"dumped {grid.size} cells at resolution {args.resolution}"
-    emit(render_payload(rows, cfg, columns=_GRID_COLUMNS), summary, cfg)
+    emit(render_payload(table, cfg, columns=_GRID_COLUMNS), summary, cfg)
 
 
 # === argument wiring =====================================================

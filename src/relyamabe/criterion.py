@@ -17,6 +17,15 @@ For the Berger family compared against the round sphere the verdict
 boundary is an explicit curve t*(s) = s + sqrt(s) + 1 and the scalar
 curvature changes sign on the curve t = (1 + sqrt(s))^2; both are
 recovered here by bisection on engine-computed quantities.
+
+The bisection is stacked: each round evaluates, in one call of the
+stacked engine, the heap-ordered tree of the midpoints that the next
+_BISECT_DEPTH steps could visit, each formed as 0.5 * (lo + hi) from
+its own bracket exactly as a one-point-per-step bisection forms it.
+The steps then walk the tree by the sign of each value, so the
+midpoints, the exact-zero return and the root are those of the
+sequential bisection, with one engine call per _BISECT_DEPTH steps
+instead of one per step.
 """
 
 from __future__ import annotations
@@ -89,6 +98,10 @@ _PSD_REL_TOL = 1e-12
 _EINSTEIN_TOL = 1e-10
 _ROUND_SCALAR = 6.0
 _RATIO_REL_TOL = 1e-8
+#: bisection steps per stacked engine call (2**depth - 1 midpoints)
+_BISECT_DEPTH = 4
+#: doublings of a root bracket whose ends show no sign change
+_BRACKET_GROWTHS = 8
 
 
 def _as_frame_metric(m) -> FrameMetric:
@@ -244,15 +257,21 @@ class BergerClassification:
         }
 
 
+def _berger_metrics(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The stacked metrics diag(1, s, t), shape (N, 3, 3)."""
+    H = np.zeros((len(s), 3, 3))
+    H[:, 0, 0] = 1.0
+    H[:, 1, 1] = s
+    H[:, 2, 2] = t
+    return H
+
+
 def _classify_berger(s: np.ndarray, t: np.ndarray) -> dict:
     """Classify diag(1, s, t) for arrays of in-domain parameters (as
     `berger_classify` describes) in one stacked computation.  Returns
     columns: "R", "einstein_dev", "eigs", "scale", "check" (the pairwise
     verdict), "gamma" and "verdict" (the classification)."""
-    H = np.zeros((len(s), 3, 3))
-    H[:, 0, 0] = 1.0
-    H[:, 1, 1] = s
-    H[:, 2, 2] = t
+    H = _berger_metrics(s, t)
     G = np.broadcast_to(np.eye(3), H.shape)
     _, _, _, scalar, _, deviation = _curvature(su2_structure_constants().c, H)
     eigs, scale, check = _pencil(G, np.full(len(s), _ROUND_SCALAR), H, scalar)
@@ -301,8 +320,38 @@ def berger_classify(p: BergerParams) -> BergerClassification:
     )
 
 
-def _bisect(fun: Callable[[float], float], lo: float, hi: float, tol: float, what: str) -> float:
-    f_lo, f_hi = fun(lo), fun(hi)
+def _midpoint_tree(lo: float, hi: float) -> list[float]:
+    """The midpoints the next _BISECT_DEPTH bisection steps from [lo, hi]
+    can visit, in heap order: node k halves its bracket, node 2k + 1
+    halves the lower half and node 2k + 2 the upper half."""
+    brackets = [(lo, hi)]
+    mids = []
+    for k in range(2**_BISECT_DEPTH - 1):
+        a, b = brackets[k]
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        brackets += [(a, mid), (mid, b)]
+    return mids
+
+
+def _bisect(
+    fun: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float, what: str
+) -> float:
+    """Root of `fun` on [lo, hi] by bisection to width `tol`.  `fun` maps
+    an array of points to their values in one stacked call.
+
+    When the values at the two ends have the same sign, the upper end
+    moves to lo + 2 (hi - lo), at most _BRACKET_GROWTHS times, until
+    they differ.  The steps then take their midpoints from
+    `_midpoint_tree`, one call of `fun` per tree (see the module
+    docstring).
+    """
+    f_lo, f_hi = fun(np.array([lo, hi])).tolist()
+    for _ in range(_BRACKET_GROWTHS):
+        if f_lo == 0.0 or np.sign(f_lo) != np.sign(f_hi):
+            break
+        hi = lo + 2.0 * (hi - lo)
+        (f_hi,) = fun(np.array([hi])).tolist()
     if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
         raise HypothesisViolationError(f"{what}: non-finite values at the bracket ends")
     if f_lo == 0.0:
@@ -314,37 +363,43 @@ def _bisect(fun: Callable[[float], float], lo: float, hi: float, tol: float, wha
             f"{what}: no sign change on [{lo:.6g}, {hi:.6g}] "
             f"(f = {f_lo:.3e} and {f_hi:.3e})"
         )
+    sign_lo = np.sign(f_lo)
+    mids, values, node = [], [], 0
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = fun(mid)
+        if node >= len(mids):
+            mids, node = _midpoint_tree(lo, hi), 0
+            values = fun(np.array(mids)).tolist()
+        mid, f_mid = mids[node], values[node]
         if f_mid == 0.0:
             return mid
-        if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
+        if np.sign(f_mid) == sign_lo:
+            lo, node = mid, 2 * node + 2
         else:
-            hi = mid
+            hi, node = mid, 2 * node + 1
     return 0.5 * (lo + hi)
 
 
-def _berger_min_eig(frame, s: float, t: float) -> float:
-    metric = BergerParams(s, t).metric()
-    scal = curvature_report(frame, metric).scalar
-    return theorem1_check(FrameMetric.round(), _ROUND_SCALAR, metric, scal).min_eig
+def _check_domain(s: float, tol: float, what: str) -> None:
+    if not np.isfinite(s) or s < 1.0:
+        raise InvalidMetricError(f"{what} needs s >= 1, got {s}")
+    if not np.isfinite(tol) or tol <= 0.0:
+        raise InvalidMetricError(f"tolerance must be positive, got {tol}")
 
 
 def boundary_curve(s: float, tol: float = 1e-8) -> float:
     """The t at which diag(1, s, t) crosses from failing to passing the
     comparison against the round sphere, located by bisection on the
-    minimal pencil eigenvalue over t in (s, s + 4]."""
+    minimal pencil eigenvalue.  The bracket is (s, s + 4], which holds
+    the root for s < 9; for larger s its upper end doubles its distance
+    from the lower one until the eigenvalue changes sign (enough for s
+    up to about 1e6)."""
     s = float(s)
-    if not np.isfinite(s) or s < 1.0:
-        raise InvalidMetricError(f"boundary_curve needs s >= 1, got {s}")
-    if not np.isfinite(tol) or tol <= 0.0:
-        raise InvalidMetricError(f"tolerance must be positive, got {tol}")
-    frame = su2_structure_constants()
-    t_star = _bisect(
-        lambda t: _berger_min_eig(frame, s, t), s + 1e-3, s + 4.0, tol, "criterion boundary curve"
-    )
+    _check_domain(s, tol, "boundary_curve")
+
+    def min_eig(t: np.ndarray) -> np.ndarray:
+        return _classify_berger(np.full(len(t), s), t)["eigs"][:, 0]
+
+    t_star = _bisect(min_eig, s + 1e-3, s + 4.0, tol, "criterion boundary curve")
     # Self-check against the closed-form root t = s + sqrt(s) + 1; the
     # bisection is the computation, the closed form only guards it.
     expected = s + math.sqrt(s) + 1.0
@@ -358,19 +413,18 @@ def boundary_curve(s: float, tol: float = 1e-8) -> float:
 
 def scalar_sign_curve(s: float, tol: float = 1e-8) -> float:
     """The t at which the scalar curvature of diag(1, s, t) changes
-    sign, located by bisection over t in [s, s + 8]."""
+    sign, located by bisection.  The bracket is [s, s + 8], which holds
+    the root for s < 12.25; for larger s its upper end doubles its
+    distance from the lower one until the curvature changes sign
+    (enough for s up to about 1e6)."""
     s = float(s)
-    if not np.isfinite(s) or s < 1.0:
-        raise InvalidMetricError(f"scalar_sign_curve needs s >= 1, got {s}")
-    if not np.isfinite(tol) or tol <= 0.0:
-        raise InvalidMetricError(f"tolerance must be positive, got {tol}")
+    _check_domain(s, tol, "scalar_sign_curve")
+    c = su2_structure_constants().c
 
-    frame = su2_structure_constants()
+    def scalar(t: np.ndarray) -> np.ndarray:
+        return _curvature(c, _berger_metrics(np.full(len(t), s), t))[3]
 
-    def fun(t: float) -> float:
-        return curvature_report(frame, BergerParams(s, t).metric()).scalar
-
-    t_zero = _bisect(fun, s, s + 8.0, tol, "scalar curvature sign curve")
+    t_zero = _bisect(scalar, s, s + 8.0, tol, "scalar curvature sign curve")
     expected = (1.0 + math.sqrt(s)) ** 2
     if abs(t_zero - expected) > 1e-6:
         raise NumericalFailureError(
@@ -452,9 +506,10 @@ def corollary_path_check(
     and delta 0 with nothing to check.
 
     The curvature and the comparison of all samples are one stacked
-    computation.  Unlike `berger_sweep`, nothing is masked: a sample
-    the path rejects (outside the normalized domain) raises
-    InvalidMetricError before any of it runs.
+    computation on the metrics of the samples' parameters.  Unlike
+    `berger_sweep`, nothing is masked: a sample the path rejects
+    (outside the normalized domain) raises InvalidMetricError before
+    any of it runs.
     """
     t_start = float(t_start)
     t_end = float(t_end)
@@ -476,7 +531,8 @@ def corollary_path_check(
         )
 
     ts = t_start + (t_end - t_start) * np.arange(steps + 1) / steps
-    H = np.stack([path(t).metric().matrix for t in ts.tolist()])
+    params = [path(t) for t in ts.tolist()]
+    H = _berger_metrics(np.array([p.s for p in params]), np.array([p.t for p in params]))
     _, _, _, scalar, _, _ = _curvature(su2_structure_constants().c, H)
     # ts[0] == t_start, so the first sample is the reference metric
     G = np.broadcast_to(H[0], H.shape)
@@ -529,16 +585,9 @@ def corollary_path_check(
     )
 
 
-def berger_sweep(s_values, t_values) -> list[dict]:
-    """Classify a grid of Berger parameters; one row per (s, t) in
-    s-major order.
-
-    The whole grid is one stacked computation.  Pairs outside the
-    normalized domain (non-finite, s < 1, or t < s) are masked out of
-    it: their rows carry the verdict "invalid" and NaN numeric columns,
-    and the remaining rows are exactly what `berger_classify` returns
-    for the same parameters.
-    """
+def _sweep_columns(s_values, t_values) -> dict[str, np.ndarray]:
+    """The `berger_sweep` table as named columns (arrays of length
+    len(s_values) * len(t_values), s-major)."""
     s, t = (
         a.ravel()
         for a in np.meshgrid(
@@ -559,5 +608,18 @@ def berger_sweep(s_values, t_values) -> list[dict]:
     classified["min_eig"] = classified["eigs"][:, 0]
     for key in ("R", "einstein_dev", "min_eig", "gamma", "verdict"):
         cols[key][valid] = classified[key]
-    lists = {key: col.tolist() for key, col in cols.items()}
+    return cols
+
+
+def berger_sweep(s_values, t_values) -> list[dict]:
+    """Classify a grid of Berger parameters; one row per (s, t) in
+    s-major order.
+
+    The whole grid is one stacked computation.  Pairs outside the
+    normalized domain (non-finite, s < 1, or t < s) are masked out of
+    it: their rows carry the verdict "invalid" and NaN numeric columns,
+    and the remaining rows are exactly what `berger_classify` returns
+    for the same parameters.
+    """
+    lists = {key: col.tolist() for key, col in _sweep_columns(s_values, t_values).items()}
     return [dict(zip(lists, row)) for row in zip(*lists.values())]

@@ -1,0 +1,110 @@
+"""The columnar CSV renderer against a row-by-row, cell-by-cell one:
+`sweep`, `pathcheck` and `dump-grid` payloads keep their bytes, CSV and
+JSON alike, including invalid and non-finite sweep parameters."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from relyamabe import (
+    BergerParams,
+    HopfGrid,
+    berger_path,
+    berger_sweep,
+    chart_metric,
+    corollary_path_check,
+)
+from relyamabe.cli import _GRID_COLUMNS, _SWEEP_COLUMNS, _pythonify, main, render_rows_csv
+from relyamabe.criterion import _sweep_columns
+
+PATH_COLUMNS = ("t", "scalar", "min_eig", "gamma", "verdict")
+
+
+def cell(value) -> str:
+    if isinstance(value, (np.floating, float)):
+        f = float(value)
+        return repr(f) if math.isfinite(f) else "nan"
+    if isinstance(value, (np.integer, int)) and not isinstance(value, bool):
+        return str(int(value))
+    return str(value)
+
+
+def rows_csv(rows, columns) -> str:
+    """One line per row dict, one cell at a time."""
+    lines = [",".join(columns)]
+    lines += [",".join(cell(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def rows_json(rows) -> str:
+    return json.dumps({"rows": _pythonify(list(rows))}, indent=2, sort_keys=True) + "\n"
+
+
+def run(tmp_path, *argv) -> str:
+    out = tmp_path / "payload"
+    assert main(list(argv) + ["--out", str(out), "--quiet"]) == 0
+    return out.read_text()
+
+
+def grid_rows(geometry: BergerParams, n: int) -> list[dict]:
+    grid = HopfGrid.cube(n)
+    metric = chart_metric(grid, geometry)
+    e, x1, x2 = grid.meshes()
+    comps = [e, x1, x2, metric.sqrt_det] + [
+        metric.g[..., i, j] for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    ]
+    flat = [c.reshape(-1) for c in comps]
+    return [{k: float(f[i]) for k, f in zip(_GRID_COLUMNS, flat)} for i in range(grid.size)]
+
+
+NONFINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize(
+    "s_values, t_values",
+    [
+        ([0.5, 1.0, 2.0, 3.5], [0.25, 1.0, 1.5, 3.0, 4.5, 8.0]),
+        ([1.0] + NONFINITE + [2.0], [3.0] + NONFINITE + [0.5]),
+        (NONFINITE, NONFINITE),
+    ],
+)
+def test_sweep_columns_render_like_rows(s_values, t_values):
+    rows = berger_sweep(s_values, t_values)
+    text = render_rows_csv(_sweep_columns(s_values, t_values), _SWEEP_COLUMNS)
+    assert text == rows_csv(rows, _SWEEP_COLUMNS)
+    body = [line.split(",") for line in text.splitlines()[1:]]
+    assert len(body) == len(s_values) * len(t_values)
+    for row, cells in zip(rows, body):
+        for key, cell_text in zip(_SWEEP_COLUMNS, cells):
+            if isinstance(row[key], float) and not math.isfinite(row[key]):
+                assert cell_text == "nan"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_sweep_payload(tmp_path, fmt):
+    text = run(tmp_path, "sweep", "--s", "0.5:4:8", "--t", "0.2:6:9", "--format", fmt)
+    rows = berger_sweep(0.5 + 3.5 * np.arange(8) / 7, 0.2 + 5.8 * np.arange(9) / 8)
+    assert text == (rows_csv(rows, _SWEEP_COLUMNS) if fmt == "csv" else rows_json(rows))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [4, 6])
+def test_cli_dump_grid_payload(tmp_path, n, fmt):
+    text = run(
+        tmp_path, "dump-grid", "--geometry", "berger:1.3,2.7", "--resolution", str(n),
+        "--format", fmt,
+    )
+    rows = grid_rows(BergerParams(1.3, 2.7), n)
+    assert text == (rows_csv(rows, _GRID_COLUMNS) if fmt == "csv" else rows_json(rows))
+
+
+@pytest.mark.parametrize("t_end, steps", [(4.0, 20), (3.0, 5)])
+def test_cli_pathcheck_csv(tmp_path, t_end, steps):
+    text = run(
+        tmp_path, "pathcheck", "--s", "1", "--t-start", "3", "--t-end", str(t_end),
+        "--steps", str(steps), "--format", "csv",
+    )
+    report = corollary_path_check(berger_path(1.0), 3.0, t_end, steps)
+    assert text == rows_csv([smp.to_dict() for smp in report.samples], PATH_COLUMNS)

@@ -1,0 +1,49 @@
+"""`corollary_path_check` builds its stacked metrics from each sample's
+validated parameters: every sample equals the single-point queries on
+that sample's metric, and a sample outside the normalized domain raises
+before anything is computed."""
+
+import pytest
+
+from relyamabe import (
+    BergerParams,
+    InvalidMetricError,
+    berger_path,
+    corollary_path_check,
+    curvature_report,
+    su2_structure_constants,
+    theorem1_check,
+    volume_ratio,
+)
+
+
+@pytest.mark.parametrize("s, t_start, t_end, steps", [(1.0, 3.0, 4.0, 100), (2.25, 2.25, 6.25, 37)])
+def test_samples_equal_single_point_queries(s, t_start, t_end, steps):
+    report = corollary_path_check(berger_path(s), t_start, t_end, steps)
+    frame = su2_structure_constants()
+    ref = BergerParams(s, t_start).metric()
+    r_ref = curvature_report(frame, ref).scalar
+    for smp in report.samples:
+        metric = BergerParams(s, smp.t).metric()
+        scalar = curvature_report(frame, metric).scalar
+        check = theorem1_check(ref, r_ref, metric, scalar)
+        assert (smp.scalar, smp.min_eig, smp.gamma, smp.verdict) == (
+            scalar,
+            check.min_eig,
+            volume_ratio(ref, metric),
+            check.verdict,
+        )
+
+
+def test_out_of_domain_sample_raises():
+    seen = []
+
+    def path(t):
+        seen.append(t)
+        return BergerParams(2.0, t)
+
+    with pytest.raises(InvalidMetricError):
+        corollary_path_check(path, 1.0, 4.0, 10)
+    assert seen == [1.0]
+    with pytest.raises(InvalidMetricError):
+        corollary_path_check(berger_path(1.0), 0.5, 4.0, 10)
