@@ -12,7 +12,7 @@ A second run shows the diagnostic for a path that stops short of the
 scalar-flat endpoint, which the checker rejects.
 """
 
-from relyamabe import HypothesisViolationError, berger_path, corollary_path_check
+from relyamabe import HypothesisViolationError, corollary_path_check
 
 
 def show_samples(report) -> None:
@@ -25,10 +25,8 @@ def show_samples(report) -> None:
 
 
 def main() -> None:
-    path = berger_path(1.0)
-
     print("path g_{1,t}, t from 3 to 4, 101 samples:")
-    report = corollary_path_check(path, 3.0, 4.0, steps=101)
+    report = corollary_path_check(1.0, 3.0, 4.0, steps=101)
     show_samples(report)
     print(f"  endpoint scalar curvature: {report.endpoint_scalar:.2e} (scalar-flat)")
     print(f"  terminal window delta:     {report.delta:.6f}")
@@ -37,14 +35,14 @@ def main() -> None:
     print()
 
     print("path g_{1,t}, t from 2 to 4, 101 samples:")
-    report = corollary_path_check(path, 2.0, 4.0, steps=101)
+    report = corollary_path_check(1.0, 2.0, 4.0, steps=101)
     show_samples(report)
     print(f"  terminal window delta: {report.delta:.6f}")
     print()
 
     print("path stopping at t = 3.9 (no scalar-flat endpoint):")
     try:
-        corollary_path_check(path, 3.0, 3.9, steps=51)
+        corollary_path_check(1.0, 3.0, 3.9, steps=51)
     except HypothesisViolationError as exc:
         print(f"  rejected: {exc}")
 

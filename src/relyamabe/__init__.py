@@ -2,9 +2,6 @@
 for left invariant metrics on the 3-sphere."""
 
 from .conformal_energy import (
-    CONFORMAL_COEFF,
-    DIM,
-    EnergyReport,
     QuotientInput,
     conformal_scalar,
     einstein_hilbert,
@@ -13,12 +10,7 @@ from .conformal_energy import (
     rayleigh_quotient,
 )
 from .criterion import (
-    BergerClassification,
-    CriterionReport,
-    PathReport,
-    PathSample,
     berger_classify,
-    berger_path,
     berger_sweep,
     boundary_curve,
     corollary_path_check,
@@ -38,7 +30,6 @@ from .errors import (
 )
 from .lie_curvature import (
     BergerParams,
-    CurvatureReport,
     FrameMetric,
     LieAlgebraFrame,
     berger_ricci_closed,
@@ -50,8 +41,6 @@ from .lie_curvature import (
     su2_structure_constants,
 )
 from .su2_chart import (
-    BoundaryReport,
-    FaceSecondForm,
     HopfGrid,
     MetricField,
     boundary_second_form,
@@ -64,8 +53,6 @@ from .su2_chart import (
 )
 from .yamabe_estimator import (
     EstimatorOptions,
-    ProbeReport,
-    QuotientEstimate,
     estimate,
     yamabe_property_probe,
 )
@@ -87,7 +74,6 @@ __all__ = [
     "LieAlgebraFrame",
     "FrameMetric",
     "BergerParams",
-    "CurvatureReport",
     "su2_structure_constants",
     "frame_from_matrices",
     "levi_civita",
@@ -98,8 +84,6 @@ __all__ = [
     # su2_chart
     "HopfGrid",
     "MetricField",
-    "FaceSecondForm",
-    "BoundaryReport",
     "frame_fields",
     "embedding",
     "chart_metric",
@@ -108,9 +92,6 @@ __all__ = [
     "grad_sq",
     "boundary_second_form",
     # conformal_energy
-    "DIM",
-    "CONFORMAL_COEFF",
-    "EnergyReport",
     "QuotientInput",
     "einstein_hilbert",
     "rayleigh_quotient",
@@ -118,22 +99,15 @@ __all__ = [
     "conformal_scalar",
     "neumann_residual",
     # criterion
-    "CriterionReport",
-    "BergerClassification",
-    "PathSample",
-    "PathReport",
     "volume_ratio",
     "theorem1_check",
     "berger_classify",
     "boundary_curve",
     "scalar_sign_curve",
-    "berger_path",
     "corollary_path_check",
     "berger_sweep",
     # yamabe_estimator
     "EstimatorOptions",
-    "QuotientEstimate",
-    "ProbeReport",
     "estimate",
     "yamabe_property_probe",
 ]

@@ -27,16 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import criterion as crit
-from .errors import (
-    ChartConsistencyError,
-    ChartDomainError,
-    DegenerateTrialError,
-    HypothesisViolationError,
-    InputFormatError,
-    InvalidMetricError,
-    NumericalFailureError,
-    RelYamabeError,
-)
+from .errors import ChartDomainError, InputFormatError, InvalidMetricError, RelYamabeError
 from .lie_curvature import (
     BergerParams,
     FrameMetric,
@@ -52,12 +43,6 @@ from .yamabe_estimator import EstimatorOptions, estimate
 __all__ = ["RunConfig", "main"]
 
 _INPUT_ERRORS = (InputFormatError, InvalidMetricError, ChartDomainError)
-_RUNTIME_ERRORS = (
-    NumericalFailureError,
-    HypothesisViolationError,
-    DegenerateTrialError,
-    ChartConsistencyError,
-)
 
 _SWEEP_COLUMNS = ("s", "t", "R", "einstein_dev", "min_eig", "gamma", "verdict")
 _GRID_COLUMNS = (
@@ -358,9 +343,7 @@ def cmd_yamabe(args: argparse.Namespace, cfg: RunConfig) -> None:
 
 
 def cmd_pathcheck(args: argparse.Namespace, cfg: RunConfig) -> None:
-    report = crit.corollary_path_check(
-        crit.berger_path(args.s), args.t_start, args.t_end, args.steps
-    )
+    report = crit.corollary_path_check(args.s, args.t_start, args.t_end, args.steps)
     payload = report.to_dict()
     summary = (
         f"delta = {report.delta:.12g}, endpoint scalar = {report.endpoint_scalar:.3e} "
@@ -466,10 +449,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except _RUNTIME_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except RelYamabeError as exc:  # anything new in the taxonomy: runtime class
+    except RelYamabeError as exc:  # every other class is a runtime failure
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except BrokenPipeError:

@@ -111,7 +111,6 @@ class QuotientInput:
     f: np.ndarray = field(repr=False)
     metric: MetricField
     scalar_curvature: np.ndarray = field(repr=False)
-    a: float = CONFORMAL_COEFF
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
@@ -123,8 +122,6 @@ class QuotientInput:
             raise InputFormatError("trial function has non-finite entries")
         if np.abs(f).max() <= 0.0:
             raise DegenerateTrialError("trial function is identically zero")
-        if not np.isfinite(self.a) or self.a <= 0.0:
-            raise InputFormatError(f"gradient coefficient must be positive, got {self.a}")
         object.__setattr__(self, "f", f)
         object.__setattr__(
             self, "scalar_curvature", _scalar_field(self.scalar_curvature, f.shape)
@@ -132,22 +129,20 @@ class QuotientInput:
 
 
 def rayleigh_quotient(qi: QuotientInput) -> float:
-    """Q(f) = (a |df|^2 + R f^2 integrated) / (integral |f|^6)^{1/3}.
+    """Q(f) = (8 |df|^2 + R f^2 integrated) / (integral |f|^6)^{1/3}.
 
-    A constant trial short-circuits to the background energy: for
-    constant f the gradient term vanishes identically and the quotient
-    collapses to E(g), so returning einstein_hilbert makes the algebraic
-    identity Q(const) = E hold bit for bit rather than to roundoff.
+    Q(1) equals einstein_hilbert(...).energy bit for bit: the
+    difference-form derivatives of a constant are exact zeros, so the
+    numerator integrates R cell by cell and the denominator integrates
+    the weights, which is the metric volume.
     """
     f, metric = qi.f, qi.metric
-    if np.ptp(f) == 0.0:
-        return einstein_hilbert(metric, qi.scalar_curvature).energy
     denom_int = integrate(np.abs(f) ** _LP_EXP, metric)
     if denom_int ** (1.0 / _LP_EXP) < _UNDERFLOW:
         raise DegenerateTrialError(
             f"critical norm underflow: ||f||_{_LP_EXP} = {denom_int ** (1.0 / _LP_EXP):.3e}"
         )
-    numer = integrate(qi.a * grad_sq(f, metric) + qi.scalar_curvature * f * f, metric)
+    numer = integrate(CONFORMAL_COEFF * grad_sq(f, metric) + qi.scalar_curvature * f * f, metric)
     return numer / denom_int ** _VOL_EXP
 
 

@@ -71,7 +71,6 @@ __all__ = [
     "berger_classify",
     "boundary_curve",
     "scalar_sign_curve",
-    "berger_path",
     "corollary_path_check",
     "berger_sweep",
 ]
@@ -434,12 +433,6 @@ def scalar_sign_curve(s: float, tol: float = 1e-8) -> float:
     return t_zero
 
 
-def berger_path(s: float) -> Callable[[float], BergerParams]:
-    """The one-parameter family t -> diag(1, s, t) at fixed s."""
-    s = float(s)
-    return lambda t: BergerParams(s, t)
-
-
 @dataclass(frozen=True)
 class PathSample:
     t: float
@@ -485,7 +478,7 @@ class PathReport:
 
 
 def corollary_path_check(
-    path: Callable[[float], BergerParams],
+    s: float,
     t_start: float,
     t_end: float,
     steps: int,
@@ -494,9 +487,10 @@ def corollary_path_check(
     """Check the path hypotheses and measure the terminal window on
     which the comparison against the path's starting metric holds.
 
-    The path is sampled at steps + 1 uniform parameters and each sample
-    is compared against path(t_start) (the start compares against
-    itself, landing exactly on the boundary verdict).  Hypotheses:
+    The path is t -> diag(1, s, t) at fixed s.  It is sampled at
+    steps + 1 uniform parameters and each sample is compared against
+    diag(1, s, t_start) (the start compares against itself, landing
+    exactly on the boundary verdict).  Hypotheses:
     scalar curvature must be positive at every sample before the
     endpoint (condition 3) and must vanish to `end_tol` at the endpoint
     (condition 4); violations raise with the violated condition named.
@@ -507,9 +501,10 @@ def corollary_path_check(
 
     The curvature and the comparison of all samples are one stacked
     computation on the metrics of the samples' parameters.  Unlike
-    `berger_sweep`, nothing is masked: a sample the path rejects
-    (outside the normalized domain) raises InvalidMetricError before
-    any of it runs.
+    `berger_sweep`, nothing is masked: every sample has t >= t_start,
+    so the single domain check BergerParams(s, t_start) covers them
+    all, and a path outside the normalized domain raises
+    InvalidMetricError before any of it runs.
     """
     t_start = float(t_start)
     t_end = float(t_end)
@@ -517,10 +512,10 @@ def corollary_path_check(
         raise InvalidMetricError(f"need t_start <= t_end, got [{t_start}, {t_end}]")
     if steps != steps or steps in (np.inf, -np.inf) or int(steps) != steps or steps < 1:
         raise InvalidMetricError(f"steps must be a positive integer, got {steps}")
+    start = BergerParams(s, t_start)
 
     if t_end == t_start:
-        p = path(t_start)
-        rep = curvature_report(su2_structure_constants(), p.metric())
+        rep = curvature_report(su2_structure_constants(), start.metric())
         return PathReport(
             t_start=t_start,
             t_end=t_end,
@@ -531,8 +526,7 @@ def corollary_path_check(
         )
 
     ts = t_start + (t_end - t_start) * np.arange(steps + 1) / steps
-    params = [path(t) for t in ts.tolist()]
-    H = _berger_metrics(np.array([p.s for p in params]), np.array([p.t for p in params]))
+    H = _berger_metrics(np.full(len(ts), start.s), ts)
     _, _, _, scalar, _, _ = _curvature(su2_structure_constants().c, H)
     # ts[0] == t_start, so the first sample is the reference metric
     G = np.broadcast_to(H[0], H.shape)

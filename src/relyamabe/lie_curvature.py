@@ -55,15 +55,13 @@ class LieAlgebraFrame:
 
     c[k, i, j] is the X_k coefficient of [X_i, X_j].  `matrices` holds
     the concrete 2x2 basis when the frame came from one (it is None
-    for frames loaded from bare structure constants); `labels` names
-    the basis directions.  Both arrays are private read-only copies, so
-    a frame shared between callers (the cached su(2) frame) cannot be
-    altered through them.
+    for frames loaded from bare structure constants).  Both arrays are
+    private read-only copies, so a frame shared between callers (the
+    cached su(2) frame) cannot be altered through them.
     """
 
     c: np.ndarray
     matrices: np.ndarray | None = None
-    labels: tuple[str, ...] = ("X1", "X2", "X3")
 
     def __post_init__(self):
         c = np.array(self.c, dtype=float)
@@ -104,7 +102,7 @@ class LieAlgebraFrame:
         return worst
 
 
-def frame_from_matrices(mats, labels=("X1", "X2", "X3")) -> LieAlgebraFrame:
+def frame_from_matrices(mats) -> LieAlgebraFrame:
     """Build a frame from three 2x2 complex matrices.
 
     The bracket [X_i, X_j] is expanded over the basis using the real
@@ -124,7 +122,7 @@ def frame_from_matrices(mats, labels=("X1", "X2", "X3")) -> LieAlgebraFrame:
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
             for k in range(3):
                 c[k, i, j] = np.real(np.trace(comm @ mats[k].conj().T)) / norms2[k]
-    frame = LieAlgebraFrame(c=c, matrices=mats, labels=tuple(labels))
+    frame = LieAlgebraFrame(c=c, matrices=mats)
     resid = frame.bracket_residual()
     if resid > _IDENTITY_TOL:
         raise InputFormatError(

@@ -7,8 +7,9 @@ with a backtracking line search.  The search direction g is the
 quadrature-weighted L^2 gradient of the numerator N alone; it is
 neither the gradient of Q nor its projection onto the constraint
 sphere ||u||_6 = 1, which normalization after each step enforces
-instead.  Steps are only accepted when they do not increase Q, so the
-objective trace is non-increasing by construction.
+instead; on that sphere Q = N, so the loop evaluates N alone.  Steps
+are only accepted when they do not increase Q, so the objective trace
+is non-increasing by construction.
 
 Each iteration makes one stiffness product, A g.  Along a trial
 x = f - s g the product A x is A f - s A g, so every backtracking trial
@@ -33,6 +34,8 @@ import scipy.sparse as sps
 from .conformal_energy import (
     CONFORMAL_COEFF,
     QuotientInput,
+    _LP_EXP,
+    _scalar_field,
     einstein_hilbert,
     neumann_residual,
     rayleigh_quotient,
@@ -54,7 +57,6 @@ _CONSECUTIVE = 5
 _BACKTRACKS = 40
 #: step growth factor after an accepted step
 _GROWTH = 1.3
-_LP = 6  # critical exponent, 2n/(n-2) at n = 3
 
 _log = logging.getLogger("relyamabe")
 
@@ -128,25 +130,24 @@ def _stiffness(metric: MetricField) -> sps.csr_matrix:
 
 class _QuotientWork:
     """Flattened-array quotient, search direction and trial steps used
-    inside the descent loop.  The methods take stiffness products from
-    the caller and form none; the loop decides which ones it makes."""
+    inside the descent loop; R is parsed as the public quotient parses
+    it.  The methods take stiffness products from the caller and form
+    none; the loop decides which ones it makes."""
 
     def __init__(self, metric: MetricField, scalar):
         self.a = CONFORMAL_COEFF
+        self.r = _scalar_field(scalar, metric.grid.shape).reshape(-1)
         self.stiffness = _stiffness(metric)
         self.w = metric.weight.reshape(-1)
-        r = np.asarray(scalar, dtype=float)
-        self.r = np.full(self.w.shape, float(r)) if r.ndim == 0 else r.reshape(-1)
 
     def norm(self, f: np.ndarray) -> float:
         """Critical norm ||f||_6 under the grid quadrature."""
-        return np.sum(self.w * np.abs(f) ** _LP) ** (1.0 / _LP)
+        return np.sum(self.w * np.abs(f) ** _LP_EXP) ** (1.0 / _LP_EXP)
 
     def quotient(self, f: np.ndarray, af: np.ndarray) -> float:
-        """Q(f), given af = A f."""
-        num = self.a * (f @ af) + np.sum(self.w * self.r * f * f)
-        den = np.sum(self.w * np.abs(f) ** _LP) ** (1.0 / 3.0)
-        return num / den
+        """Q(f) = N(f) = a f^T A f + sum(w R f^2) of a candidate that
+        `norm` has brought to ||f||_6 = 1, given af = A f."""
+        return self.a * (f @ af) + np.sum(self.w * self.r * f * f)
 
     def gradient(self, f: np.ndarray, af: np.ndarray) -> np.ndarray:
         """L^2 gradient of the numerator N(f) = a f^T A f + sum(w R f^2)
@@ -227,7 +228,8 @@ def _random_start(rng: np.random.Generator, meshes) -> np.ndarray:
 
 def estimate(metric: MetricField, scalar, options: EstimatorOptions | None = None) -> QuotientEstimate:
     """Estimate inf Q over the conformal class of `metric` (scalar
-    curvature `scalar`, constant or per-cell).
+    curvature `scalar`, constant or per-cell).  A non-finite or
+    mis-shaped `scalar` raises InputFormatError before any work.
 
     Starts: the constant, then `restarts` seeded low-frequency fields.
     The reported value is the Rayleigh quotient of the best minimizer,

@@ -17,7 +17,6 @@ from relyamabe import (
     HopfGrid,
     MetricField,
     QuotientInput,
-    berger_path,
     berger_ricci_closed,
     berger_scalar_closed,
     boundary_curve,
@@ -128,7 +127,7 @@ def test_05_criterion_fixtures():
 
 
 def test_06_corollary_path():
-    rep = corollary_path_check(berger_path(1.0), 3.0, 4.0, 100)
+    rep = corollary_path_check(1.0, 3.0, 4.0, 100)
     assert len(rep.samples) == 101
     assert all(s.min_eig >= -1e-10 for s in rep.samples)
     assert rep.delta == pytest.approx(1.0, abs=1e-12)

@@ -14,7 +14,6 @@ from relyamabe import (
     InvalidMetricError,
     MetricField,
     berger_classify,
-    berger_path,
     berger_sweep,
     boundary_curve,
     corollary_path_check,
@@ -188,7 +187,7 @@ class TestBoundaryCurves:
 
 class TestPathCheck:
     def test_terminal_interval_3_to_4(self):
-        rep = corollary_path_check(berger_path(1.0), 3.0, 4.0, 100)
+        rep = corollary_path_check(1.0, 3.0, 4.0, 100)
         assert len(rep.samples) == 101
         assert rep.delta == pytest.approx(1.0, abs=1e-12)
         assert abs(rep.endpoint_scalar) <= 1e-10
@@ -201,10 +200,10 @@ class TestPathCheck:
     @pytest.mark.parametrize("steps", [0, 2.5, float("nan"), float("inf")])
     def test_bad_step_count_rejected(self, steps):
         with pytest.raises(InvalidMetricError):
-            corollary_path_check(berger_path(1.0), 3.0, 4.0, steps)
+            corollary_path_check(1.0, 3.0, 4.0, steps)
 
     def test_degenerate_path(self):
-        rep = corollary_path_check(berger_path(1.0), 3.0, 3.0, 5)
+        rep = corollary_path_check(1.0, 3.0, 3.0, 5)
         assert rep.delta == 0.0
         assert rep.samples == ()
         assert rep.endpoint_scalar == pytest.approx(2.0, abs=1e-12)
@@ -213,7 +212,7 @@ class TestPathCheck:
         # against the path's own starting metric the pencil eigenvalues
         # are (2(t-2), 2(t-2), (t-2)^2) >= 0, so the criterion holds from
         # the very start: delta spans the whole interval
-        rep = corollary_path_check(berger_path(1.0), 2.0, 4.0, 100)
+        rep = corollary_path_check(1.0, 2.0, 4.0, 100)
         assert rep.delta == pytest.approx(2.0, abs=1e-12)
         assert rep.samples[0].verdict == "AppliesBoundary"
         assert abs(rep.samples[0].min_eig) <= 1e-12
@@ -221,20 +220,20 @@ class TestPathCheck:
             assert s.verdict in ("AppliesStrict", "AppliesBoundary")
 
     def test_gamma_tracks_volume_ratio(self):
-        rep = corollary_path_check(berger_path(1.0), 3.0, 4.0, 4)
+        rep = corollary_path_check(1.0, 3.0, 4.0, 4)
         for s in rep.samples:
             assert s.gamma == pytest.approx(math.sqrt(s.t / 3.0), rel=1e-12)
 
     def test_positive_scalar_hypothesis_enforced(self):
         with pytest.raises(HypothesisViolationError, match="condition \\(3\\)"):
-            corollary_path_check(berger_path(1.0), 3.0, 4.5, 100)
+            corollary_path_check(1.0, 3.0, 4.5, 100)
 
     def test_vanishing_endpoint_hypothesis_enforced(self):
         with pytest.raises(HypothesisViolationError, match="condition \\(4\\)"):
-            corollary_path_check(berger_path(1.0), 3.0, 3.9, 100)
+            corollary_path_check(1.0, 3.0, 3.9, 100)
 
     def test_report_serializable(self):
-        rep = corollary_path_check(berger_path(1.0), 3.0, 4.0, 4)
+        rep = corollary_path_check(1.0, 3.0, 4.0, 4)
         payload = json.loads(json.dumps(rep.to_dict()))
         assert payload["delta"] == pytest.approx(1.0)
         assert len(payload["samples"]) == 5

@@ -11,7 +11,6 @@ import pytest
 from relyamabe import (
     BergerParams,
     HopfGrid,
-    berger_path,
     berger_sweep,
     chart_metric,
     corollary_path_check,
@@ -106,5 +105,5 @@ def test_cli_pathcheck_csv(tmp_path, t_end, steps):
         tmp_path, "pathcheck", "--s", "1", "--t-start", "3", "--t-end", str(t_end),
         "--steps", str(steps), "--format", "csv",
     )
-    report = corollary_path_check(berger_path(1.0), 3.0, t_end, steps)
+    report = corollary_path_check(1.0, 3.0, t_end, steps)
     assert text == rows_csv([smp.to_dict() for smp in report.samples], PATH_COLUMNS)

@@ -1,15 +1,17 @@
 """`corollary_path_check` builds its stacked metrics from each sample's
-validated parameters: every sample equals the single-point queries on
-that sample's metric, and a sample outside the normalized domain raises
-before anything is computed."""
+parameters: every sample equals the single-point queries on that
+sample's metric, and a path outside the normalized domain raises before
+anything is computed."""
+
+import math
 
 import pytest
 
 from relyamabe import (
     BergerParams,
     InvalidMetricError,
-    berger_path,
     corollary_path_check,
+    criterion,
     curvature_report,
     su2_structure_constants,
     theorem1_check,
@@ -19,7 +21,7 @@ from relyamabe import (
 
 @pytest.mark.parametrize("s, t_start, t_end, steps", [(1.0, 3.0, 4.0, 100), (2.25, 2.25, 6.25, 37)])
 def test_samples_equal_single_point_queries(s, t_start, t_end, steps):
-    report = corollary_path_check(berger_path(s), t_start, t_end, steps)
+    report = corollary_path_check(s, t_start, t_end, steps)
     frame = su2_structure_constants()
     ref = BergerParams(s, t_start).metric()
     r_ref = curvature_report(frame, ref).scalar
@@ -35,15 +37,12 @@ def test_samples_equal_single_point_queries(s, t_start, t_end, steps):
         )
 
 
-def test_out_of_domain_sample_raises():
-    seen = []
+def test_out_of_domain_sample_raises(monkeypatch):
+    def engine(*args):
+        raise AssertionError("the engine ran before the domain check")
 
-    def path(t):
-        seen.append(t)
-        return BergerParams(2.0, t)
-
-    with pytest.raises(InvalidMetricError):
-        corollary_path_check(path, 1.0, 4.0, 10)
-    assert seen == [1.0]
-    with pytest.raises(InvalidMetricError):
-        corollary_path_check(berger_path(1.0), 0.5, 4.0, 10)
+    monkeypatch.setattr(criterion, "_curvature", engine)
+    monkeypatch.setattr(criterion, "curvature_report", engine)
+    for s, t_start, t_end in [(2.0, 1.0, 4.0), (0.5, 3.0, 4.0), (2.0, 1.0, 1.0), (math.nan, 3.0, 4.0)]:
+        with pytest.raises(InvalidMetricError):
+            corollary_path_check(s, t_start, t_end, 10)

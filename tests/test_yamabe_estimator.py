@@ -89,6 +89,11 @@ class TestEstimate:
         assert np.array_equal(a.minimizer, b.minimizer)
         assert a.trace == b.trace
 
+    @pytest.mark.parametrize("scalar", [float("nan"), np.full((3, 3, 3), 2.0)])
+    def test_bad_scalar_curvature_rejected(self, berger13_16, scalar):
+        with pytest.raises(InputFormatError):
+            estimate(berger13_16, scalar)
+
     def test_refinement_consistency(self, est_round16, est_round32):
         assert abs(est_round16.value - est_round32.value) / est_round32.value < 0.05
 
@@ -170,16 +175,27 @@ class TestDescentLoop:
         assert last[0] is f
         assert np.abs(carried - direct).max() <= 1e-10 * np.abs(direct).max()
 
-    @pytest.mark.parametrize("seeded, max_iters", [(False, 400), (True, 30)])
-    def test_one_product_per_iteration(self, berger13_16, seeded, max_iters):
-        work = _QuotientWork(berger13_16, 2.0)
+    @pytest.mark.parametrize(
+        "name, scalar, seeded, max_iters",
+        [
+            pytest.param("berger13_16", 2.0, False, 400, id="False-400"),
+            pytest.param("berger13_16", 2.0, True, 30, id="True-30"),
+            pytest.param("round16", 6.0, False, 400, id="round16-False-400"),
+        ],
+    )
+    def test_one_product_per_iteration(self, request, name, scalar, seeded, max_iters):
+        metric = request.getfixturevalue(name)
+        work = _QuotientWork(metric, scalar)
         if seeded:
-            f0 = _random_start(np.random.default_rng(0), berger13_16.grid.meshes())
+            f0 = _random_start(np.random.default_rng(0), metric.grid.meshes())
         else:
-            f0 = np.ones(berger13_16.grid.size)
+            f0 = np.ones(metric.grid.size)
         work.stiffness = CountingMatrix(work.stiffness)
         _, _, trace, _, reason = _minimize_one(work, f0, EstimatorOptions(max_iters=max_iters))
-        assert reason == ("max_iters" if seeded else "tol")
+        if seeded:
+            assert reason == "max_iters"
+        else:
+            assert (reason, len(trace) - 1) == ("tol", 5)
         assert work.stiffness.products == len(trace)  # iterations + 1
 
     def test_one_debug_record_per_start(self, berger13_16, caplog):
