@@ -116,6 +116,20 @@ def parse_berger_token(token: str) -> BergerParams:
     return BergerParams(s, t)
 
 
+def _spec_numbers(path: str, key: str, value, ndim: int) -> np.ndarray:
+    """A metric-file entry as a float array of `ndim` dimensions; an
+    entry that is not that many nested lists of finite numbers raises
+    InputFormatError naming the file and key."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"metric file {path!r}: {key!r} is not numeric ({exc})") from exc
+    if arr.ndim != ndim or not np.all(np.isfinite(arr)):
+        kind = "a finite number" if ndim == 0 else f"a {ndim}-d array of finite numbers"
+        raise InputFormatError(f"metric file {path!r}: {key!r} must be {kind}, got {value!r}")
+    return arr
+
+
 def load_metric_spec(path: str) -> tuple[LieAlgebraFrame, FrameMetric, BergerParams | None]:
     """Load a metric description from a JSON file.
 
@@ -147,7 +161,7 @@ def load_metric_spec(path: str) -> tuple[LieAlgebraFrame, FrameMetric, BergerPar
                 f"metric file {path!r}: 'berger' must be an object with exactly "
                 "the keys 's' and 't'"
             )
-        params = BergerParams(float(body["s"]), float(body["t"]))
+        params = BergerParams(*(_spec_numbers(path, f"berger.{k}", body[k], 0) for k in "st"))
         return su2_structure_constants(), params.metric(), params
 
     allowed = {"metric", "structure_constants"}
@@ -159,9 +173,10 @@ def load_metric_spec(path: str) -> tuple[LieAlgebraFrame, FrameMetric, BergerPar
         )
     if "metric" not in doc:
         raise InputFormatError(f"metric file {path!r}: missing 'metric' (or 'berger') entry")
-    metric = FrameMetric(np.asarray(doc["metric"], dtype=float))
+    metric = FrameMetric(_spec_numbers(path, "metric", doc["metric"], 2))
     if "structure_constants" in doc:
-        frame = LieAlgebraFrame(c=np.asarray(doc["structure_constants"], dtype=float))
+        c = _spec_numbers(path, "structure_constants", doc["structure_constants"], 3)
+        frame = LieAlgebraFrame(c=c)
     else:
         frame = su2_structure_constants()
     return frame, metric, None

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sps
 
 from .errors import (
     ChartConsistencyError,
@@ -35,6 +35,9 @@ from .errors import (
     InvalidMetricError,
 )
 from .lie_curvature import BergerParams
+
+if TYPE_CHECKING:
+    import scipy.sparse as sps
 
 __all__ = [
     "HopfGrid",
@@ -57,39 +60,6 @@ _SPHERE_TOL = 1e-12
 # quantities: the chart degenerates at eta in {0, pi/2}, so one-sided
 # stencils there see the (harmless) coordinate singularity.
 _COLLAR_FLOOR = 0.15
-
-
-def _d1_matrix(n: int, h: float, periodic: bool, width: int) -> sps.csr_matrix:
-    """First-derivative matrix on n points with spacing h.
-
-    Each row uses a `width`-point window (centered where possible,
-    shifted at the ends of a non-periodic axis); the weights come from
-    solving the Vandermonde moment system, so the rule is exact on
-    polynomials of degree < width.
-    """
-    width = min(width, n if n % 2 == 1 or not periodic else n - 1)
-    half = width // 2
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        if periodic:
-            offs = np.arange(-half, half + 1)
-            idx = (i + offs) % n
-        else:
-            lo = min(max(i - half, 0), n - width)
-            idx = np.arange(lo, lo + width)
-            offs = idx - i
-        a = np.vander(offs * h, width, increasing=True).T
-        rhs = np.zeros(width)
-        rhs[1] = 1.0
-        wts = np.linalg.solve(a, rhs)
-        # re-center the zeroth moment (best effort at the matrix level;
-        # exact annihilation of constants is enforced at application
-        # time by _axis_derivative's difference form)
-        wts -= wts.mean()
-        rows.extend([i] * width)
-        cols.extend(idx.tolist())
-        vals.extend(wts.tolist())
-    return sps.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -152,33 +122,58 @@ class HopfGrid:
         return _stencils(self.shape, width)
 
 
-@functools.lru_cache(maxsize=4)
-def _stencils(shape: tuple[int, int, int], width: int) -> tuple[sps.csr_matrix, ...]:
-    """The derivative operators of a grid of `shape`, built on first use."""
-    grid = HopfGrid(*shape)
-    de, d1, d2 = grid.spacings
-    i1 = sps.identity(grid.n_eta)
-    i2 = sps.identity(grid.n_xi1)
-    i3 = sps.identity(grid.n_xi2)
-    return (
-        sps.kron(sps.kron(_d1_matrix(grid.n_eta, de, False, width), i2), i3).tocsr(),
-        sps.kron(sps.kron(i1, _d1_matrix(grid.n_xi1, d1, False, width)), i3).tocsr(),
-        sps.kron(sps.kron(i1, i2), _d1_matrix(grid.n_xi2, d2, True, width)).tocsr(),
-    )
-
-
 @functools.lru_cache(maxsize=16)
 def _axis_stencil(n: int, h: float, periodic: bool, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of `_d1_matrix` as two read-only (k, n) tables, k the
-    window length: wts[j, i] is the weight of the j-th stored entry of
-    row i and idx[j, i] its column, in the matrix's stored order."""
-    d = _d1_matrix(n, h, periodic, width)
-    k = d.indptr[1]
-    wts = d.data.reshape(n, k).T.copy()
-    idx = d.indices.reshape(n, k).T.copy()
+    """First-derivative stencil on n points with spacing h as two
+    read-only (k, n) tables: wts[j, i] is the weight of the j-th entry
+    of point i's window and idx[j, i] its point, each window's entries
+    in ascending point order (the order a CSR matrix stores a row in).
+
+    Each window has k = width points (fewer on a short periodic axis),
+    centered where possible and shifted at the ends of a non-periodic
+    axis; the weights come from solving the Vandermonde moment system,
+    so the rule is exact on polynomials of degree < k.
+    """
+    k = min(width, n if n % 2 == 1 or not periodic else n - 1)
+    half = k // 2
+    rhs = np.eye(k)[1]
+    wts = np.empty((k, n))
+    idx = np.empty((k, n), dtype=np.int32)
+    for i in range(n):
+        lo = i - half if periodic else min(max(i - half, 0), n - k)
+        cols = np.arange(lo, lo + k)
+        w = np.linalg.solve(np.vander((cols - i) * h, k, increasing=True).T, rhs)
+        # re-center the zeroth moment (best effort on the weights; exact
+        # annihilation of constants is enforced at application time by
+        # _axis_derivative's difference form)
+        w -= w.mean()
+        cols %= n
+        order = np.argsort(cols)
+        wts[:, i], idx[:, i] = w[order], cols[order]
     wts.setflags(write=False)
     idx.setflags(write=False)
     return wts, idx
+
+
+@functools.lru_cache(maxsize=4)
+def _stencils(shape: tuple[int, int, int], width: int) -> tuple[sps.csr_matrix, ...]:
+    """The derivative operators of a grid of `shape`, built on first use
+    as Kronecker products of each axis table's CSR form with identities;
+    scipy.sparse is imported here so the axis tables need numpy alone."""
+    import scipy.sparse as sps
+
+    grid = HopfGrid(*shape)
+    ops = []
+    for n, h, periodic in zip(shape, grid.spacings, (False, False, True)):
+        wts, idx = _axis_stencil(n, h, periodic, width)
+        indptr = np.arange(0, wts.size + 1, len(wts))
+        ops.append(sps.csr_matrix((wts.T.ravel(), idx.T.ravel(), indptr), shape=(n, n)))
+    i1, i2, i3 = (sps.identity(n) for n in shape)
+    return (
+        sps.kron(sps.kron(ops[0], i2), i3).tocsr(),
+        sps.kron(sps.kron(i1, ops[1]), i3).tocsr(),
+        sps.kron(sps.kron(i1, i2), ops[2]).tocsr(),
+    )
 
 
 def frame_fields(z, w) -> np.ndarray:

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sps
 
 from .conformal_energy import (
     CONFORMAL_COEFF,
@@ -42,6 +42,9 @@ from .conformal_energy import (
 )
 from .errors import InputFormatError, NumericalFailureError
 from .su2_chart import HopfGrid, MetricField
+
+if TYPE_CHECKING:
+    import scipy.sparse as sps
 
 __all__ = [
     "EstimatorOptions",
@@ -118,6 +121,8 @@ class QuotientEstimate:
 def _stiffness(metric: MetricField) -> sps.csr_matrix:
     """Sparse form of the Dirichlet energy: f^T A f = integral |df|^2 dV
     under the grid quadrature."""
+    import scipy.sparse as sps
+
     ops = metric.grid.diff_ops()
     wf = metric.weight.reshape(-1)
     acc = None

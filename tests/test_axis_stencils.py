@@ -5,11 +5,15 @@ form the operators were first applied in: the difference form gathered
 over the flattened `HopfGrid.diff_ops` matrices with `np.bincount`, the
 three-operand `einsum` for |df|^2, the full Christoffel symbols for the
 face second form, the nine-derivative divergence, and probe trials
-built on full meshes.  Both sides run in one process, so the checks
-hold with any libm.  Example counts are bounded and the search is
-derandomized."""
+built on full meshes.  The axis tables and the diff_ops matrices share
+one source, so both are first checked against a copy of the COO matrix
+construction they replaced.  Both sides run in one process, so the
+checks hold with any libm.  Example counts are bounded and the search
+is derandomized."""
 
 import numpy as np
+import pytest
+import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +30,7 @@ from relyamabe import (
     rayleigh_quotient,
     yamabe_property_probe,
 )
+from relyamabe.su2_chart import _axis_stencil
 from relyamabe.yamabe_estimator import _probe_trials
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
@@ -38,6 +43,66 @@ WIDTH = st.sampled_from([3, 5])
 def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     """Equal shapes and bytes: equal values, and signed zeros alike."""
     return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def coo_d1_matrix(n: int, h: float, periodic: bool, width: int) -> sps.csr_matrix:
+    """First-derivative matrix on n points, assembled row by row as COO
+    triples and converted to CSR: the construction the axis tables
+    replaced."""
+    width = min(width, n if n % 2 == 1 or not periodic else n - 1)
+    half = width // 2
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        if periodic:
+            offs = np.arange(-half, half + 1)
+            idx = (i + offs) % n
+        else:
+            lo = min(max(i - half, 0), n - width)
+            idx = np.arange(lo, lo + width)
+            offs = idx - i
+        a = np.vander(offs * h, width, increasing=True).T
+        rhs = np.zeros(width)
+        rhs[1] = 1.0
+        wts = np.linalg.solve(a, rhs)
+        wts -= wts.mean()
+        rows.extend([i] * width)
+        cols.extend(idx.tolist())
+        vals.extend(wts.tolist())
+    return sps.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def kron_operators(shape, width):
+    """The grid operators as Kronecker products of the COO matrices."""
+    de, d1, d2 = HopfGrid(*shape).spacings
+    i1, i2, i3 = (sps.identity(n) for n in shape)
+    return (
+        sps.kron(sps.kron(coo_d1_matrix(shape[0], de, False, width), i2), i3).tocsr(),
+        sps.kron(sps.kron(i1, coo_d1_matrix(shape[1], d1, False, width)), i3).tocsr(),
+        sps.kron(sps.kron(i1, i2), coo_d1_matrix(shape[2], d2, True, width)).tocsr(),
+    )
+
+
+@pytest.mark.parametrize("width", [3, 5])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_axis_tables_equal_coo_matrix_rows(periodic, width):
+    # every spacing a grid axis of n cells can have
+    for n in range(4, 41):
+        for h in ((np.pi / 2) / n, np.pi / n, (2 * np.pi) / n):
+            d = coo_d1_matrix(n, h, periodic, width)
+            k = d.indptr[1]
+            wts, idx = _axis_stencil(n, h, periodic, width)
+            assert same_bits(wts, d.data.reshape(n, k).T)
+            assert same_bits(idx, d.indices.reshape(n, k).T)
+            assert not wts.flags.writeable and not idx.flags.writeable
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(st.tuples(*(st.integers(4, 24),) * 3), WIDTH)
+def test_diff_ops_equal_kron_of_coo_matrices(shape, width):
+    for got, want in zip(HopfGrid(*shape).diff_ops(width), kron_operators(shape, width)):
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            assert same_bits(getattr(got, name), getattr(want, name))
 
 
 def gathered_derivatives(f: np.ndarray, grid: HopfGrid, width: int) -> np.ndarray:

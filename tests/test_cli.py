@@ -20,6 +20,23 @@ def run(tmp_path, *argv):
     return code, data
 
 
+#: spec files with an entry that is not a finite number, and that entry's key
+NON_NUMERIC_SPECS = [
+    ({"berger": {"s": "a", "t": 2}}, "berger.s"),
+    ({"berger": {"s": 1, "t": None}}, "berger.t"),
+    ({"berger": {"s": [1, 2], "t": 3}}, "berger.s"),
+    ({"metric": [[1, 0, 0], [0, "x", 0], [0, 0, 1]]}, "metric"),
+    ({"metric": [[1, 0, 0], [0, None, 0], [0, 0, 1]]}, "metric"),
+    ({"metric": np.eye(3).tolist(), "structure_constants": [[["q"] * 3] * 3] * 3},
+     "structure_constants"),
+]
+
+
+def assert_names_bad_entry(capsys, spec, key):
+    err = capsys.readouterr().err
+    assert str(spec) in err and repr(key) in err
+
+
 class TestParseRange:
     def test_linear_range(self):
         vals = parse_range("1:4:4", "s")
@@ -83,6 +100,13 @@ class TestCurvature:
         for _ in range(2):
             assert main(["curvature", "--spec", str(spec)]) == 2
             assert "antisymmetric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, key", NON_NUMERIC_SPECS)
+    def test_non_numeric_entry_exits_2(self, tmp_path, capsys, doc, key):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["curvature", "--spec", str(spec)]) == 2
+        assert_names_bad_entry(capsys, spec, key)
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["curvature", "--spec", str(tmp_path / "nope.json")]) == 2
@@ -170,6 +194,13 @@ class TestCriterion:
     def test_bad_token_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "criterion", "--g", "round", "--h", "berger:3")
         assert code == 2
+
+    @pytest.mark.parametrize("doc, key", NON_NUMERIC_SPECS)
+    def test_non_numeric_spec_exits_2(self, tmp_path, capsys, doc, key):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["criterion", "--g", "round", "--h", str(spec)]) == 2
+        assert_names_bad_entry(capsys, spec, key)
 
 
 class TestYamabe:
