@@ -67,6 +67,8 @@ class LieAlgebraFrame:
         c = np.array(self.c, dtype=float)
         if c.shape != (3, 3, 3):
             raise InputFormatError(f"structure constants must be (3, 3, 3), got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise InputFormatError("structure constants have non-finite entries")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
         if self.matrices is not None:
@@ -152,6 +154,8 @@ class FrameMetric:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise InvalidMetricError(f"frame metric must be 3x3, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise InvalidMetricError("frame metric has non-finite entries")
         if np.abs(m - m.T).max() > 1e-12 * max(1.0, np.abs(m).max()):
             raise InvalidMetricError("frame metric must be symmetric")
         m = 0.5 * (m + m.T)

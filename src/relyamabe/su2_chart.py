@@ -56,6 +56,7 @@ __all__ = [
 _MIN_CELLS = 4
 _CHART_TOL = 1e-10
 _SPHERE_TOL = 1e-12
+_SYMMETRY_TOL = 1e-12
 # Collar excluded near the coordinate axes when evaluating boundary
 # quantities: the chart degenerates at eta in {0, pi/2}, so one-sided
 # stencils there see the (harmless) coordinate singularity.
@@ -215,7 +216,12 @@ class MetricField:
     """A Berger metric evaluated on a grid: g[..., a, b] in chart
     coordinates (eta, xi1, xi2) at every cell center, plus the derived
     volume data.  `params` records the Berger weights when the field
-    came from one (rescaled fields drop it)."""
+    came from one (rescaled fields drop it).
+
+    Every cell must be finite, symmetric to 1e-12 relative to its
+    largest entry, and positive definite (all leading minors positive);
+    otherwise InvalidMetricError.  det and inv come from the 3x3
+    cofactors of the symmetrized cells."""
 
     grid: HopfGrid
     g: np.ndarray = field(repr=False)
@@ -228,18 +234,42 @@ class MetricField:
             raise InvalidMetricError(
                 f"metric field shape {g.shape} does not match grid {self.grid.shape}"
             )
-        det = np.linalg.det(g)
-        if not np.all(np.isfinite(g)) or det.min() <= 0.0:
-            raise InvalidMetricError("metric field is not positive definite at every cell")
+        if not np.all(np.isfinite(g)):
+            raise InvalidMetricError("metric field has non-finite entries")
+        # component-major copy: gc[a, b] is the contiguous field g_ab
+        gc = np.ascontiguousarray(np.moveaxis(g, (-2, -1), (0, 1)))
+        gct = gc.swapaxes(0, 1)
+        if np.any(np.abs(gc - gct).max(axis=(0, 1)) > _SYMMETRY_TOL * np.abs(gc).max(axis=(0, 1))):
+            raise InvalidMetricError("metric field is not symmetric at every cell")
+        # cofactors of the symmetric 3x3 cells; det and the leading
+        # minors g_00 and c_22 decide positive definiteness (Sylvester).
+        # Entries far from 1 can overflow det or the inverse; such cells
+        # are rejected below rather than warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gc = 0.5 * (gc + gct)
+            (g00, g01, g02), (_, g11, g12), (_, _, g22) = gc
+            cof = {
+                (0, 0): g11 * g22 - g12 * g12,
+                (0, 1): g02 * g12 - g01 * g22,
+                (0, 2): g01 * g12 - g02 * g11,
+                (1, 1): g00 * g22 - g02 * g02,
+                (1, 2): g01 * g02 - g00 * g12,
+                (2, 2): g00 * g11 - g01 * g01,
+            }
+            det = g00 * cof[0, 0] + g01 * cof[0, 1] + g02 * cof[0, 2]
+            if not (np.all(g00 > 0.0) and np.all(cof[2, 2] > 0.0) and np.all(det > 0.0)):
+                raise InvalidMetricError("metric field is not positive definite at every cell")
+            # the components g^{ij} stay contiguous: grad_sq reads them
+            # on every call
+            inv_of = {ij: c / det for ij, c in cof.items()}
+        if not all(np.all(np.isfinite(a)) for a in (det, *inv_of.values())):
+            raise InvalidMetricError("metric field determinant or inverse is not finite")
+        inv_ij = tuple(tuple(inv_of[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
+        g = np.ascontiguousarray(np.moveaxis(gc, (0, 1), (-2, -1)))
+        inv = np.ascontiguousarray(np.moveaxis(np.array(inv_ij), (0, 1), (-2, -1)))
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "det", det)
-        inv = np.linalg.inv(g)
         object.__setattr__(self, "inv", inv)
-        # contiguous copies of the components g^{ij}, which grad_sq reads
-        # on every call
-        inv_ij = tuple(
-            tuple(np.ascontiguousarray(inv[..., i, j]) for j in range(3)) for i in range(3)
-        )
         object.__setattr__(self, "_inv_ij", inv_ij)
         object.__setattr__(self, "sqrt_det", np.sqrt(det))
         object.__setattr__(self, "weight", self.sqrt_det * self.grid.cell_volume)
@@ -259,33 +289,56 @@ class MetricField:
 def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
     """Berger metric with weights (1, s, t) in chart coordinates.
 
-    The coordinate tangent vectors dE/d(eta, xi1, xi2) are expanded
-    over the invariant frame; the expansion must reproduce them to
-    1e-10 (the frame spans the tangent space at interior cells), and
-    the metric is then sum_k weight_k em_ak em_bk.
+    The coordinate tangent vectors dE/d(eta, xi1, xi2) expand over the
+    invariant frame as dE_a = sum_k em_ak V_k with, for
+    theta = xi1 + xi2,
+
+        em[eta] = (0,       -cos theta,                 sin theta),
+        em[xi1] = (cos^2 eta, -cos eta sin eta sin theta, -cos eta sin eta cos theta),
+        em[xi2] = (sin^2 eta,  cos eta sin eta sin theta,  cos eta sin eta cos theta),
+
+    and the metric is g_ab = sum_k weight_k em_ak em_bk.  The expansion
+    is checked on every cell against `frame_fields(embedding(grid))`:
+    it must reproduce the coordinate vectors to 1e-10 (the frame spans
+    the tangent space at interior cells).
     """
-    e, x1, x2 = grid.meshes()
-    z, w = embedding(grid)
-    v = frame_fields(z, w)
-    frame4 = _real4(v[..., 0], v[..., 1])  # (..., 3, 4)
-    zero = np.zeros_like(z)
-    de = np.stack(
-        [
-            _real4(-np.sin(e) * np.exp(1j * x1), np.cos(e) * np.exp(1j * x2)),
-            _real4(1j * z, zero),
-            _real4(zero, 1j * w),
-        ],
-        axis=-2,
-    )  # (..., 3, 4): rows are d/d_eta, d/d_xi1, d/d_xi2
-    em = np.einsum("...ak,...bk->...ab", de, frame4)
-    resid = float(np.abs(de - np.einsum("...ab,...bk->...ak", em, frame4)).max())
+    e = grid.eta[:, None, None]
+    x1 = grid.xi1[None, :, None]
+    x2 = grid.xi2[None, None, :]
+    ce, se = np.cos(e), np.sin(e)
+    ct, st = np.cos(x1 + x2), np.sin(x1 + x2)
+    cs = ce * se
+    zero = np.zeros((1, 1, 1))
+    em = (
+        (zero, -ct, st),
+        (ce * ce, -cs * st, -cs * ct),
+        (se * se, cs * st, cs * ct),
+    )
+    c1, s1, c2, s2 = np.cos(x1), np.sin(x1), np.cos(x2), np.sin(x2)
+    de = (  # (Re z, Im z, Re w, Im w) parts of d/d_eta, d/d_xi1, d/d_xi2
+        (-se * c1, -se * s1, ce * c2, ce * s2),
+        (-ce * s1, ce * c1, zero, zero),
+        (zero, zero, -se * s2, se * c2),
+    )
+    v = frame_fields(*embedding(grid))
+    frame = np.moveaxis(_real4(v[..., 0], v[..., 1]), (-2, -1), (0, 1)).copy()  # (3, 4, ...)
+    resid = max(
+        float(np.abs(de[a][c] - em[a][0] * frame[0, c] - em[a][1] * frame[1, c]
+                     - em[a][2] * frame[2, c]).max())
+        for a in range(3)
+        for c in range(4)
+    )
     if resid > _CHART_TOL:
         raise ChartConsistencyError(
             f"coordinate vectors are not spanned by the frame (residual {resid:.3e})"
         )
-    wts = np.array([1.0, params.s, params.t])
-    g = np.einsum("...ak,k,...bk->...ab", em, wts, em)
-    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    s, t = params.s, params.t
+    g = np.empty(grid.shape + (3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            g[..., a, b] = g[..., b, a] = (
+                em[a][0] * em[b][0] + s * em[a][1] * em[b][1] + t * em[a][2] * em[b][2]
+            )
     return MetricField(grid=grid, g=g, params=params, chart_residual=resid)
 
 

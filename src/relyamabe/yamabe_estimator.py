@@ -35,13 +35,14 @@ from .conformal_energy import (
     CONFORMAL_COEFF,
     QuotientInput,
     _LP_EXP,
+    _VOL_EXP,
     _scalar_field,
     einstein_hilbert,
     neumann_residual,
     rayleigh_quotient,
 )
 from .errors import InputFormatError, NumericalFailureError
-from .su2_chart import HopfGrid, MetricField
+from .su2_chart import HopfGrid, MetricField, _derivatives
 
 if TYPE_CHECKING:
     import scipy.sparse as sps
@@ -303,23 +304,58 @@ class ProbeReport:
         }
 
 
-def _probe_trials(grid: HopfGrid, n_trials: int, seed: int):
-    """The probe's trials in order, the constant first; the cosines of
-    the 1-D axes are computed once per call."""
+#: entries of trial-by-cell values formed at once by the probe's denominator
+_PROBE_BLOCK = 1 << 18
+
+
+def _probe_span(grid: HopfGrid) -> np.ndarray:
+    """The probe's seven span fields (see `yamabe_property_probe`),
+    stacked as a (7, *grid.shape) array."""
     e = grid.eta[:, None, None]
     x1 = grid.xi1[None, :, None]
     x2 = grid.xi2[None, None, :]
-    cos_x1 = {m: np.cos(m * x1) for m in (1, 2)}
-    cos_e = {p: np.cos(2 * p * e) for p in (1, 2)}
-    sin2_x1 = np.sin(x1) ** 2
+    sin2 = np.sin(x1) ** 2
+    fields = (
+        np.ones((1, 1, 1)), np.cos(x1), np.cos(2 * x1), sin2 * np.cos(2 * e),
+        sin2 * np.cos(4 * e), sin2 * np.cos(x2), sin2 * np.sin(x2),
+    )
+    return np.stack([np.broadcast_to(f, grid.shape) for f in fields])
+
+
+def _span_form(phi: np.ndarray, metric: MetricField, r: np.ndarray) -> np.ndarray:
+    """The quotient's numerator as a matrix on the span of `phi`:
+    M_ab = sum w (8 g^ij d_i phi_a d_j phi_b + R phi_a phi_b), with the
+    width-3 axis stencils of `grad_sq`, so c^T M c is the numerator of
+    the field sum_a c_a phi_a."""
+    k = len(phi)
+    dphi = np.empty((3, k) + metric.grid.shape)  # dphi[i, a] = d_i phi_a
+    for a, f in enumerate(phi):
+        dphi[:, a] = _derivatives(f, metric.grid)
+    flat = phi.reshape(k, -1)
+    form = (flat * (metric.weight * r).reshape(-1)) @ flat.T
+    inv = metric._inv_ij
+    for i in range(3):
+        flux = metric.weight * (inv[i][0] * dphi[0] + inv[i][1] * dphi[1] + inv[i][2] * dphi[2])
+        form += CONFORMAL_COEFF * (dphi[i].reshape(k, -1) @ flux.reshape(k, -1).T)
+    return form
+
+
+def _probe_coefficients(n: int, seed: int) -> np.ndarray:
+    """Span coefficients of the n seeded trials that follow the constant,
+    drawn from the generator in the family's order (a, m, p, ph per
+    trial)."""
     rng = np.random.default_rng(seed)
-    yield np.ones(grid.shape)
-    for _ in range(n_trials - 1):
+    c = np.zeros((n, 7))
+    c[:, 0] = 1.0
+    for row in c:
         a = rng.uniform(-0.25, 0.25, size=3)
         m = int(rng.integers(1, 3))
         p = int(rng.integers(1, 3))
         ph = float(rng.uniform(0.0, 2.0 * np.pi))
-        yield 1.0 + a[0] * cos_x1[m] + sin2_x1 * (a[1] * cos_e[p] + a[2] * np.cos(x2 + ph))
+        row[m] = a[0]
+        row[2 + p] = a[1]
+        row[5], row[6] = a[2] * np.cos(ph), -a[2] * np.sin(ph)
+    return c
 
 
 def yamabe_property_probe(
@@ -330,22 +366,45 @@ def yamabe_property_probe(
 
         u = 1 + a0 cos(m xi1) + sin^2(xi1) (a1 cos(2 p eta) + a2 cos(xi2 + ph)),
 
-    m, p in {1, 2}.  Every trial has zero normal derivative at the faces
-    xi1 in {0, pi}; the sin^2 part also vanishes there quadratically,
-    the a0 cos(m xi1) part does not."""
+    m, p in {1, 2}, drawn from `seed`.  Every trial has zero normal
+    derivative at the faces xi1 in {0, pi}; the sin^2 part also vanishes
+    there quadratically, the a0 cos(m xi1) part does not.
+
+    Every trial is u = sum_a c_a phi_a over the fixed span
+
+        phi = (1, cos xi1, cos 2xi1, sin^2 xi1 cos 2eta, sin^2 xi1 cos 4eta,
+               sin^2 xi1 cos xi2, sin^2 xi1 sin xi2)
+
+    with c = (1, a0 [m = 1], a0 [m = 2], a1 [p = 1], a1 [p = 2],
+    a2 cos ph, -a2 sin ph).  The numerator of Q is c^T M c with M the
+    7x7 numerator matrix of the span, assembled once per call; only the
+    denominator sum w u^6 is formed on the grid, for all trials at once
+    in blocks of cells.  Trial 0, the constant, is not evaluated: its
+    quotient is the energy E (Q(1) = E, see `rayleigh_quotient`)."""
     if _not_whole(n_trials) or n_trials < 1:
         raise InputFormatError(f"n_trials must be a positive integer, got {n_trials}")
-    best_q = np.inf
-    best_k = 0
-    for k, u in enumerate(_probe_trials(metric.grid, int(n_trials), seed)):
-        q = rayleigh_quotient(QuotientInput(f=u, metric=metric, scalar_curvature=scalar))
-        if q < best_q:
-            best_q, best_k = q, k
     energy = einstein_hilbert(metric, scalar).energy
+    q = np.full(int(n_trials), energy)
+    if n_trials > 1:
+        r = _scalar_field(scalar, metric.grid.shape)
+        phi = _probe_span(metric.grid)
+        c = _probe_coefficients(int(n_trials) - 1, seed)
+        numer = np.einsum("ka,ab,kb->k", c, _span_form(phi, metric, r), c)
+        flat = phi.reshape(len(phi), -1)
+        w = metric.weight.reshape(-1)
+        denom = np.zeros(len(c))
+        step = max(1, _PROBE_BLOCK // len(c))
+        for lo in range(0, w.size, step):
+            u2 = np.square(c @ flat[:, lo:lo + step])
+            u6 = u2 * u2
+            u6 *= u2
+            denom += u6 @ w[lo:lo + step]
+        q[1:] = numer / denom ** _VOL_EXP
+    best_k = int(np.argmin(q))
     return ProbeReport(
-        min_over_trials=float(best_q),
+        min_over_trials=float(q[best_k]),
         energy=energy,
-        gap_to_energy=float(best_q - energy),
+        gap_to_energy=float(q[best_k] - energy),
         n_trials=int(n_trials),
         argmin_trial=best_k,
     )

@@ -4,12 +4,16 @@ Each result must equal, bit for bit, a reference written here in the
 form the operators were first applied in: the difference form gathered
 over the flattened `HopfGrid.diff_ops` matrices with `np.bincount`, the
 three-operand `einsum` for |df|^2, the full Christoffel symbols for the
-face second form, the nine-derivative divergence, and probe trials
-built on full meshes.  The axis tables and the diff_ops matrices share
-one source, so both are first checked against a copy of the COO matrix
-construction they replaced.  Both sides run in one process, so the
-checks hold with any libm.  Example counts are bounded and the search
-is derandomized."""
+face second form and the nine-derivative divergence.  The axis tables
+and the diff_ops matrices share one source, so both are first checked
+against a copy of the COO matrix construction they replaced.  Both
+sides run in one process, so the checks hold with any libm.
+
+The probe is the exception: it evaluates its trials as a quadratic form
+on their 7-field span, which sums in another order than the per-trial
+quotient of trials built on full meshes, so the two agree to 1e-12
+relative, not bitwise.  Example counts are bounded and the search is
+derandomized."""
 
 import numpy as np
 import pytest
@@ -30,8 +34,9 @@ from relyamabe import (
     rayleigh_quotient,
     yamabe_property_probe,
 )
+from relyamabe.conformal_energy import CONFORMAL_COEFF
 from relyamabe.su2_chart import _axis_stencil
-from relyamabe.yamabe_estimator import _probe_trials
+from relyamabe.yamabe_estimator import _probe_coefficients, _probe_span, _span_form
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -232,16 +237,30 @@ def mesh_trials(grid: HopfGrid, n_trials: int, seed: int):
 
 
 @settings(max_examples=15, **SETTINGS)
-@given(SHAPE, st.integers(0, 2**31 - 1))
-def test_probe_trials_equal_mesh_built_trials(shape, seed):
+@given(SHAPE, st.integers(0, 2**31 - 1), SEED, st.booleans())
+def test_probe_trials_equal_mesh_built_trials(shape, seed, field_seed, per_cell):
+    # the probe evaluates its trials as a quadratic form on their span,
+    # so its quotients agree with the per-trial quotient to roundoff
     grid = HopfGrid(*shape)
-    got = list(_probe_trials(grid, 12, seed))
-    want = mesh_trials(grid, 12, seed)
-    assert len(got) == len(want)
-    for u, v in zip(got, want):
-        assert same_bits(u, v)
-    metric = chart_metric(grid, BergerParams(1.0, 3.5))
-    qs = [rayleigh_quotient(QuotientInput(v, metric, 1.0)) for v in want]
-    rep = yamabe_property_probe(metric, 1.0, n_trials=12, seed=seed)
-    assert rep.min_over_trials == min(qs)
+    metric = metric_field(grid, field_seed, field_seed % 2 == 0)
+    rng = np.random.default_rng(field_seed)
+    scalar = rng.uniform(0.5, 6.0, shape) if per_cell else rng.uniform(0.5, 6.0)
+    qs = [rayleigh_quotient(QuotientInput(v, metric, scalar)) for v in mesh_trials(grid, 12, seed)]
+    rep = yamabe_property_probe(metric, scalar, n_trials=12, seed=seed)
+    assert rep.min_over_trials == pytest.approx(min(qs), rel=1e-12)
     assert rep.argmin_trial == qs.index(min(qs))
+
+
+@settings(max_examples=15, **SETTINGS)
+@given(SHAPE, st.integers(0, 2**31 - 1), SEED)
+def test_probe_span_reproduces_each_mesh_trial(shape, seed, field_seed):
+    grid = HopfGrid(*shape)
+    metric = metric_field(grid, field_seed, field_seed % 2 == 1)
+    scalar = np.random.default_rng(field_seed).uniform(0.5, 6.0, shape)
+    phi = _probe_span(grid)
+    form = _span_form(phi, metric, scalar)
+    coeffs = np.vstack([np.eye(7)[:1], _probe_coefficients(11, seed)])
+    for c, u in zip(coeffs, mesh_trials(grid, 12, seed)):
+        assert np.abs(np.tensordot(c, phi, 1) - u).max() <= 1e-14
+        numer = np.sum(metric.weight * (CONFORMAL_COEFF * grad_sq(u, metric) + scalar * u * u))
+        assert c @ form @ c == pytest.approx(numer, rel=1e-12)

@@ -69,6 +69,16 @@ class TestStructureConstants:
         with pytest.raises(InputFormatError):
             LieAlgebraFrame(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_constants_rejected(self, frame, bad):
+        # a NaN everywhere passes both identity checks (NaN > tol is False)
+        with pytest.raises(InputFormatError):
+            LieAlgebraFrame(np.full((3, 3, 3), bad))
+        c = frame.c.copy()
+        c[1, 2, 0] = bad
+        with pytest.raises(InputFormatError):
+            LieAlgebraFrame(c)
+
     def test_cached_frame_is_shared_and_read_only(self):
         frame = su2_structure_constants()
         assert su2_structure_constants() is frame
@@ -101,6 +111,15 @@ class TestMetricTypes:
     def test_positive_definite_required(self):
         with pytest.raises(InvalidMetricError):
             FrameMetric(np.diag([1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(InvalidMetricError):
+            FrameMetric(np.diag([bad, 1.0, 1.0]))
+        m = np.eye(3)
+        m[0, 2] = m[2, 0] = bad
+        with pytest.raises(InvalidMetricError):
+            FrameMetric(m)
 
     def test_berger_params_domain(self):
         with pytest.raises(InvalidMetricError):
