@@ -146,7 +146,9 @@ def su2_structure_constants() -> LieAlgebraFrame:
 @dataclass(frozen=True)
 class FrameMetric:
     """A left invariant metric: symmetric positive definite 3x3 matrix
-    of inner products g(X_i, X_j) in the frame."""
+    of inner products g(X_i, X_j) in the frame.  The matrix must be
+    symmetric to 1e-12 relative to its largest entry (at any scale) and
+    is stored symmetrized."""
 
     matrix: np.ndarray
 
@@ -156,7 +158,7 @@ class FrameMetric:
             raise InvalidMetricError(f"frame metric must be 3x3, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InvalidMetricError("frame metric has non-finite entries")
-        if np.abs(m - m.T).max() > 1e-12 * max(1.0, np.abs(m).max()):
+        if np.abs(m - m.T).max() > 1e-12 * np.abs(m).max():
             raise InvalidMetricError("frame metric must be symmetric")
         m = 0.5 * (m + m.T)
         if np.linalg.eigvalsh(m).min() <= 0.0:

@@ -133,7 +133,9 @@ def _axis_stencil(n: int, h: float, periodic: bool, width: int) -> tuple[np.ndar
     Each window has k = width points (fewer on a short periodic axis),
     centered where possible and shifted at the ends of a non-periodic
     axis; the weights come from solving the Vandermonde moment system,
-    so the rule is exact on polynomials of degree < k.
+    so the rule is exact on polynomials of degree < k.  A centered
+    window of odd k has exactly antisymmetric weights, w == -w[::-1],
+    and a center weight of 0.0.
     """
     k = min(width, n if n % 2 == 1 or not periodic else n - 1)
     half = k // 2
@@ -144,10 +146,17 @@ def _axis_stencil(n: int, h: float, periodic: bool, width: int) -> tuple[np.ndar
         lo = i - half if periodic else min(max(i - half, 0), n - k)
         cols = np.arange(lo, lo + k)
         w = np.linalg.solve(np.vander((cols - i) * h, k, increasing=True).T, rhs)
-        # re-center the zeroth moment (best effort on the weights; exact
-        # annihilation of constants is enforced at application time by
-        # _axis_derivative's difference form)
-        w -= w.mean()
+        if k % 2 == 1 and lo == i - half:
+            # the exact weights of a symmetric window are odd in the
+            # offset; the solve leaves roundoff in place of the zero
+            # center, which would be a stored entry of every operator
+            w = 0.5 * (w - w[::-1])
+        else:
+            # one-sided window: its weights sum to zero up to roundoff,
+            # and removing their mean shrinks that sum.  Constants have
+            # exact zero derivatives either way, from the difference
+            # form of _axis_derivative, not from these weights
+            w -= w.mean()
         cols %= n
         order = np.argsort(cols)
         wts[:, i], idx[:, i] = w[order], cols[order]
@@ -160,7 +169,9 @@ def _axis_stencil(n: int, h: float, periodic: bool, width: int) -> tuple[np.ndar
 def _stencils(shape: tuple[int, int, int], width: int) -> tuple[sps.csr_matrix, ...]:
     """The derivative operators of a grid of `shape`, built on first use
     as Kronecker products of each axis table's CSR form with identities;
-    scipy.sparse is imported here so the axis tables need numpy alone."""
+    scipy.sparse is imported here so the axis tables need numpy alone.
+    No operator stores a zero: the tables' 0.0 center weights and the
+    zero-filled blocks `sps.kron` keeps on short axes are dropped."""
     import scipy.sparse as sps
 
     grid = HopfGrid(*shape)
@@ -170,11 +181,14 @@ def _stencils(shape: tuple[int, int, int], width: int) -> tuple[sps.csr_matrix, 
         indptr = np.arange(0, wts.size + 1, len(wts))
         ops.append(sps.csr_matrix((wts.T.ravel(), idx.T.ravel(), indptr), shape=(n, n)))
     i1, i2, i3 = (sps.identity(n) for n in shape)
-    return (
+    out = (
         sps.kron(sps.kron(ops[0], i2), i3).tocsr(),
         sps.kron(sps.kron(i1, ops[1]), i3).tocsr(),
         sps.kron(sps.kron(i1, i2), ops[2]).tocsr(),
     )
+    for op in out:
+        op.eliminate_zeros()
+    return out
 
 
 def frame_fields(z, w) -> np.ndarray:

@@ -15,6 +15,10 @@ Each iteration makes one stiffness product, A g.  Along a trial
 x = f - s g the product A x is A f - s A g, so every backtracking trial
 forms its candidate's product by linearity, and the accepted
 candidate's product is carried forward as the next iteration's A f.
+At n = 32 (32,768 cells; 661,880 stored entries of A on a Berger
+background) on one thread of a 2-core x86 VM, the product takes about
+0.55 ms, the gradient 0.09 ms and each trial 0.29 ms, 0.085 ms of it
+the critical-norm sum; an iteration averages about 1.4 trials.
 
 The landscape is benign — on round and Berger backgrounds the known
 minimizers are low-frequency — so a deterministic multistart (the
@@ -36,6 +40,7 @@ from .conformal_energy import (
     QuotientInput,
     _LP_EXP,
     _VOL_EXP,
+    _critical_sum,
     _scalar_field,
     einstein_hilbert,
     neumann_residual,
@@ -142,24 +147,25 @@ class _QuotientWork:
 
     def __init__(self, metric: MetricField, scalar):
         self.a = CONFORMAL_COEFF
-        self.r = _scalar_field(scalar, metric.grid.shape).reshape(-1)
+        r = _scalar_field(scalar, metric.grid.shape).reshape(-1)
         self.stiffness = _stiffness(metric)
         self.w = metric.weight.reshape(-1)
+        self.wr = self.w * r
 
     def norm(self, f: np.ndarray) -> float:
         """Critical norm ||f||_6 under the grid quadrature."""
-        return np.sum(self.w * np.abs(f) ** _LP_EXP) ** (1.0 / _LP_EXP)
+        return _critical_sum(f, self.w) ** (1.0 / _LP_EXP)
 
     def quotient(self, f: np.ndarray, af: np.ndarray) -> float:
         """Q(f) = N(f) = a f^T A f + sum(w R f^2) of a candidate that
         `norm` has brought to ||f||_6 = 1, given af = A f."""
-        return self.a * (f @ af) + np.sum(self.w * self.r * f * f)
+        return self.a * (f @ af) + np.sum(self.wr * f * f)
 
     def gradient(self, f: np.ndarray, af: np.ndarray) -> np.ndarray:
         """L^2 gradient of the numerator N(f) = a f^T A f + sum(w R f^2)
         against the quadrature inner product, given af = A f.  It
         ignores the denominator of Q; the descent renormalizes instead."""
-        return (2.0 * self.a * af + 2.0 * self.w * self.r * f) / self.w
+        return (2.0 * self.a * af + 2.0 * self.wr * f) / self.w
 
     def trial(
         self, f: np.ndarray, af: np.ndarray, g: np.ndarray, ag: np.ndarray, s: float

@@ -6,7 +6,9 @@ over the flattened `HopfGrid.diff_ops` matrices with `np.bincount`, the
 three-operand `einsum` for |df|^2, the full Christoffel symbols for the
 face second form and the nine-derivative divergence.  The axis tables
 and the diff_ops matrices share one source, so both are first checked
-against a copy of the COO matrix construction they replaced.  Both
+against a copy of the COO matrix construction they replaced, written
+with the same rules: centered windows exactly antisymmetric, and no
+stored zeros in the grid operators.  Both
 sides run in one process, so the checks hold with any libm.
 
 The probe is the exception: it evaluates its trials as a quadratic form
@@ -36,7 +38,7 @@ from relyamabe import (
 )
 from relyamabe.conformal_energy import CONFORMAL_COEFF
 from relyamabe.su2_chart import _axis_stencil
-from relyamabe.yamabe_estimator import _probe_coefficients, _probe_span, _span_form
+from relyamabe.yamabe_estimator import _probe_coefficients, _probe_span, _span_form, _stiffness
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -69,22 +71,31 @@ def coo_d1_matrix(n: int, h: float, periodic: bool, width: int) -> sps.csr_matri
         rhs = np.zeros(width)
         rhs[1] = 1.0
         wts = np.linalg.solve(a, rhs)
-        wts -= wts.mean()
+        if np.array_equal(offs, -offs[::-1]):
+            # a centered window: exactly antisymmetric, 0.0 at the center
+            wts = 0.5 * (wts - wts[::-1])
+        else:
+            wts -= wts.mean()
         rows.extend([i] * width)
         cols.extend(idx.tolist())
         vals.extend(wts.tolist())
     return sps.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def kron_operators(shape, width):
-    """The grid operators as Kronecker products of the COO matrices."""
+def kron_operators(shape, width, drop_zeros=True):
+    """The grid operators as Kronecker products of the COO matrices,
+    with their stored zeros dropped unless drop_zeros is False."""
     de, d1, d2 = HopfGrid(*shape).spacings
     i1, i2, i3 = (sps.identity(n) for n in shape)
-    return (
+    ops = (
         sps.kron(sps.kron(coo_d1_matrix(shape[0], de, False, width), i2), i3).tocsr(),
         sps.kron(sps.kron(i1, coo_d1_matrix(shape[1], d1, False, width)), i3).tocsr(),
         sps.kron(sps.kron(i1, i2), coo_d1_matrix(shape[2], d2, True, width)).tocsr(),
     )
+    if drop_zeros:
+        for op in ops:
+            op.eliminate_zeros()
+    return ops
 
 
 @pytest.mark.parametrize("width", [3, 5])
@@ -108,6 +119,54 @@ def test_diff_ops_equal_kron_of_coo_matrices(shape, width):
         assert got.shape == want.shape
         for name in ("data", "indices", "indptr"):
             assert same_bits(getattr(got, name), getattr(want, name))
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(st.integers(4, 40), st.sampled_from([0, 1, 2]), WIDTH)
+def test_centered_windows_are_exactly_antisymmetric(n, axis, width):
+    periodic = axis == 2
+    wts, idx = _axis_stencil(n, HopfGrid.cube(n).spacings[axis], periodic, width)
+    k = len(wts)
+    half = k // 2
+    centered = 0
+    for i in range(n):
+        # window offsets of point i, and its weights in offset order
+        offs = (idx[:, i] - i + half) % n - half if periodic else idx[:, i] - i
+        order = np.argsort(offs)
+        offs, w = offs[order], wts[order, i]
+        if not np.array_equal(offs, -offs[::-1]):
+            continue
+        centered += 1
+        assert w[half] == 0.0 and not np.signbit(w[half])
+        assert np.array_equal(w, -w[::-1])
+    assert centered == (n if periodic else n - 2 * half if k % 2 else 0)
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(st.tuples(*(st.integers(4, 24),) * 3), WIDTH)
+def test_diff_ops_store_no_zero(shape, width):
+    for op in HopfGrid(*shape).diff_ops(width):
+        assert op.nnz == len(op.data) and np.all(op.data != 0.0)
+
+
+@settings(max_examples=20, **SETTINGS)
+@given(SHAPE, SEED, st.booleans())
+def test_stiffness_equals_nine_blocks_of_undropped_operators(shape, seed, berger):
+    # the dropped zeros contribute nothing: the stiffness matrix keeps
+    # every bit of the assembly from operators that still store them
+    metric = metric_field(HopfGrid(*shape), seed, berger)
+    ops = kron_operators(shape, 3, drop_zeros=False)
+    wf = metric.weight.reshape(-1)
+    want = None
+    for i in range(3):
+        for j in range(3):
+            block = ops[i].T @ sps.diags(wf * metric.inv[..., i, j].reshape(-1)) @ ops[j]
+            want = block if want is None else want + block
+    want = want.tocsr()
+    got = _stiffness(metric)
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        assert same_bits(getattr(got, name), getattr(want, name))
 
 
 def gathered_derivatives(f: np.ndarray, grid: HopfGrid, width: int) -> np.ndarray:

@@ -17,12 +17,15 @@ from relyamabe import (
     chart_metric,
     conformal_scalar,
     einstein_hilbert,
+    grad_sq,
     integrate,
     laplace_beltrami,
     neumann_residual,
     rayleigh_quotient,
     volume_ratio,
 )
+from relyamabe.conformal_energy import _critical_sum
+from relyamabe.yamabe_estimator import _QuotientWork
 from conftest import ROUND_ENERGY, berger_energy
 
 
@@ -63,6 +66,27 @@ class TestRayleighQuotient:
         energy = einstein_hilbert(metric, scalar).energy
         q = rayleigh_quotient(QuotientInput(np.ones(metric.grid.shape), metric, scalar))
         assert q == energy  # bitwise: derivatives of a constant are exact zeros
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(4, 10),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_product_form_critical_norm(self, n, seed, scale):
+        # (f^2)^3 against |f|**6 on fields with negative cells, through
+        # both users of the product form
+        metric = chart_metric(HopfGrid.cube(n), BergerParams(1.0, 2.0))
+        rng = np.random.default_rng(seed)
+        f = scale * rng.standard_normal(metric.grid.shape)
+        assert f.min() < 0.0
+        want = np.sum(metric.weight * np.abs(f) ** 6)
+        assert _critical_sum(f, metric.weight) == pytest.approx(want, rel=1e-14)
+        work = _QuotientWork(metric, 2.0)
+        assert work.norm(f.reshape(-1)) == pytest.approx(want ** (1 / 6), rel=1e-14)
+        numer = integrate(8.0 * grad_sq(f, metric) + 2.0 * f * f, metric)
+        q = rayleigh_quotient(QuotientInput(f, metric, 2.0))
+        assert q == pytest.approx(numer / want ** (1 / 3), rel=1e-14)
 
     def test_scaling_of_trial(self, round32):
         energy = einstein_hilbert(round32, 6.0).energy

@@ -108,6 +108,18 @@ class TestMetricTypes:
         with pytest.raises(InvalidMetricError):
             FrameMetric(m)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+    def test_symmetry_bound_is_relative(self, scale):
+        # 50% asymmetric at every scale, small entries included
+        m = scale * np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(InvalidMetricError):
+            FrameMetric(m)
+        # a relative asymmetry of 1e-13 is roundoff and is symmetrized
+        m = scale * np.diag([1.0, 2.0, 3.0])
+        m[0, 1] = scale * 1e-13
+        sym = FrameMetric(m).matrix
+        assert np.array_equal(sym, sym.T) and sym[0, 1] == 0.5 * scale * 1e-13
+
     def test_positive_definite_required(self):
         with pytest.raises(InvalidMetricError):
             FrameMetric(np.diag([1.0, -1.0, 1.0]))
