@@ -225,23 +225,46 @@ def _pythonify(value):
     return value
 
 
-def _csv_column(col) -> list[str]:
-    """The CSV cells of one column: repr of each finite float, "nan" for
-    each non-finite one, and str of any other value."""
+def _column_cells(col, csv: bool, prefix: str = "") -> list[str]:
+    """The cells of one table column, `prefix` leading each, with every
+    distinct value formatted once and fanned back out to its rows.
+
+    A float's cell is its shortest round-trip repr, or "nan" (CSV) /
+    "null" (JSON) when it is not finite; floats are told apart by their
+    bit patterns, so -0.0 and 0.0 stay distinct.  Any other cell is its
+    str (CSV) or its JSON text."""
     col = np.asarray(col)
-    if col.dtype.kind != "f":
-        return list(map(str, col.tolist()))
-    cells = list(map(repr, col.tolist()))
-    for i in np.flatnonzero(~np.isfinite(col)).tolist():
-        cells[i] = "nan"
-    return cells
+    floats = col.dtype.kind == "f"
+    keys = col.view(f"u{col.itemsize}") if floats else col
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    values = col[first].tolist()
+    if floats:
+        null = "nan" if csv else "null"
+        text = [repr(v) if math.isfinite(v) else null for v in values]
+    else:
+        text = list(map(str if csv else json.dumps, values))
+    return np.array([prefix + c for c in text], dtype=object)[inverse].tolist()
 
 
 def render_rows_csv(table, columns) -> str:
     """CSV of a table held as named columns of equal length: a header
-    line, then one line per row, each column formatted in one pass."""
-    cells = [_csv_column(table[c]) for c in columns]
+    line, then one line per row."""
+    cells = [_column_cells(table[c], csv=True) for c in columns]
     return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _render_rows_json(table, columns) -> str:
+    """`{"rows": [...]}` of a table held as named columns, one object per
+    row with sorted keys: the text of json.dumps(indent=2, sort_keys=True)
+    over the row dicts, assembled from column cells."""
+    cells = [
+        _column_cells(table[c], csv=False, prefix=f"      {json.dumps(c)}: ")
+        for c in sorted(columns)
+    ]
+    rows = list(map(",\n".join, zip(*cells)))
+    if not rows:
+        return '{\n  "rows": []\n}\n'
+    return '{\n  "rows": [\n    {\n' + "\n    },\n    {\n".join(rows) + "\n    }\n  ]\n}\n"
 
 
 def render_payload(payload, cfg: RunConfig, columns=None) -> str:
@@ -264,9 +287,7 @@ def render_payload(payload, cfg: RunConfig, columns=None) -> str:
             lines.append(f"{key},{val}")
         return "\n".join(lines) + "\n"
     if columns is not None:
-        lists = [np.asarray(payload[c]).tolist() for c in columns]
-        rows = [dict(zip(columns, row)) for row in zip(*lists)]
-        return json.dumps({"rows": _pythonify(rows)}, indent=2, sort_keys=True) + "\n"
+        return _render_rows_json(payload, columns)
     return json.dumps(_pythonify(payload), indent=2, sort_keys=True) + "\n"
 
 

@@ -186,8 +186,12 @@ def conformal_scalar(u: np.ndarray, metric: MetricField, scalar) -> np.ndarray:
 def neumann_residual(u: np.ndarray, metric: MetricField) -> float:
     """Max |du(n)| over the two boundary faces, n the inward unit normal
     n^i = +/- g^{i xi1} / sqrt(g^{xi1 xi1}), sampled at the cell layer
-    adjacent to each face."""
-    du = partial_derivatives(np.asarray(u, dtype=float), metric.grid)
+    adjacent to each face.  u must be finite: a NaN cell would read as
+    a zero residual."""
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise InputFormatError("conformal factor has non-finite entries")
+    du = partial_derivatives(u, metric.grid)
     normal = metric.inv[..., :, 1] / np.sqrt(metric.inv[..., 1, 1])[..., None]
     flux = np.einsum("...i,...i->...", normal, du)
     worst = 0.0

@@ -165,6 +165,21 @@ def _axis_stencil(n: int, h: float, periodic: bool, width: int) -> tuple[np.ndar
     return wts, idx
 
 
+@functools.lru_cache(maxsize=16)
+def _axis_neighbours(
+    n: int, h: float, periodic: bool, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_axis_stencil`'s tables without each point's own entry: read-only
+    (k - 1, n) tables, each window's other entries in ascending point
+    order."""
+    wts, idx = _axis_stencil(n, h, periodic, width)
+    others = (idx != np.arange(n)).T
+    out = tuple(np.ascontiguousarray(a.T[others].reshape(n, len(a) - 1).T) for a in (wts, idx))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 @functools.lru_cache(maxsize=4)
 def _stencils(shape: tuple[int, int, int], width: int) -> tuple[sps.csr_matrix, ...]:
     """The derivative operators of a grid of `shape`, built on first use
@@ -366,9 +381,15 @@ def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int, width: int = 3) -
     term is an exact floating-point zero on constant fields, so
     derivatives of constants come out as 0.0 rather than accumulated
     roundoff — an identity downstream quadratures rely on.
+
+    The sum skips each point's own entry: on a finite field its term
+    w_ii (f_i - f_i) is a signed zero, and adding a signed zero to a sum
+    that starts at +0.0 changes no bit.  A non-finite cell still gives a
+    non-finite derivative, but where the full sum reads NaN (inf - inf in
+    the own term) this one may read +/-inf.
     """
     n = grid.shape[axis]
-    wts, idx = _axis_stencil(n, grid.spacings[axis], axis == 2, width)
+    wts, idx = _axis_neighbours(n, grid.spacings[axis], axis == 2, width)
     bcast = [1, 1, 1]
     bcast[axis] = n
     out = np.zeros(f.shape)

@@ -232,6 +232,19 @@ class TestNeumannResidual:
         _, xi1, _ = round32.grid.meshes()
         assert neumann_residual(np.sin(xi1), round32) >= 0.5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("everywhere", [False, True])
+    def test_non_finite_fields_rejected(self, round16, bad, everywhere):
+        # a NaN cell used to read as a perfect (0.0) residual, even on an
+        # all-NaN field, and an inf escaped as a bare RuntimeWarning
+        u = np.ones(round16.grid.shape)
+        if everywhere:
+            u[...] = bad
+        else:
+            u[3, 0, 5] = bad
+        with pytest.raises(InputFormatError, match="non-finite"):
+            neumann_residual(u, round16)
+
 
 class TestAdmissibleTrialFamily:
     def test_hundred_random_flux_free_trials_bound_energy(self, round32):

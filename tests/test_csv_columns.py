@@ -1,12 +1,17 @@
-"""The columnar CSV renderer against a row-by-row, cell-by-cell one:
-`sweep`, `pathcheck` and `dump-grid` payloads keep their bytes, CSV and
-JSON alike, including invalid and non-finite sweep parameters."""
+"""The columnar table renderers against row-by-row, cell-by-cell
+references: `sweep`, `pathcheck` and `dump-grid` payloads keep their
+bytes, CSV and JSON alike, including invalid and non-finite sweep
+parameters.  Property tests draw tables with heavy repetition, signed
+zeros, NaN of either sign, infinities, subnormals, float32, strided and
+string columns; the search is derandomized."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relyamabe import (
     BergerParams,
@@ -15,7 +20,15 @@ from relyamabe import (
     chart_metric,
     corollary_path_check,
 )
-from relyamabe.cli import _GRID_COLUMNS, _SWEEP_COLUMNS, _pythonify, main, render_rows_csv
+from relyamabe.cli import (
+    _GRID_COLUMNS,
+    _SWEEP_COLUMNS,
+    RunConfig,
+    _pythonify,
+    main,
+    render_payload,
+    render_rows_csv,
+)
 from relyamabe.criterion import _sweep_columns
 
 PATH_COLUMNS = ("t", "scalar", "min_eig", "gamma", "verdict")
@@ -89,7 +102,7 @@ def test_cli_sweep_payload(tmp_path, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [4, 6, 24])
 def test_cli_dump_grid_payload(tmp_path, n, fmt):
     text = run(
         tmp_path, "dump-grid", "--geometry", "berger:1.3,2.7", "--resolution", str(n),
@@ -107,3 +120,59 @@ def test_cli_pathcheck_csv(tmp_path, t_end, steps):
     )
     report = corollary_path_check(1.0, 3.0, t_end, steps)
     assert text == rows_csv([smp.to_dict() for smp in report.samples], PATH_COLUMNS)
+
+
+SPECIAL = [
+    0.0,
+    -0.0,
+    float("nan"),
+    -float("nan"),
+    np.array(0x7FF8_0000_0000_0001, dtype=np.uint64).view(np.float64).item(),  # NaN payload
+    float("inf"),
+    -float("inf"),
+    5e-324,
+    -2.5e-310,
+    np.finfo(np.float32).smallest_subnormal.item(),
+    0.1,
+    1e300,
+]
+
+
+@st.composite
+def tables(draw):
+    """Named columns of one length (0 to 30 rows) with few distinct
+    values each: float64, float32, a strided float view, or strings."""
+    columns = draw(st.lists(st.text("abgtxz_", min_size=1, max_size=4), min_size=1, max_size=5,
+                            unique=True))
+    n = draw(st.integers(0, 30))
+    table = {}
+    for name in columns:
+        kind = draw(st.sampled_from(["f8", "f4", "strided", "str"]))
+        if kind == "str":
+            values = st.text(st.characters(codec="utf-8"), max_size=5)
+        else:
+            values = st.one_of(st.sampled_from(SPECIAL), st.floats(width=32 if kind == "f4" else 64))
+        pool = draw(st.lists(values, min_size=1, max_size=6))
+        cells = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=n,
+                                                max_size=n))]
+        if kind == "str":
+            col = np.array(cells, dtype=object)
+        elif kind == "strided":
+            block = np.full((n, 3), 7.25)
+            block[:, 1] = cells
+            col = block[:, 1]
+        else:
+            with np.errstate(over="ignore"):  # 1e300 reads inf in float32
+                col = np.array(cells, dtype=np.float32 if kind == "f4" else np.float64)
+        table[name] = col
+    return table, tuple(columns)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tables())
+def test_table_renderers_equal_row_references(drawn):
+    table, columns = drawn
+    lists = [np.asarray(table[c]).tolist() for c in columns]
+    rows = [dict(zip(columns, row)) for row in zip(*lists)]
+    assert render_rows_csv(table, columns) == rows_csv(rows, columns)
+    assert render_payload(table, RunConfig(format="json"), columns) == rows_json(rows)
