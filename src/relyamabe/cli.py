@@ -21,8 +21,10 @@ import json
 import math
 import os
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .lie_curvature import (
     BergerParams,
     FrameMetric,
     LieAlgebraFrame,
+    _ricci,
     berger_ricci_closed,
     berger_scalar_closed,
     curvature_report,
@@ -45,6 +48,7 @@ __all__ = ["RunConfig", "main"]
 _INPUT_ERRORS = (InputFormatError, InvalidMetricError, ChartDomainError)
 
 _SWEEP_COLUMNS = ("s", "t", "R", "einstein_dev", "min_eig", "gamma", "verdict")
+_PATH_COLUMNS = ("t", "scalar", "min_eig", "gamma", "verdict")
 _GRID_COLUMNS = (
     "eta",
     "xi1",
@@ -253,18 +257,45 @@ def render_rows_csv(table, columns) -> str:
     return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
-def _render_rows_json(table, columns) -> str:
-    """`{"rows": [...]}` of a table held as named columns, one object per
-    row with sorted keys: the text of json.dumps(indent=2, sort_keys=True)
-    over the row dicts, assembled from column cells."""
+class _Rows(NamedTuple):
+    """A table held as named columns, placed as one entry of a dict
+    payload: JSON renders it as a list of row objects."""
+
+    table: Mapping
+    columns: tuple
+
+
+def _rows_json(rows: _Rows) -> str:
+    """The list of row objects, with sorted keys, of a table that is the
+    value of a top-level payload entry: the text json.dumps(indent=2,
+    sort_keys=True) gives that list there, assembled from column cells."""
     cells = [
-        _column_cells(table[c], csv=False, prefix=f"      {json.dumps(c)}: ")
-        for c in sorted(columns)
+        _column_cells(rows.table[c], csv=False, prefix=f"      {json.dumps(c)}: ")
+        for c in sorted(rows.columns)
     ]
-    rows = list(map(",\n".join, zip(*cells)))
-    if not rows:
-        return '{\n  "rows": []\n}\n'
-    return '{\n  "rows": [\n    {\n' + "\n    },\n    {\n".join(rows) + "\n    }\n  ]\n}\n"
+    objects = list(map(",\n".join, zip(*cells)))
+    if not objects:
+        return "[]"
+    return "[\n    {\n" + "\n    },\n    {\n".join(objects) + "\n    }\n  ]"
+
+
+def _render_json(payload: dict) -> str:
+    """json.dumps(_pythonify(payload), indent=2, sort_keys=True) + "\n"
+    of a dict payload, with each `_Rows` entry rendered from its columns
+    by `_rows_json`.  A payload without one is encoded whole: one call
+    of the encoder costs less than one call per entry."""
+    if not any(isinstance(v, _Rows) for v in payload.values()):
+        return json.dumps(_pythonify(payload), indent=2, sort_keys=True) + "\n"
+    entries = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, _Rows):
+            text = _rows_json(value)
+        else:
+            # nesting only adds two spaces of indent to every inner line
+            text = json.dumps(_pythonify(value), indent=2, sort_keys=True).replace("\n", "\n  ")
+        entries.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(entries) + "\n}\n"
 
 
 def render_payload(payload, cfg: RunConfig, columns=None) -> str:
@@ -287,8 +318,8 @@ def render_payload(payload, cfg: RunConfig, columns=None) -> str:
             lines.append(f"{key},{val}")
         return "\n".join(lines) + "\n"
     if columns is not None:
-        return _render_rows_json(payload, columns)
-    return json.dumps(_pythonify(payload), indent=2, sort_keys=True) + "\n"
+        payload = {"rows": _Rows(payload, columns)}
+    return _render_json(payload)
 
 
 def emit(text: str, summary: str, cfg: RunConfig) -> None:
@@ -347,8 +378,15 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> None:
 def cmd_criterion(args: argparse.Namespace, cfg: RunConfig) -> None:
     frame_g, metric_g, _ = resolve_metric_token(args.g)
     frame_h, metric_h, _ = resolve_metric_token(args.h)
-    r_g = curvature_report(frame_g, metric_g).scalar
-    r_h = curvature_report(frame_h, metric_h).scalar
+    # R_g G - R_h H compares matrices, which says something only when
+    # both are written in the same basis
+    if not np.array_equal(frame_g.c, frame_h.c):
+        raise InputFormatError(
+            "--g and --h are given in frames with different structure constants; "
+            "the comparison needs both metrics in one frame"
+        )
+    metrics = np.stack([metric_g.matrix, metric_h.matrix])
+    r_g, r_h = _ricci(frame_g.c, metrics)[2].tolist()
     report = crit.theorem1_check(metric_g, r_g, metric_h, r_h)
     payload = report.to_dict()
     summary = (
@@ -380,17 +418,16 @@ def cmd_yamabe(args: argparse.Namespace, cfg: RunConfig) -> None:
 
 def cmd_pathcheck(args: argparse.Namespace, cfg: RunConfig) -> None:
     report = crit.corollary_path_check(args.s, args.t_start, args.t_end, args.steps)
-    payload = report.to_dict()
     summary = (
         f"delta = {report.delta:.12g}, endpoint scalar = {report.endpoint_scalar:.3e} "
         f"over [{report.t_start:g}, {report.t_end:g}]"
     )
+    table = {c: [getattr(smp, c) for smp in report.samples] for c in _PATH_COLUMNS}
     if cfg.format == "csv":
-        columns = ("t", "scalar", "min_eig", "gamma", "verdict")
-        table = {c: [getattr(smp, c) for smp in report.samples] for c in columns}
-        emit(render_payload(table, cfg, columns), summary, cfg)
+        text = render_payload(table, cfg, _PATH_COLUMNS)
     else:
-        emit(render_payload(payload, cfg), summary, cfg)
+        text = render_payload({**report.to_dict(), "samples": _Rows(table, _PATH_COLUMNS)}, cfg)
+    emit(text, summary, cfg)
 
 
 def cmd_dump_grid(args: argparse.Namespace, cfg: RunConfig) -> None:

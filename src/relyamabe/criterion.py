@@ -44,8 +44,10 @@ from .errors import (
 from .lie_curvature import (
     BergerParams,
     FrameMetric,
-    _curvature,
+    _einstein_deviation,
     _frobenius,
+    _orthonormal,
+    _ricci,
     curvature_report,
     su2_structure_constants,
 )
@@ -163,18 +165,19 @@ class CriterionReport:
         }
 
 
-def _pencil(G: np.ndarray, r_g: np.ndarray, H: np.ndarray, r_h: np.ndarray):
-    """The comparison for stacked metrics G, H (N, 3, 3) and scalar
-    curvatures r_g, r_h (N,): the pencil eigenvalues (N, 3) in a
-    G-orthonormal frame, the scales ||R_g G||_F (N,) and the verdicts
-    (N,), decided as `theorem1_check` describes."""
-    chol = np.linalg.cholesky(G)
-    h_on = np.swapaxes(np.linalg.solve(chol, np.swapaxes(np.linalg.solve(chol, H), 1, 2)), 1, 2)
-    rg = r_g[:, None, None]
-    pencil = rg * np.eye(3) - r_h[:, None, None] * 0.5 * (h_on + np.swapaxes(h_on, 1, 2))
-    eigs = np.linalg.eigvalsh(pencil)
-    scale = _frobenius(rg * G)
-    min_eig = eigs[:, 0]
+def _pencil(G: np.ndarray, r_g: np.ndarray, H: np.ndarray, r_h: np.ndarray) -> np.ndarray:
+    """The pencil eigenvalues (N, 3), ascending, of R_g G - R_h H in a
+    G-orthonormal frame, for stacked metrics G, H (N, 3, 3) and scalar
+    curvatures r_g, r_h (N,)."""
+    pencil = r_g[:, None, None] * np.eye(3) - r_h[:, None, None] * _orthonormal(G, H)
+    return np.linalg.eigvalsh(pencil)
+
+
+def _verdicts(G: np.ndarray, r_g: np.ndarray, r_h: np.ndarray, min_eig: np.ndarray):
+    """The scales ||R_g G||_F (N,) and the verdicts (N,) of the
+    comparisons whose minimal pencil eigenvalues are `min_eig`, decided
+    as `theorem1_check` describes."""
+    scale = _frobenius(r_g[:, None, None] * G)
     verdict = np.select(
         [
             r_h <= 0.0,
@@ -190,7 +193,7 @@ def _pencil(G: np.ndarray, r_g: np.ndarray, H: np.ndarray, r_h: np.ndarray):
         ],
         default=VERDICT_FAILS,
     )
-    return eigs, scale, verdict
+    return scale, verdict
 
 
 def _criterion_report(eigs, scale, verdict, gamma, r_g: float, r_h: float) -> CriterionReport:
@@ -229,9 +232,9 @@ def theorem1_check(g, r_g: float, h, r_h: float) -> CriterionReport:
     r_h = float(r_h)
     if not (np.isfinite(r_g) and np.isfinite(r_h)):
         raise InvalidMetricError(f"scalar curvatures must be finite, got {r_g}, {r_h}")
-    eigs, scale, verdict = _pencil(
-        gm.matrix[None], np.array([r_g]), hm.matrix[None], np.array([r_h])
-    )
+    G, rg, rh = gm.matrix[None], np.array([r_g]), np.array([r_h])
+    eigs = _pencil(G, rg, hm.matrix[None], rh)
+    scale, verdict = _verdicts(G, rg, rh, eigs[:, 0])
     return _criterion_report(eigs[0], scale[0], verdict[0], volume_ratio(gm, hm), r_g, r_h)
 
 
@@ -272,8 +275,11 @@ def _classify_berger(s: np.ndarray, t: np.ndarray) -> dict:
     verdict), "gamma" and "verdict" (the classification)."""
     H = _berger_metrics(s, t)
     G = np.broadcast_to(np.eye(3), H.shape)
-    _, _, _, scalar, _, deviation = _curvature(su2_structure_constants().c, H)
-    eigs, scale, check = _pencil(G, np.full(len(s), _ROUND_SCALAR), H, scalar)
+    r_g = np.full(len(s), _ROUND_SCALAR)
+    _, ricci, scalar = _ricci(su2_structure_constants().c, H)
+    deviation = _einstein_deviation(_orthonormal(H, ricci), scalar)
+    eigs = _pencil(G, r_g, H, scalar)
+    scale, check = _verdicts(G, r_g, scalar, eigs[:, 0])
     verdict = np.select(
         [
             deviation <= _EINSTEIN_TOL,
@@ -394,9 +400,12 @@ def boundary_curve(s: float, tol: float = 1e-8) -> float:
     up to about 1e6)."""
     s = float(s)
     _check_domain(s, tol, "boundary_curve")
+    c = su2_structure_constants().c
 
     def min_eig(t: np.ndarray) -> np.ndarray:
-        return _classify_berger(np.full(len(t), s), t)["eigs"][:, 0]
+        H = _berger_metrics(np.full(len(t), s), t)
+        G = np.broadcast_to(np.eye(3), H.shape)
+        return _pencil(G, np.full(len(t), _ROUND_SCALAR), H, _ricci(c, H)[2])[:, 0]
 
     t_star = _bisect(min_eig, s + 1e-3, s + 4.0, tol, "criterion boundary curve")
     # Self-check against the closed-form root t = s + sqrt(s) + 1; the
@@ -421,7 +430,7 @@ def scalar_sign_curve(s: float, tol: float = 1e-8) -> float:
     c = su2_structure_constants().c
 
     def scalar(t: np.ndarray) -> np.ndarray:
-        return _curvature(c, _berger_metrics(np.full(len(t), s), t))[3]
+        return _ricci(c, _berger_metrics(np.full(len(t), s), t))[2]
 
     t_zero = _bisect(scalar, s, s + 8.0, tol, "scalar curvature sign curve")
     expected = (1.0 + math.sqrt(s)) ** 2
@@ -527,10 +536,12 @@ def corollary_path_check(
 
     ts = t_start + (t_end - t_start) * np.arange(steps + 1) / steps
     H = _berger_metrics(np.full(len(ts), start.s), ts)
-    _, _, _, scalar, _, _ = _curvature(su2_structure_constants().c, H)
+    _, _, scalar = _ricci(su2_structure_constants().c, H)
     # ts[0] == t_start, so the first sample is the reference metric
     G = np.broadcast_to(H[0], H.shape)
-    eigs, _, verdict = _pencil(G, np.full(len(ts), scalar[0]), H, scalar)
+    r_g = np.full(len(ts), scalar[0])
+    eigs = _pencil(G, r_g, H, scalar)
+    _, verdict = _verdicts(G, r_g, scalar, eigs[:, 0])
     samples = [
         PathSample(t=t, scalar=r, min_eig=m, gamma=g, verdict=v)
         for t, r, m, g, v in zip(

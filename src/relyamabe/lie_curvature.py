@@ -7,6 +7,13 @@ finite dimensional linear algebra driven by the structure constants
 [X_i, X_j] = c^k_{ij} X_k, which are computed from actual matrix
 commutators rather than hard coded.
 
+The stacked kernels work on N metrics at once.  `_ricci` contracts the
+Ricci tensor straight from the connection, forming only the diagonal
+of the Riemann tensor that the trace reads; the sweep, the root
+searches, the path check and the CLI comparison need nothing more.
+The whole Riemann tensor and the Ricci eigenvalues are formed only by
+`curvature_report`, whose fields they are.
+
 The Berger family is G = diag(1, s, t) with 1 <= s <= t.  Its scalar
 and Ricci curvature admit closed forms, provided here as independent
 oracles for the engine; the engine itself never consults them.
@@ -214,31 +221,41 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt((flat @ np.swapaxes(flat, 1, 2))[:, 0, 0])
 
 
-def _curvature(c: np.ndarray, G: np.ndarray):
-    """Curvature of stacked left invariant metrics G (N, 3, 3), all in
-    the frame with structure constants c.
+def _ricci(c: np.ndarray, G: np.ndarray):
+    """Connection, Ricci tensor and scalar curvature of stacked left
+    invariant metrics G (N, 3, 3), all in the frame with structure
+    constants c; shapes (N, 3, 3, 3), (N, 3, 3) and (N,).
 
-    Returns (gamma, riemann, ricci, scalar, ricci_eigenvalues,
-    einstein_deviation) with a leading axis of length N, each entry as
-    described on `CurvatureReport`.  R(X_i, X_j) X_k = nabla_i nabla_j
-    X_k - nabla_j nabla_i X_k - nabla_{[X_i, X_j]} X_k; no closed form
-    is assumed anywhere.
+    Ric(X_j, X_k) is the trace over i of R(X_i, X_j) X_k along X_i, with
+    R(X_i, X_j) X_k = nabla_i nabla_j X_k - nabla_j nabla_i X_k
+    - nabla_{[X_i, X_j]} X_k.  Only that diagonal of the Riemann tensor
+    is formed, term by term in the order `curvature_report` sums the
+    whole tensor, so the Ricci tensor has the bits of the Riemann trace at
+    1/9 of its products.  No closed form is assumed anywhere.
     """
     G_inv = np.linalg.inv(G)
     gamma = _connection(c, G, G_inv)
-    riemann = np.einsum("nmjk,nlim->nlkij", gamma, gamma)
-    riemann -= np.einsum("nmik,nljm->nlkij", gamma, gamma)
-    riemann -= np.einsum("mij,nlmk->nlkij", c, gamma)
-    ricci = np.einsum("nikij->njk", riemann)
+    # r[n, i, k, j] = riemann[n, i, k, i, j]; d[n, i, m] = gamma[n, i, i, m]
+    r = np.einsum("nmjk,nim->nikj", gamma, np.einsum("niim->nim", gamma))
+    r -= np.einsum("nmik,nijm->nikj", gamma, gamma)
+    r -= np.einsum("mij,nimk->nikj", c, gamma)
+    ricci = np.einsum("nikj->njk", r)
     ricci = 0.5 * (ricci + np.swapaxes(ricci, 1, 2))
-    scalar = np.einsum("njk,njk->n", G_inv, ricci)
+    return gamma, ricci, np.einsum("njk,njk->n", G_inv, ricci)
 
-    # Ricci in a G-orthonormal frame via the Cholesky factor G = L L^T.
+
+def _orthonormal(G: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Stacked symmetric tensors x (N, 3, 3) in G-orthonormal frames:
+    L^-1 x L^-T with the Cholesky factor G = L L^T, symmetrized."""
     L = np.linalg.cholesky(G)
-    ric_on = np.swapaxes(np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, ricci), 1, 2)), 1, 2)
-    ric_on = 0.5 * (ric_on + np.swapaxes(ric_on, 1, 2))
-    deviation = _frobenius(ric_on - (scalar / 3.0)[:, None, None] * np.eye(3))
-    return gamma, riemann, ricci, scalar, np.linalg.eigvalsh(ric_on), deviation
+    x_on = np.swapaxes(np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, x), 1, 2)), 1, 2)
+    return 0.5 * (x_on + np.swapaxes(x_on, 1, 2))
+
+
+def _einstein_deviation(ric_on: np.ndarray, scalar: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the trace-free parts of stacked orthonormal
+    Ricci tensors with scalar curvatures `scalar`."""
+    return _frobenius(ric_on - (scalar / 3.0)[:, None, None] * np.eye(3))
 
 
 def levi_civita(frame: LieAlgebraFrame, metric: FrameMetric) -> np.ndarray:
@@ -285,17 +302,23 @@ class CurvatureReport:
 
 
 def curvature_report(frame: LieAlgebraFrame, metric: FrameMetric) -> CurvatureReport:
-    """Full curvature computation for one left invariant metric (the
-    single-metric case of the stacked engine)."""
-    gamma, riemann, ricci, scalar, eigs, deviation = _curvature(frame.c, metric.matrix[None])
+    """Full curvature computation for one left invariant metric: the
+    single-metric case of the stacked kernels, and the one place the
+    whole Riemann tensor is formed."""
+    c, G = frame.c, metric.matrix[None]
+    gamma, ricci, scalar = _ricci(c, G)
+    riemann = np.einsum("nmjk,nlim->nlkij", gamma, gamma)
+    riemann -= np.einsum("nmik,nljm->nlkij", gamma, gamma)
+    riemann -= np.einsum("mij,nlmk->nlkij", c, gamma)
+    ric_on = _orthonormal(G, ricci)
     return CurvatureReport(
         metric=metric,
         gamma_coeffs=gamma[0],
         riemann=riemann[0],
         ricci=ricci[0],
         scalar=float(scalar[0]),
-        ricci_eigenvalues=eigs[0],
-        einstein_deviation=float(deviation[0]),
+        ricci_eigenvalues=np.linalg.eigvalsh(ric_on)[0],
+        einstein_deviation=float(_einstein_deviation(ric_on, scalar)[0]),
     )
 
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from relyamabe import su2_structure_constants
 from relyamabe.cli import main, parse_range
 
 
@@ -201,6 +202,27 @@ class TestCriterion:
         spec.write_text(json.dumps(doc))
         assert main(["criterion", "--g", "round", "--h", str(spec)]) == 2
         assert_names_bad_entry(capsys, spec, key)
+
+    @pytest.mark.parametrize("factor", [2.0, -1.0])
+    def test_metrics_in_different_frames_exit_2(self, tmp_path, capsys, factor):
+        # factor * c is a Lie algebra again (both checks are homogeneous),
+        # but its metric matrices are in another basis than round's
+        c = (factor * su2_structure_constants().c).tolist()
+        spec = tmp_path / "scaled.json"
+        spec.write_text(json.dumps({"metric": np.diag([1.0, 2.0, 3.0]).tolist(),
+                                    "structure_constants": c}))
+        for g, h in (("round", str(spec)), (str(spec), "round")):
+            code, data = run(tmp_path, "criterion", "--g", g, "--h", h)
+            assert (code, data) == (2, b"")
+            assert "structure constants" in capsys.readouterr().err
+
+    def test_explicit_su2_constants_share_the_frame(self, tmp_path):
+        spec = tmp_path / "explicit.json"
+        spec.write_text(json.dumps({"metric": np.diag([1.0, 1.0, 3.0]).tolist(),
+                                    "structure_constants": su2_structure_constants().c.tolist()}))
+        assert run(tmp_path, "criterion", "--g", "round", "--h", str(spec)) == run(
+            tmp_path, "criterion", "--g", "round", "--h", "berger:1,3"
+        )
 
 
 class TestYamabe:

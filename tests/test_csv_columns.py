@@ -1,9 +1,11 @@
 """The columnar table renderers against row-by-row, cell-by-cell
 references: `sweep`, `pathcheck` and `dump-grid` payloads keep their
 bytes, CSV and JSON alike, including invalid and non-finite sweep
-parameters.  Property tests draw tables with heavy repetition, signed
-zeros, NaN of either sign, infinities, subnormals, float32, strided and
-string columns; the search is derandomized."""
+parameters, and a table nested in a dict payload (the `pathcheck` JSON
+samples) renders as json.dumps renders its row dicts there.  Property
+tests draw tables with heavy repetition, signed zeros, NaN of either
+sign, infinities, subnormals, float32, strided and string columns; the
+search is derandomized."""
 
 import json
 import math
@@ -25,6 +27,7 @@ from relyamabe.cli import (
     _SWEEP_COLUMNS,
     RunConfig,
     _pythonify,
+    _Rows,
     main,
     render_payload,
     render_rows_csv,
@@ -52,6 +55,10 @@ def rows_csv(rows, columns) -> str:
 
 def rows_json(rows) -> str:
     return json.dumps({"rows": _pythonify(list(rows))}, indent=2, sort_keys=True) + "\n"
+
+
+def payload_json(payload) -> str:
+    return json.dumps(_pythonify(payload), indent=2, sort_keys=True) + "\n"
 
 
 def run(tmp_path, *argv) -> str:
@@ -122,6 +129,19 @@ def test_cli_pathcheck_csv(tmp_path, t_end, steps):
     assert text == rows_csv([smp.to_dict() for smp in report.samples], PATH_COLUMNS)
 
 
+@pytest.mark.parametrize(
+    "s, t_start, t_end, steps",
+    [(1.0, 3.0, 4.0, 100), (1.0, 1.0, 4.0, 1), (2.25, 2.25, 6.25, 37), (1.0, 4.0, 4.0, 10)],
+)
+def test_cli_pathcheck_json(tmp_path, s, t_start, t_end, steps):
+    # the last case is a degenerate path: its samples are an empty list
+    text = run(
+        tmp_path, "pathcheck", "--s", str(s), "--t-start", str(t_start), "--t-end", str(t_end),
+        "--steps", str(steps),
+    )
+    assert text == payload_json(corollary_path_check(s, t_start, t_end, steps).to_dict())
+
+
 SPECIAL = [
     0.0,
     -0.0,
@@ -176,3 +196,9 @@ def test_table_renderers_equal_row_references(drawn):
     rows = [dict(zip(columns, row)) for row in zip(*lists)]
     assert render_rows_csv(table, columns) == rows_csv(rows, columns)
     assert render_payload(table, RunConfig(format="json"), columns) == rows_json(rows)
+    # the same table as one entry of a dict payload, between entries that
+    # sort before and after it, nested and non-finite ones among them
+    others = {"a": -0.0, "m": {"z": [1, float("nan")], "b": []}, "zz": float("inf"), "n": 3}
+    payload = {**others, "samples": _Rows(table, columns)}
+    want = payload_json({**others, "samples": rows})
+    assert render_payload(payload, RunConfig(format="json")) == want

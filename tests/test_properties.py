@@ -1,7 +1,9 @@
 """Property tests of the stacked curvature engine: batched sweep rows
 against the single-point queries, frame-change invariance of the scalar
-curvature, scale covariance of the comparison, and the Berger closed
-form.  Example counts are bounded and the search is derandomized, so
+curvature, scale covariance of the comparison, the Berger closed form,
+and the Ricci tensor contracted from the connection against the trace
+of the full Riemann tensor and against single-metric calls, bit for
+bit.  Example counts are bounded and the search is derandomized, so
 the suite stays fast and every run checks the same cases."""
 
 import math
@@ -19,6 +21,7 @@ from relyamabe import (
     berger_scalar_closed,
     berger_sweep,
     curvature_report,
+    lie_curvature,
     su2_structure_constants,
     theorem1_check,
 )
@@ -48,6 +51,8 @@ def rotation(q) -> np.ndarray:
 
 QUATERNION = st.tuples(UNIT, UNIT, UNIT, UNIT).filter(lambda q: np.linalg.norm(q) > 0.1)
 EIGS = st.tuples(*(st.floats(0.5, 4.0),) * 3)
+#: log10 of a metric's overall scale
+LOG_SCALE = st.floats(-3.0, 3.0)
 
 
 def spd(eigs, q) -> np.ndarray:
@@ -138,3 +143,51 @@ def test_theorem1_check_is_scale_covariant(eg, qg, eh, qh, r_g, r_h, lam, mu):
     scale = abs(r_g) * np.linalg.norm(G)
     if abs(base.min_eig) > 1e-8 * scale:
         assert scaled.verdict == base.verdict
+
+
+def same_bits(got, want) -> bool:
+    """Equal shapes and bytes: equal values, and signed zeros alike."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def rotated_frame(q) -> LieAlgebraFrame:
+    """The su(2) frame in the basis rotated by the rotation of q."""
+    o = rotation(q)
+    return LieAlgebraFrame(np.einsum("mk,mab,ai,bj->kij", o, su2_structure_constants().c, o, o))
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(EIGS, QUATERNION, LOG_SCALE, QUATERNION)
+def test_ricci_is_the_riemann_trace(eigs, q_metric, log_scale, q_frame):
+    """The Ricci tensor contracted from the connection has the bits of
+    Ric(X_j, X_k) = sum_i R(X_i, X_j) X_k along X_i, symmetrized, taken
+    from the report's full Riemann tensor."""
+    rep = curvature_report(
+        rotated_frame(q_frame), FrameMetric(spd(eigs, q_metric) * 10.0**log_scale)
+    )
+    trace = np.einsum("ikij->jk", rep.riemann)
+    assert same_bits(rep.ricci, 0.5 * (trace + trace.T))
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(st.sampled_from([2, 7, 64]), st.integers(0, 2**32 - 1), QUATERNION)
+def test_stacked_rows_equal_single_metric_calls(n, seed, q_frame):
+    """Each row of one stacked call has the bits of curvature_report on
+    that row's metric alone: connection, Ricci, scalar curvature and
+    Einstein deviation."""
+    rng = np.random.default_rng(seed)
+    frame = rotated_frame(q_frame)
+    G = np.stack([
+        spd(rng.uniform(0.5, 4.0, 3), rng.normal(size=4))
+        * 10.0 ** rng.uniform(-3.0, 3.0)
+        for _ in range(n)
+    ])
+    gamma, ricci, scalar = lie_curvature._ricci(frame.c, G)
+    deviation = lie_curvature._einstein_deviation(lie_curvature._orthonormal(G, ricci), scalar)
+    for k in range(n):
+        rep = curvature_report(frame, FrameMetric(G[k]))
+        assert same_bits(gamma[k], rep.gamma_coeffs)
+        assert same_bits(ricci[k], rep.ricci)
+        assert same_bits(scalar[k], rep.scalar)
+        assert same_bits(deviation[k], rep.einstein_deviation)

@@ -116,17 +116,17 @@ ROOT_CASES = pytest.mark.parametrize(
 @ROOT_CASES
 def test_boundary_engine_calls_per_root(monkeypatch, s, tol):
     steps = reference_boundary(s, tol)[1]
-    calls = count_calls(monkeypatch, "_classify_berger")
+    calls = count_calls(monkeypatch, "_ricci")
     boundary_curve(s, tol)
-    assert len(calls) <= math.ceil(steps / criterion._BISECT_DEPTH) + 1
+    assert 1 <= len(calls) <= math.ceil(steps / criterion._BISECT_DEPTH) + 1
 
 
 @ROOT_CASES
 def test_sign_engine_calls_per_root(monkeypatch, s, tol):
     steps = reference_sign(s, tol)[1]
-    calls = count_calls(monkeypatch, "_curvature")
+    calls = count_calls(monkeypatch, "_ricci")
     scalar_sign_curve(s, tol)
-    assert len(calls) <= math.ceil(steps / criterion._BISECT_DEPTH) + 1
+    assert 1 <= len(calls) <= math.ceil(steps / criterion._BISECT_DEPTH) + 1
 
 
 @pytest.mark.parametrize("s", [9.0, 10.0, 12.25, 13.0, 25.0])
