@@ -19,9 +19,11 @@ def show_samples(report) -> None:
     print(f"{'t':>8} {'scalar R':>10} {'min pencil eig':>15} {'gamma':>8}  verdict")
     samples = report.samples
     picks = [0, len(samples) // 4, len(samples) // 2, 3 * len(samples) // 4, len(samples) - 1]
-    for i in picks:
-        s = samples[i]
-        print(f"{s.t:8.3f} {s.scalar:10.4f} {s.min_eig:15.6f} {s.gamma:8.4f}  {s.verdict}")
+    for s in samples[picks]:
+        print(
+            f"{s['t']:8.3f} {s['scalar']:10.4f} {s['min_eig']:15.6f} {s['gamma']:8.4f}"
+            f"  {s['verdict']}"
+        )
 
 
 def main() -> None:

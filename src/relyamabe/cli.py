@@ -21,10 +21,8 @@ import json
 import math
 import os
 import sys
-from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,21 +44,6 @@ from .yamabe_estimator import EstimatorOptions, estimate
 __all__ = ["RunConfig", "main"]
 
 _INPUT_ERRORS = (InputFormatError, InvalidMetricError, ChartDomainError)
-
-_SWEEP_COLUMNS = ("s", "t", "R", "einstein_dev", "min_eig", "gamma", "verdict")
-_PATH_COLUMNS = ("t", "scalar", "min_eig", "gamma", "verdict")
-_GRID_COLUMNS = (
-    "eta",
-    "xi1",
-    "xi2",
-    "sqrt_det",
-    "g_eta_eta",
-    "g_eta_xi1",
-    "g_eta_xi2",
-    "g_xi1_xi1",
-    "g_xi1_xi2",
-    "g_xi2_xi2",
-)
 
 
 @dataclass(frozen=True)
@@ -85,7 +68,8 @@ class RunConfig:
 
 def parse_range(text: str, name: str) -> np.ndarray:
     """Parse 'a:b:n' into n uniform samples of [a, b].  n = 1 requires
-    a = b; otherwise n >= 2 and a < b."""
+    a = b; otherwise n >= 2 and a < b, and every sample must come out
+    finite (a span wider than the largest float overflows)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InputFormatError(f"{name}: expected 'start:stop:count', got {text!r}")
@@ -104,7 +88,11 @@ def parse_range(text: str, name: str) -> np.ndarray:
         raise InputFormatError(f"{name}: count must be a positive integer, got {text!r}")
     if a >= b:
         raise InputFormatError(f"{name}: needs start < stop for count > 1, got {text!r}")
-    return a + (b - a) * np.arange(n) / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = a + (b - a) * np.arange(n) / (n - 1)
+    if not np.all(np.isfinite(values)):
+        raise InputFormatError(f"{name}: the samples of {text!r} overflow to non-finite values")
+    return values
 
 
 def parse_berger_token(token: str) -> BergerParams:
@@ -250,28 +238,27 @@ def _column_cells(col, csv: bool, prefix: str = "") -> list[str]:
     return np.array([prefix + c for c in text], dtype=object)[inverse].tolist()
 
 
-def render_rows_csv(table, columns) -> str:
-    """CSV of a table held as named columns of equal length: a header
-    line, then one line per row."""
-    cells = [_column_cells(table[c], csv=True) for c in columns]
-    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+def _is_table(value) -> bool:
+    """Whether `value` is a table: a structured array, one row per
+    element, whose dtype names the columns in order."""
+    return isinstance(value, np.ndarray) and value.dtype.names is not None
 
 
-class _Rows(NamedTuple):
-    """A table held as named columns, placed as one entry of a dict
-    payload: JSON renders it as a list of row objects."""
+def render_rows_csv(table: np.ndarray) -> str:
+    """CSV of a table: a header line of its column names, then one line
+    per row."""
+    names = table.dtype.names
+    cells = [_column_cells(table[c], csv=True) for c in names]
+    return "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
 
-    table: Mapping
-    columns: tuple
 
-
-def _rows_json(rows: _Rows) -> str:
+def _rows_json(table: np.ndarray) -> str:
     """The list of row objects, with sorted keys, of a table that is the
     value of a top-level payload entry: the text json.dumps(indent=2,
     sort_keys=True) gives that list there, assembled from column cells."""
     cells = [
-        _column_cells(rows.table[c], csv=False, prefix=f"      {json.dumps(c)}: ")
-        for c in sorted(rows.columns)
+        _column_cells(table[c], csv=False, prefix=f"      {json.dumps(c)}: ")
+        for c in sorted(table.dtype.names)
     ]
     objects = list(map(",\n".join, zip(*cells)))
     if not objects:
@@ -281,15 +268,16 @@ def _rows_json(rows: _Rows) -> str:
 
 def _render_json(payload: dict) -> str:
     """json.dumps(_pythonify(payload), indent=2, sort_keys=True) + "\n"
-    of a dict payload, with each `_Rows` entry rendered from its columns
-    by `_rows_json`.  A payload without one is encoded whole: one call
-    of the encoder costs less than one call per entry."""
-    if not any(isinstance(v, _Rows) for v in payload.values()):
+    of a dict payload, with each table entry rendered from its columns
+    by `_rows_json` as the list of its row objects.  A payload without
+    one is encoded whole: one call of the encoder costs less than one
+    call per entry."""
+    if not any(_is_table(v) for v in payload.values()):
         return json.dumps(_pythonify(payload), indent=2, sort_keys=True) + "\n"
     entries = []
     for key in sorted(payload):
         value = payload[key]
-        if isinstance(value, _Rows):
+        if _is_table(value):
             text = _rows_json(value)
         else:
             # nesting only adds two spaces of indent to every inner line
@@ -298,12 +286,16 @@ def _render_json(payload: dict) -> str:
     return "{\n" + ",\n".join(entries) + "\n}\n"
 
 
-def render_payload(payload, cfg: RunConfig, columns=None) -> str:
-    """Render either a dict payload or, when `columns` names them in
-    order, a table held as a mapping of column name to values."""
-    if cfg.format == "csv":
-        if columns is not None:
-            return render_rows_csv(payload, columns)
+def render_payload(payload, cfg: RunConfig) -> str:
+    """Render a dict payload, or a table (a structured array, whose dtype
+    gives the column names and their order).  A table renders as CSV
+    rows or as the JSON {"rows": [...]}; a table that is an entry of a
+    dict payload renders in JSON as the list of its row objects."""
+    if _is_table(payload):
+        if cfg.format == "csv":
+            return render_rows_csv(payload)
+        payload = {"rows": payload}
+    elif cfg.format == "csv":
         flat = _pythonify(payload)
         lines = ["key,value"]
         for key in sorted(flat):
@@ -317,8 +309,6 @@ def render_payload(payload, cfg: RunConfig, columns=None) -> str:
                 val = repr(val)
             lines.append(f"{key},{val}")
         return "\n".join(lines) + "\n"
-    if columns is not None:
-        payload = {"rows": _Rows(payload, columns)}
     return _render_json(payload)
 
 
@@ -368,11 +358,10 @@ def cmd_curvature(args: argparse.Namespace, cfg: RunConfig) -> None:
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> None:
     s_values = parse_range(args.s, "--s")
     t_values = parse_range(args.t, "--t")
-    table = crit._sweep_columns(s_values, t_values)
-    verdict = table["verdict"]
-    n_valid = int(np.count_nonzero(verdict != "invalid"))
-    summary = f"swept {len(verdict)} parameter pairs ({n_valid} in domain)"
-    emit(render_payload(table, cfg, columns=_SWEEP_COLUMNS), summary, cfg)
+    rows = crit.berger_sweep(s_values, t_values)
+    n_valid = int(np.count_nonzero(rows["verdict"] != "invalid"))
+    summary = f"swept {len(rows)} parameter pairs ({n_valid} in domain)"
+    emit(render_payload(rows, cfg), summary, cfg)
 
 
 def cmd_criterion(args: argparse.Namespace, cfg: RunConfig) -> None:
@@ -422,12 +411,10 @@ def cmd_pathcheck(args: argparse.Namespace, cfg: RunConfig) -> None:
         f"delta = {report.delta:.12g}, endpoint scalar = {report.endpoint_scalar:.3e} "
         f"over [{report.t_start:g}, {report.t_end:g}]"
     )
-    table = {c: [getattr(smp, c) for smp in report.samples] for c in _PATH_COLUMNS}
-    if cfg.format == "csv":
-        text = render_payload(table, cfg, _PATH_COLUMNS)
-    else:
-        text = render_payload({**report.to_dict(), "samples": _Rows(table, _PATH_COLUMNS)}, cfg)
-    emit(text, summary, cfg)
+    # the JSON payload holds the report's fields, the keys of to_dict(),
+    # with the samples left a table that renders from its columns
+    payload = report.samples if cfg.format == "csv" else vars(report)
+    emit(render_payload(payload, cfg), summary, cfg)
 
 
 def cmd_dump_grid(args: argparse.Namespace, cfg: RunConfig) -> None:
@@ -447,9 +434,11 @@ def cmd_dump_grid(args: argparse.Namespace, cfg: RunConfig) -> None:
         "g_xi1_xi2": metric.g[..., 1, 2],
         "g_xi2_xi2": metric.g[..., 2, 2],
     }
-    table = {k: v.reshape(-1) for k, v in comps.items()}
+    table = np.empty(grid.size, [(name, float) for name in comps])
+    for name, values in comps.items():
+        table[name] = values.reshape(-1)
     summary = f"dumped {grid.size} cells at resolution {args.resolution}"
-    emit(render_payload(table, cfg, columns=_GRID_COLUMNS), summary, cfg)
+    emit(render_payload(table, cfg), summary, cfg)
 
 
 # === argument wiring =====================================================

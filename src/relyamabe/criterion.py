@@ -47,6 +47,7 @@ from .lie_curvature import (
     _einstein_deviation,
     _frobenius,
     _orthonormal,
+    _require_finite,
     _ricci,
     curvature_report,
     su2_structure_constants,
@@ -66,7 +67,6 @@ __all__ = [
     "CLASS_AUTO_NONPOSITIVE",
     "CriterionReport",
     "BergerClassification",
-    "PathSample",
     "PathReport",
     "volume_ratio",
     "theorem1_check",
@@ -103,6 +103,15 @@ _RATIO_REL_TOL = 1e-8
 _BISECT_DEPTH = 4
 #: doublings of a root bracket whose ends show no sign change
 _BRACKET_GROWTHS = 8
+
+#: the fields, in column order, of a `berger_sweep` row and of a
+#: `PathReport` sample
+_SWEEP_ROW = np.dtype(
+    [(f, "f8") for f in ("s", "t", "R", "einstein_dev", "min_eig", "gamma")] + [("verdict", "O")]
+)
+_PATH_SAMPLE = np.dtype(
+    [(f, "f8") for f in ("t", "scalar", "min_eig", "gamma")] + [("verdict", "O")]
+)
 
 
 def _as_frame_metric(m) -> FrameMetric:
@@ -272,13 +281,18 @@ def _classify_berger(s: np.ndarray, t: np.ndarray) -> dict:
     """Classify diag(1, s, t) for arrays of in-domain parameters (as
     `berger_classify` describes) in one stacked computation.  Returns
     columns: "R", "einstein_dev", "eigs", "scale", "check" (the pairwise
-    verdict), "gamma" and "verdict" (the classification)."""
+    verdict), "gamma" and "verdict" (the classification).  Parameters
+    whose curvature data overflow raise NumericalFailureError."""
     H = _berger_metrics(s, t)
     G = np.broadcast_to(np.eye(3), H.shape)
     r_g = np.full(len(s), _ROUND_SCALAR)
-    _, ricci, scalar = _ricci(su2_structure_constants().c, H)
-    deviation = _einstein_deviation(_orthonormal(H, ricci), scalar)
-    eigs = _pencil(G, r_g, H, scalar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, ricci, scalar = _ricci(su2_structure_constants().c, H)
+        _require_finite(H, ricci)
+        deviation = _einstein_deviation(_orthonormal(H, ricci), scalar)
+        eigs = _pencil(G, r_g, H, scalar)
+        gamma = _volume_ratio(G, H)
+    _require_finite(H, deviation, eigs, gamma)
     scale, check = _verdicts(G, r_g, scalar, eigs[:, 0])
     verdict = np.select(
         [
@@ -296,7 +310,7 @@ def _classify_berger(s: np.ndarray, t: np.ndarray) -> dict:
         "eigs": eigs,
         "scale": scale,
         "check": check,
-        "gamma": _volume_ratio(G, H),
+        "gamma": gamma,
         "verdict": verdict,
     }
 
@@ -443,37 +457,26 @@ def scalar_sign_curve(s: float, tol: float = 1e-8) -> float:
 
 
 @dataclass(frozen=True)
-class PathSample:
-    t: float
-    scalar: float
-    min_eig: float
-    gamma: float
-    verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "scalar": self.scalar,
-            "min_eig": self.min_eig,
-            "gamma": self.gamma,
-            "verdict": self.verdict,
-        }
-
-
-@dataclass(frozen=True)
 class PathReport:
     """Sampled run of the comparison along a metric path ending at a
     scalar-flat metric.  delta is the length of the terminal parameter
     window on which the comparison holds at every sample (endpoint
     excluded: the endpoint is scalar flat, so the comparison no longer
-    speaks there)."""
+    speaks there).
+
+    samples is a read-only table, a structured array with one row per
+    sample and the fields t, scalar, min_eig, gamma and verdict, in that
+    order; a degenerate path has no rows."""
 
     t_start: float
     t_end: float
     steps: int
-    samples: tuple[PathSample, ...]
+    samples: np.ndarray
     delta: float
     endpoint_scalar: float
+
+    def __post_init__(self):
+        self.samples.flags.writeable = False
 
     def to_dict(self) -> dict:
         return {
@@ -482,7 +485,7 @@ class PathReport:
             "steps": self.steps,
             "delta": self.delta,
             "endpoint_scalar": self.endpoint_scalar,
-            "samples": [s.to_dict() for s in self.samples],
+            "samples": [dict(zip(self.samples.dtype.names, r)) for r in self.samples.tolist()],
         }
 
 
@@ -513,7 +516,8 @@ def corollary_path_check(
     `berger_sweep`, nothing is masked: every sample has t >= t_start,
     so the single domain check BergerParams(s, t_start) covers them
     all, and a path outside the normalized domain raises
-    InvalidMetricError before any of it runs.
+    InvalidMetricError before any of it runs.  A sample whose curvature
+    data overflow raises NumericalFailureError.
     """
     t_start = float(t_start)
     t_end = float(t_end)
@@ -529,70 +533,73 @@ def corollary_path_check(
             t_start=t_start,
             t_end=t_end,
             steps=int(steps),
-            samples=(),
+            samples=np.empty(0, _PATH_SAMPLE),
             delta=0.0,
             endpoint_scalar=rep.scalar,
         )
 
-    ts = t_start + (t_end - t_start) * np.arange(steps + 1) / steps
-    H = _berger_metrics(np.full(len(ts), start.s), ts)
-    _, _, scalar = _ricci(su2_structure_constants().c, H)
-    # ts[0] == t_start, so the first sample is the reference metric
-    G = np.broadcast_to(H[0], H.shape)
-    r_g = np.full(len(ts), scalar[0])
-    eigs = _pencil(G, r_g, H, scalar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ts = t_start + (t_end - t_start) * np.arange(steps + 1) / steps
+        H = _berger_metrics(np.full(len(ts), start.s), ts)
+        _, ricci, scalar = _ricci(su2_structure_constants().c, H)
+        _require_finite(H, ricci)
+        # ts[0] == t_start, so the first sample is the reference metric
+        G = np.broadcast_to(H[0], H.shape)
+        r_g = np.full(len(ts), scalar[0])
+        eigs = _pencil(G, r_g, H, scalar)
+        gamma = _volume_ratio(G, H)
+    _require_finite(H, eigs, gamma)
     _, verdict = _verdicts(G, r_g, scalar, eigs[:, 0])
-    samples = [
-        PathSample(t=t, scalar=r, min_eig=m, gamma=g, verdict=v)
-        for t, r, m, g, v in zip(
-            ts.tolist(),
-            scalar.tolist(),
-            eigs[:, 0].tolist(),
-            _volume_ratio(G, H).tolist(),
-            verdict.tolist(),
-        )
-    ]
+    samples = np.empty(len(ts), _PATH_SAMPLE)
+    samples["t"], samples["scalar"], samples["min_eig"] = ts, scalar, eigs[:, 0]
+    samples["gamma"], samples["verdict"] = gamma, verdict
 
-    endpoint_scalar = samples[-1].scalar
-    for smp in samples[:-1]:
-        if smp.scalar <= 0.0:
-            raise HypothesisViolationError(
-                "condition (3) violated: scalar curvature must be positive "
-                f"before the endpoint, got {smp.scalar:.6g} at t = {smp.t:.6g}"
-            )
+    endpoint_scalar = float(scalar[-1])
+    nonpositive = np.flatnonzero(scalar[:-1] <= 0.0)
+    if nonpositive.size:
+        i = nonpositive[0]
+        raise HypothesisViolationError(
+            "condition (3) violated: scalar curvature must be positive "
+            f"before the endpoint, got {scalar[i]:.6g} at t = {ts[i]:.6g}"
+        )
     if abs(endpoint_scalar) > end_tol:
         raise HypothesisViolationError(
             "condition (4) violated: endpoint scalar curvature must vanish, "
-            f"got {endpoint_scalar:.6g} at t = {samples[-1].t:.6g} (tol {end_tol:g})"
+            f"got {endpoint_scalar:.6g} at t = {ts[-1]:.6g} (tol {end_tol:g})"
         )
 
     # The endpoint sample is scalar-flat by construction, so its verdict is
     # the nonpositive-scalar branch rather than Applies*; the terminal run of
     # Applies verdicts is therefore scanned over the interior samples, and
     # delta measures from the start of that run to t_end.
-    holds = [
-        smp.verdict in (VERDICT_APPLIES_STRICT, VERDICT_APPLIES_BOUNDARY)
-        for smp in samples[:-1]
-    ]
+    holds = np.isin(verdict[:-1], (VERDICT_APPLIES_STRICT, VERDICT_APPLIES_BOUNDARY))
     delta = 0.0
-    if holds and holds[-1]:
-        first = len(holds) - 1
-        while first > 0 and holds[first - 1]:
-            first -= 1
-        delta = t_end - samples[first].t
+    if holds[-1]:
+        fails = np.flatnonzero(~holds)
+        first = fails[-1] + 1 if fails.size else 0
+        delta = t_end - ts[first]
     return PathReport(
         t_start=t_start,
         t_end=t_end,
         steps=int(steps),
-        samples=tuple(samples),
+        samples=samples,
         delta=float(delta),
         endpoint_scalar=endpoint_scalar,
     )
 
 
-def _sweep_columns(s_values, t_values) -> dict[str, np.ndarray]:
-    """The `berger_sweep` table as named columns (arrays of length
-    len(s_values) * len(t_values), s-major)."""
+def berger_sweep(s_values, t_values) -> np.ndarray:
+    """Classify a grid of Berger parameters: a table, a structured array
+    with one row per (s, t) in s-major order and the fields s, t, R,
+    einstein_dev, min_eig, gamma and verdict, in that order.
+
+    The whole grid is one stacked computation.  Pairs outside the
+    normalized domain (non-finite, s < 1, or t < s) are masked out of
+    it: their rows carry the verdict "invalid" and NaN numeric fields,
+    and the remaining rows are exactly what `berger_classify` returns
+    for the same parameters.  An in-domain pair whose curvature data
+    overflow raises NumericalFailureError naming it.
+    """
     s, t = (
         a.ravel()
         for a in np.meshgrid(
@@ -600,31 +607,11 @@ def _sweep_columns(s_values, t_values) -> dict[str, np.ndarray]:
         )
     )
     valid = np.isfinite(s) & np.isfinite(t) & (1.0 <= s) & (s <= t)
-    cols = {
-        "s": s,
-        "t": t,
-        "R": np.full(s.shape, np.nan),
-        "einstein_dev": np.full(s.shape, np.nan),
-        "min_eig": np.full(s.shape, np.nan),
-        "gamma": np.full(s.shape, np.nan),
-        "verdict": np.full(s.shape, "invalid", dtype=object),
-    }
+    rows = np.empty(len(s), _SWEEP_ROW)
+    rows[...] = (np.nan,) * 6 + ("invalid",)
+    rows["s"], rows["t"] = s, t
     classified = _classify_berger(s[valid], t[valid])
     classified["min_eig"] = classified["eigs"][:, 0]
     for key in ("R", "einstein_dev", "min_eig", "gamma", "verdict"):
-        cols[key][valid] = classified[key]
-    return cols
-
-
-def berger_sweep(s_values, t_values) -> list[dict]:
-    """Classify a grid of Berger parameters; one row per (s, t) in
-    s-major order.
-
-    The whole grid is one stacked computation.  Pairs outside the
-    normalized domain (non-finite, s < 1, or t < s) are masked out of
-    it: their rows carry the verdict "invalid" and NaN numeric columns,
-    and the remaining rows are exactly what `berger_classify` returns
-    for the same parameters.
-    """
-    lists = {key: col.tolist() for key, col in _sweep_columns(s_values, t_values).items()}
-    return [dict(zip(lists, row)) for row in zip(*lists.values())]
+        rows[key][valid] = classified[key]
+    return rows

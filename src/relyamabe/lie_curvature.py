@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputFormatError, InvalidMetricError
+from .errors import InputFormatError, InvalidMetricError, NumericalFailureError
 
 __all__ = [
     "LieAlgebraFrame",
@@ -244,6 +244,21 @@ def _ricci(c: np.ndarray, G: np.ndarray):
     return gamma, ricci, np.einsum("njk,njk->n", G_inv, ricci)
 
 
+def _require_finite(G: np.ndarray, *arrays: np.ndarray) -> None:
+    """Raise NumericalFailureError naming the first of the stacked
+    metrics G (N, 3, 3) whose curvature data in `arrays` (each of
+    leading length N) are not all finite: floating-point overflow."""
+    if all(np.isfinite(a).all() for a in arrays):
+        return
+    finite = np.logical_and.reduce(
+        [np.isfinite(a).all(axis=tuple(range(1, a.ndim))) for a in arrays]
+    )
+    m = G[np.argmin(finite)]
+    diagonal = np.array_equal(m, np.diag(np.diag(m)))
+    name = f"diag{tuple(np.diag(m).tolist())}" if diagonal else str(m.tolist())
+    raise NumericalFailureError(f"curvature data of the metric {name} overflow to non-finite values")
+
+
 def _orthonormal(G: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Stacked symmetric tensors x (N, 3, 3) in G-orthonormal frames:
     L^-1 x L^-T with the Cholesky factor G = L L^T, symmetrized."""
@@ -304,13 +319,17 @@ class CurvatureReport:
 def curvature_report(frame: LieAlgebraFrame, metric: FrameMetric) -> CurvatureReport:
     """Full curvature computation for one left invariant metric: the
     single-metric case of the stacked kernels, and the one place the
-    whole Riemann tensor is formed."""
+    whole Riemann tensor is formed.  Curvature data that overflow raise
+    NumericalFailureError."""
     c, G = frame.c, metric.matrix[None]
-    gamma, ricci, scalar = _ricci(c, G)
-    riemann = np.einsum("nmjk,nlim->nlkij", gamma, gamma)
-    riemann -= np.einsum("nmik,nljm->nlkij", gamma, gamma)
-    riemann -= np.einsum("mij,nlmk->nlkij", c, gamma)
-    ric_on = _orthonormal(G, ricci)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma, ricci, scalar = _ricci(c, G)
+        riemann = np.einsum("nmjk,nlim->nlkij", gamma, gamma)
+        riemann -= np.einsum("nmik,nljm->nlkij", gamma, gamma)
+        riemann -= np.einsum("mij,nlmk->nlkij", c, gamma)
+        ric_on = _orthonormal(G, ricci)
+        deviation = _einstein_deviation(ric_on, scalar)
+    _require_finite(G, riemann, ricci, deviation)
     return CurvatureReport(
         metric=metric,
         gamma_coeffs=gamma[0],
@@ -318,7 +337,7 @@ def curvature_report(frame: LieAlgebraFrame, metric: FrameMetric) -> CurvatureRe
         ricci=ricci[0],
         scalar=float(scalar[0]),
         ricci_eigenvalues=np.linalg.eigvalsh(ric_on)[0],
-        einstein_deviation=float(_einstein_deviation(ric_on, scalar)[0]),
+        einstein_deviation=float(deviation[0]),
     )
 
 

@@ -129,7 +129,7 @@ def test_05_criterion_fixtures():
 def test_06_corollary_path():
     rep = corollary_path_check(1.0, 3.0, 4.0, 100)
     assert len(rep.samples) == 101
-    assert all(s.min_eig >= -1e-10 for s in rep.samples)
+    assert np.all(rep.samples["min_eig"] >= -1e-10)
     assert rep.delta == pytest.approx(1.0, abs=1e-12)
     assert abs(rep.endpoint_scalar) <= 1e-10
     ok(6, f"delta {rep.delta}, endpoint scalar {rep.endpoint_scalar:.1e}")

@@ -53,6 +53,16 @@ class TestParseRange:
             with pytest.raises(InputFormatError):
                 parse_range(bad, "t")
 
+    @pytest.mark.parametrize("text", ["1:1e308:3", "-1e308:1e308:2", "-1.7e308:1.7e308:5"])
+    def test_overflowing_samples_rejected(self, tmp_path, capsys, text):
+        from relyamabe import InputFormatError
+
+        with pytest.raises(InputFormatError, match="overflow"):
+            parse_range(text, "--s")
+        code, data = run(tmp_path, "sweep", f"--s={text}", "--t", "1:2:2")
+        assert (code, data) == (2, b"")
+        assert capsys.readouterr().err.startswith("error: --s: ")
+
 
 class TestCurvature:
     def test_berger_point(self, tmp_path):
@@ -370,6 +380,23 @@ class TestDumpGrid:
             "g_xi2_xi2",
         ]
         assert all(float(r["sqrt_det"]) > 0.0 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--s", "1", "--t", "1e200"],
+        ["sweep", "--s", "1:1e200:3", "--t", "1:1e200:3"],
+        ["pathcheck", "--s", "1", "--t-start", "3", "--t-end", "1e308", "--steps", "3"],
+    ],
+)
+def test_overflowing_parameters_exit_1_with_one_error_line(tmp_path, capsys, argv):
+    # a numpy RuntimeWarning would raise here under the test configuration
+    code, data = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert (code, data) == (1, b"")
+    assert err.startswith("error: curvature data of the metric diag(")
+    assert err.count("\n") == 1
 
 
 class TestOutputPlumbing:

@@ -3,6 +3,7 @@ classification, boundary curves, deformation paths, and sweeps."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from relyamabe import (
     HypothesisViolationError,
     InvalidMetricError,
     MetricField,
+    NumericalFailureError,
     berger_classify,
     berger_sweep,
     boundary_curve,
@@ -23,6 +25,25 @@ from relyamabe import (
 )
 
 EYE = FrameMetric.round()
+
+#: in-domain Berger queries whose curvature data overflow, each with the
+#: parameter its error names
+OVERFLOWING = [
+    (lambda: berger_classify(BergerParams(1.0, 1e200)), "1e+200"),
+    (lambda: berger_sweep([1.0], [2.0, 1e200]), "1e+200"),
+    (lambda: berger_sweep([1e155], [1e155]), "1e+155"),
+    (lambda: corollary_path_check(1.0, 3.0, 1e200, 3), "3.3333333333333334e+199"),
+]
+
+
+@pytest.mark.parametrize(
+    "query, parameter", OVERFLOWING, ids=["classify", "sweep", "sweep-volume", "path"]
+)
+def test_overflowing_curvature_raises_naming_the_metric(query, parameter):
+    # RuntimeWarning is an error under the test configuration, so this
+    # also checks that the overflow warns nowhere on the way
+    with pytest.raises(NumericalFailureError, match=rf"diag\(.*{re.escape(parameter)}\)"):
+        query()
 
 
 class TestVolumeRatio:
@@ -191,11 +212,10 @@ class TestPathCheck:
         assert len(rep.samples) == 101
         assert rep.delta == pytest.approx(1.0, abs=1e-12)
         assert abs(rep.endpoint_scalar) <= 1e-10
-        assert all(s.min_eig >= -1e-10 for s in rep.samples)
-        ts = [s.t for s in rep.samples]
-        assert ts == sorted(ts)
-        for s in rep.samples[:-1]:
-            assert s.verdict in ("AppliesStrict", "AppliesBoundary")
+        assert not rep.samples.flags.writeable
+        assert np.all(rep.samples["min_eig"] >= -1e-10)
+        assert np.all(np.diff(rep.samples["t"]) > 0.0)
+        assert set(rep.samples["verdict"][:-1]) <= {"AppliesStrict", "AppliesBoundary"}
 
     @pytest.mark.parametrize("steps", [0, 2.5, float("nan"), float("inf")])
     def test_bad_step_count_rejected(self, steps):
@@ -205,7 +225,9 @@ class TestPathCheck:
     def test_degenerate_path(self):
         rep = corollary_path_check(1.0, 3.0, 3.0, 5)
         assert rep.delta == 0.0
-        assert rep.samples == ()
+        assert len(rep.samples) == 0
+        assert rep.samples.dtype.names == ("t", "scalar", "min_eig", "gamma", "verdict")
+        assert not rep.samples.flags.writeable
         assert rep.endpoint_scalar == pytest.approx(2.0, abs=1e-12)
 
     def test_longer_interval_2_to_4(self):
@@ -214,15 +236,14 @@ class TestPathCheck:
         # the very start: delta spans the whole interval
         rep = corollary_path_check(1.0, 2.0, 4.0, 100)
         assert rep.delta == pytest.approx(2.0, abs=1e-12)
-        assert rep.samples[0].verdict == "AppliesBoundary"
-        assert abs(rep.samples[0].min_eig) <= 1e-12
-        for s in rep.samples[1:-1]:
-            assert s.verdict in ("AppliesStrict", "AppliesBoundary")
+        assert rep.samples["verdict"][0] == "AppliesBoundary"
+        assert abs(rep.samples["min_eig"][0]) <= 1e-12
+        assert set(rep.samples["verdict"][1:-1]) <= {"AppliesStrict", "AppliesBoundary"}
 
     def test_gamma_tracks_volume_ratio(self):
         rep = corollary_path_check(1.0, 3.0, 4.0, 4)
-        for s in rep.samples:
-            assert s.gamma == pytest.approx(math.sqrt(s.t / 3.0), rel=1e-12)
+        samples = rep.samples
+        assert samples["gamma"] == pytest.approx(np.sqrt(samples["t"] / 3.0), rel=1e-12)
 
     def test_positive_scalar_hypothesis_enforced(self):
         with pytest.raises(HypothesisViolationError, match="condition \\(3\\)"):
@@ -243,26 +264,26 @@ class TestSweep:
     def test_grid_counts_and_order(self):
         rows = berger_sweep([1.0, 2.0, 3.0, 4.0], np.linspace(1.0, 8.0, 8))
         assert len(rows) == 32
-        keys = [(r["s"], r["t"]) for r in rows]
+        assert rows.dtype.names == ("s", "t", "R", "einstein_dev", "min_eig", "gamma", "verdict")
+        keys = list(zip(rows["s"].tolist(), rows["t"].tolist()))
         assert keys == sorted(keys)  # s-major deterministic order
 
     def test_invalid_cells_flagged(self):
         rows = berger_sweep([2.0], [1.0, 2.0, 3.0])
-        assert rows[0]["verdict"] == "invalid"
-        assert math.isnan(rows[0]["R"])
-        assert rows[1]["verdict"] != "invalid"
+        assert rows["verdict"][0] == "invalid"
+        assert math.isnan(rows["R"][0])
+        assert rows["verdict"][1] != "invalid"
 
     def test_known_rows(self):
         rows = berger_sweep([1.0], [3.0, 3.5])
-        assert rows[0]["verdict"] == "Theorem1Boundary"
-        assert rows[1]["verdict"] == "Theorem1Strict"
-        assert rows[0]["R"] == pytest.approx(2.0, abs=1e-12)
-        assert rows[0]["gamma"] == pytest.approx(math.sqrt(3.0), rel=1e-12)
+        assert rows["verdict"].tolist() == ["Theorem1Boundary", "Theorem1Strict"]
+        assert rows["R"][0] == pytest.approx(2.0, abs=1e-12)
+        assert rows["gamma"][0] == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
     def test_transitions_isolated_to_curves(self):
         ts = np.linspace(1.0, 5.0, 401)
         rows = berger_sweep([1.0], ts)
-        verdicts = [r["verdict"] for r in rows]
+        verdicts = rows["verdict"]
         changes = [
             (ts[i], verdicts[i], verdicts[i + 1])
             for i in range(len(ts) - 1)
