@@ -103,6 +103,8 @@ _RATIO_REL_TOL = 1e-8
 _BISECT_DEPTH = 4
 #: doublings of a root bracket whose ends show no sign change
 _BRACKET_GROWTHS = 8
+#: largest s whose roots the grown brackets reach
+_ROOT_S_MAX = 1e6
 
 #: the fields, in column order, of a `berger_sweep` row and of a
 #: `PathReport` sample
@@ -399,8 +401,8 @@ def _bisect(
 
 
 def _check_domain(s: float, tol: float, what: str) -> None:
-    if not np.isfinite(s) or s < 1.0:
-        raise InvalidMetricError(f"{what} needs s >= 1, got {s}")
+    if not 1.0 <= s <= _ROOT_S_MAX:
+        raise InvalidMetricError(f"{what} supports 1 <= s <= {_ROOT_S_MAX:g}, got s={s}")
     if not np.isfinite(tol) or tol <= 0.0:
         raise InvalidMetricError(f"tolerance must be positive, got {tol}")
 
@@ -410,8 +412,8 @@ def boundary_curve(s: float, tol: float = 1e-8) -> float:
     comparison against the round sphere, located by bisection on the
     minimal pencil eigenvalue.  The bracket is (s, s + 4], which holds
     the root for s < 9; for larger s its upper end doubles its distance
-    from the lower one until the eigenvalue changes sign (enough for s
-    up to about 1e6)."""
+    from the lower one until the eigenvalue changes sign.  That reaches
+    the root for s up to 1e6; larger s raise InvalidMetricError."""
     s = float(s)
     _check_domain(s, tol, "boundary_curve")
     c = su2_structure_constants().c
@@ -437,8 +439,8 @@ def scalar_sign_curve(s: float, tol: float = 1e-8) -> float:
     """The t at which the scalar curvature of diag(1, s, t) changes
     sign, located by bisection.  The bracket is [s, s + 8], which holds
     the root for s < 12.25; for larger s its upper end doubles its
-    distance from the lower one until the curvature changes sign
-    (enough for s up to about 1e6)."""
+    distance from the lower one until the curvature changes sign.  That
+    reaches the root for s up to 1e6; larger s raise InvalidMetricError."""
     s = float(s)
     _check_domain(s, tol, "scalar_sign_curve")
     c = su2_structure_constants().c

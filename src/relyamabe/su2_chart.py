@@ -34,7 +34,7 @@ from .errors import (
     InputFormatError,
     InvalidMetricError,
 )
-from .lie_curvature import BergerParams
+from .lie_curvature import BergerParams, _connection, su2_structure_constants
 
 if TYPE_CHECKING:
     import scipy.sparse as sps
@@ -57,9 +57,8 @@ _MIN_CELLS = 4
 _CHART_TOL = 1e-10
 _SPHERE_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
-# Collar excluded near the coordinate axes when evaluating boundary
-# quantities: the chart degenerates at eta in {0, pi/2}, so one-sided
-# stencils there see the (harmless) coordinate singularity.
+# Collar of eta rows next to the coordinate axes eta in {0, pi/2} whose
+# boundary points are not reported; the boundary form itself is exact.
 _COLLAR_FLOOR = 0.15
 
 
@@ -373,8 +372,7 @@ def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
 
 def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int, width: int = 3) -> np.ndarray:
     """d f / d x_axis in difference form: out_i = sum_j w_ij (f_j - f_i),
-    the window's entries summed in stored order from 0.0.  f is a grid
-    field, or any block of it that keeps whole lines along `axis`.
+    the window's entries summed in stored order from 0.0, f a grid field.
 
     Algebraically this equals the matvec with the axis operator of
     `HopfGrid.diff_ops` (the stencil weights sum to zero), but every
@@ -431,11 +429,19 @@ def grad_sq(f: np.ndarray, metric: MetricField) -> np.ndarray:
 
 # === boundary geometry of the faces xi1 = 0 and xi1 = pi ================
 
+# The frame fields as linear maps: V_k at x = (Re z, Im z, Re w, Im w) is _FRAME_MAPS[k] @ x.
+_FRAME_MAPS = np.array([
+    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # V1 x = (-x2, x1, -x4, x3)
+    [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]],  # V2 x = (x3, -x4, -x1, x2)
+    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],  # V3 x = (-x4, -x3, x2, x1)
+], dtype=float)
+_FRAME_MAPS.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class FaceSecondForm:
-    """Second fundamental form data of one face, sampled at the face's
-    adjacent cell layer, restricted to cells outside the axis collar."""
+    """Second fundamental form data of one face at its points
+    (kept_eta, xi2), xi2 the grid's, outside the axis collar."""
 
     name: str
     kept_eta: np.ndarray
@@ -476,80 +482,69 @@ class BoundaryReport:
         }
 
 
+def _level_second_form(
+    params: BergerParams, eta: np.ndarray, xi2: np.ndarray, c: float, sign: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean curvature and |II| of the level xi1 = c, the great sphere
+    f = cos(c) x2 - sin(c) x1 = 0, at the points (eta, c, xi2) (eta and
+    xi2 broadcast), for the normal toward increasing (sign = +1) or
+    decreasing (sign = -1) xi1.  V_i f and Hess f(V_i, V_j) =
+    V_i(V_j f) - Gamma^k_ij V_k f are linear in x; in the orthonormal
+    frame V_i / sqrt(w_i), II = sign P Hess(f) P / |df| with P the
+    projection orthogonal to the unit normal."""
+    w = np.array([1.0, params.s, params.t])
+    gamma = _connection(su2_structure_constants().c, np.diag(w)[None], np.diag(1.0 / w)[None])[0]
+    a = np.array([-np.sin(c), np.cos(c), 0.0, 0.0])
+    ell = a @ _FRAME_MAPS  # ell[k] @ x = V_k f
+    hess = np.einsum("p,jpq,iqr->ijr", a, _FRAME_MAPS, _FRAME_MAPS)  # V_i (V_j f)
+    hess -= np.einsum("kij,kr->ijr", gamma, ell)
+    r = 1.0 / np.sqrt(w)
+    eta, xi2 = np.broadcast_arrays(eta, xi2)
+    ce, se = np.cos(eta), np.sin(eta)
+    x = np.stack([ce * np.cos(c), ce * np.sin(c), se * np.cos(xi2), se * np.sin(xi2)], axis=-1)
+    grad = x @ (ell * r[:, None]).T
+    n = np.linalg.norm(grad, axis=-1)
+    nu = grad / n[..., None]
+    proj = np.eye(3) - nu[..., :, None] * nu[..., None, :]
+    h = np.tensordot(x, hess * np.outer(r, r)[..., None], axes=(-1, -1))
+    ii = (sign / n)[..., None, None] * (proj @ h @ proj)
+    return np.trace(ii, axis1=-2, axis2=-1), np.sqrt(np.einsum("...ab,...ab->...", ii, ii))
+
+
 def boundary_second_form(metric: MetricField, margin: float | None = None) -> BoundaryReport:
-    """Second fundamental form of the faces xi1 = 0 and xi1 = pi.
+    """Exact second fundamental form of the faces xi1 = 0 and xi1 = pi,
+    halves of the great sphere {x2 = 0}, for the inward normals, at the
+    grid's (eta, xi2) points outside `margin` of the axes eta in
+    {0, pi/2} (default max(2 * d_eta, 0.15)).  It is computed from the
+    Berger weights `metric.params`; a field without them (hand-built, or
+    from `MetricField.scaled`) raises InputFormatError.
 
-    The faces are level sets of xi1, with inward unit normal
-    n^i = +/- g^{i xi1} / sqrt(g^{xi1 xi1}) (plus at xi1 = 0, minus at
-    xi1 = pi).  Writing the face as a level set of phi (phi = xi1,
-    respectively -xi1) with d phi the inward conormal,
-
-        II_ab = Hessian(phi)_ab / |d phi|
-              = -/+ Gamma^{xi1}_ab / sqrt(g^{xi1 xi1})
-
-    restricted to the tangential block (eta, xi2).  The mean curvature
-    is the trace against the induced metric and |II| the Frobenius norm
-    of the shape operator.  Cells within `margin` of the coordinate
-    axes eta in {0, pi/2} are excluded (the chart, not the geometry,
-    degenerates there); the default margin is max(2 * d_eta, 0.15).
-    Derivatives use 5-point windows so the boundary data converges
-    visibly under refinement.
+    H = 0 for every (s, t).  For f = x2, ell = (V_i f) = (x1, -x4, -x3),
+    N^2 = x1^2 + x4^2/s + x3^2/t and nu = sum_i ell_i V_i / (w_i N).  The
+    frame fields are divergence free, so H = div nu = sum_i V_i(ell_i)
+    / (w_i N) - sum_ij ell_i ell_j V_i(ell_j) / (w_i w_j N^3).  Each
+    V_i(ell_i) = -x2 vanishes on the face, and V_i(ell_j) = -V_j(ell_i)
+    for i != j.  |II| vanishes only at s = t = 1.
     """
+    if metric.params is None:
+        raise InputFormatError(
+            "the exact boundary second form needs the Berger weights of the metric field"
+        )
     grid = metric.grid
-    d_eta = grid.spacings[0]
     if margin is None:
-        margin = max(2.0 * d_eta, _COLLAR_FLOOR)
-
-    # Only the cell layers next to the faces are read, and of the
-    # Christoffel symbols only Gamma^{xi1}_ab.
-    layers = [0, grid.n_xi1 - 1]
-    dg = np.empty((grid.n_eta, 2, grid.n_xi2, 3, 3, 3))  # [..., c, a, b] = d_c g_ab
-    for a in range(3):
-        for b in range(3):
-            gab = np.ascontiguousarray(metric.g[..., a, b])
-            face = gab[:, layers]
-            dg[..., 0, a, b] = _axis_derivative(face, grid, 0, width=5)
-            dg[..., 1, a, b] = _axis_derivative(gab, grid, 1, width=5)[:, layers]
-            dg[..., 2, a, b] = _axis_derivative(face, grid, 2, width=5)
-    inv = metric.inv[:, layers]
-    row = inv[..., 1, :]
-    gamma1 = 0.5 * (
-        np.einsum("...m,...amb->...ab", row, dg)
-        + np.einsum("...m,...bma->...ab", row, dg)
-        - np.einsum("...m,...mab->...ab", row, dg)
-    )
-    inv_dphi = 1.0 / np.sqrt(inv[..., 1, 1])
-    tang = [0, 2]
-    hess = -gamma1[..., tang, :][..., :, tang] * inv_dphi[..., None, None]
-    # ghat is inverted on the whole grid, not on the face layers alone:
-    # einsum's summation order below follows its operands' memory
-    # layout, and this one keeps the face data bit-identical to the
-    # formula with all Christoffel symbols on the whole grid
-    ghat = metric.g[..., tang, :][..., :, tang]
-    ghat_inv = np.linalg.inv(ghat)
-
+        margin = max(2.0 * grid.spacings[0], _COLLAR_FLOOR)
     keep = (grid.eta > margin) & (grid.eta < np.pi / 2 - margin)
     if not keep.any():
-        raise InvalidMetricError(
-            f"collar margin {margin:.3f} excludes every cell; refine the grid"
-        )
+        raise InvalidMetricError(f"collar margin {margin:.3f} excludes every cell; refine the grid")
+    eta = grid.eta[keep]
     faces = []
-    for j, name, sign in ((0, "xi1=0", 1.0), (1, "xi1=pi", -1.0)):
-        ii = sign * hess[:, j, :, :, :]
-        ghi = ghat_inv[:, layers[j], :, :, :]
-        mean_curv = np.einsum("...ab,...ab->...", ghi, ii)
-        shape_op = np.einsum("...ac,...cb->...ab", ghi, ii)
-        ii_norm = np.sqrt(np.maximum(np.einsum("...ab,...ba->...", shape_op, shape_op), 0.0))
-        faces.append(
-            FaceSecondForm(
-                name=name,
-                kept_eta=grid.eta[keep],
-                mean_curvature=mean_curv[keep],
-                ii_norm=ii_norm[keep],
-                max_abs_mean_curvature=float(np.abs(mean_curv[keep]).max()),
-                max_ii_norm=float(ii_norm[keep].max()),
-                min_ii_norm=float(ii_norm[keep].min()),
-                excluded_cells=int((~keep).sum() * grid.n_xi2),
-            )
-        )
+    for name, c, sign in (("xi1=0", 0.0, 1.0), ("xi1=pi", np.pi, -1.0)):
+        mean_curv, ii_norm = _level_second_form(metric.params, eta[:, None], grid.xi2, c, sign)
+        faces.append(FaceSecondForm(
+            name, eta, mean_curv, ii_norm,
+            max_abs_mean_curvature=float(np.abs(mean_curv).max()),
+            max_ii_norm=float(ii_norm.max()),
+            min_ii_norm=float(ii_norm.min()),
+            excluded_cells=int((~keep).sum() * grid.n_xi2),
+        ))
     return BoundaryReport(faces=tuple(faces), margin=float(margin))

@@ -161,21 +161,16 @@ def test_07_chart_validation(grid16, grid32, round32, berger13_32):
     )
 
 
-def test_08_minimal_boundary(grid16, grid32, round32, berger13_32, berger24_32):
+def test_08_minimal_boundary(round32, berger13_32, berger24_32):
     reports = {}
     for key, m32 in (("1,1", round32), ("1,3", berger13_32), ("2,4", berger24_32)):
         reports[key] = boundary_second_form(m32)
         assert reports[key].max_abs_mean_curvature <= 1e-2
-    for key, params in (("1,3", (1.0, 3.0)), ("2,4", (2.0, 4.0))):
-        h16 = boundary_second_form(
-            chart_metric(grid16, BergerParams(*params))
-        ).max_abs_mean_curvature
-        assert reports[key].max_abs_mean_curvature < h16
-    # the round face is exactly geodesic, so its H sits at roundoff at
-    # every resolution instead of decreasing
+        # the form is exact: H vanishes to roundoff for every (s, t)
+        assert reports[key].max_abs_mean_curvature <= 1e-13
     assert reports["1,1"].max_abs_mean_curvature <= 1e-10
-    # non-geodesic face: per-cell norm of the second form stays finite;
-    # 0.8 is half the converged N=64 value (1.633)
+    # non-geodesic face: per-point norm of the second form stays finite;
+    # 0.8 is half the exact maximum (1.633)
     assert reports["1,3"].max_ii_norm >= 0.8
     ok(
         8,

@@ -388,6 +388,8 @@ class TestDumpGrid:
         ["curvature", "--s", "1", "--t", "1e200"],
         ["sweep", "--s", "1:1e200:3", "--t", "1:1e200:3"],
         ["pathcheck", "--s", "1", "--t-start", "3", "--t-end", "1e308", "--steps", "3"],
+        ["criterion", "--g", "round", "--h", "berger:1,1e200"],
+        ["criterion", "--g", "berger:1,1e200", "--h", "round"],
     ],
 )
 def test_overflowing_parameters_exit_1_with_one_error_line(tmp_path, capsys, argv):

@@ -205,6 +205,14 @@ class TestBoundaryCurves:
         with pytest.raises(InvalidMetricError):
             boundary_curve(1.0, tol=0.0)
 
+    @pytest.mark.parametrize("root", [boundary_curve, scalar_sign_curve])
+    @pytest.mark.parametrize("s", [1e7, 1e17, 1e200])
+    def test_s_beyond_the_bracket_growth_rejected(self, root, s):
+        # s + 4.0 rounds to s above about 1e16; below that the grown
+        # brackets still fall short of the roots past s = 1e6
+        with pytest.raises(InvalidMetricError, match=r"supports 1 <= s <= 1e\+06"):
+            root(s)
+
 
 class TestPathCheck:
     def test_terminal_interval_3_to_4(self):

@@ -129,7 +129,7 @@ def test_sign_engine_calls_per_root(monkeypatch, s, tol):
     assert 1 <= len(calls) <= math.ceil(steps / criterion._BISECT_DEPTH) + 1
 
 
-@pytest.mark.parametrize("s", [9.0, 10.0, 12.25, 13.0, 25.0])
+@pytest.mark.parametrize("s", [9.0, 10.0, 12.25, 13.0, 25.0, 1e6])
 def test_roots_past_the_first_bracket(s):
     assert abs(boundary_curve(s) - (s + math.sqrt(s) + 1.0)) <= 1e-6
     assert abs(scalar_sign_curve(s) - (1.0 + math.sqrt(s)) ** 2) <= 1e-6

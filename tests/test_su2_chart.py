@@ -3,12 +3,15 @@ derivatives, and the boundary second fundamental form."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relyamabe import (
     BergerParams,
     ChartDomainError,
     HopfGrid,
     InputFormatError,
+    MetricField,
     boundary_second_form,
     chart_metric,
     embedding,
@@ -16,7 +19,11 @@ from relyamabe import (
     grad_sq,
     integrate,
     partial_derivatives,
+    su2_structure_constants,
 )
+from relyamabe.su2_chart import _FRAME_MAPS, _level_second_form
+
+SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
 
 def real4_dot(u, v):
@@ -50,6 +57,22 @@ class TestFrameFields:
     def test_off_sphere_rejected(self):
         with pytest.raises(ChartDomainError):
             frame_fields(np.array(1.1 + 0j), np.array(0j))
+
+    def test_frame_maps_equal_frame_fields(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(50, 4))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        v = frame_fields(x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3])
+        for k in range(3):
+            mx = x @ _FRAME_MAPS[k].T
+            assert np.abs(mx[:, 0::2] + 1j * mx[:, 1::2] - v[:, k]).max() <= 1e-15
+
+    def test_frame_map_brackets_equal_structure_constants(self):
+        # [V_i, V_j] of the linear fields V_i(x) = M_i x is (M_j M_i - M_i M_j) x
+        m = _FRAME_MAPS
+        brackets = np.einsum("jab,ibc->ijac", m, m) - np.einsum("iab,jbc->ijac", m, m)
+        expanded = np.einsum("kij,kac->ijac", su2_structure_constants().c, m)
+        assert np.array_equal(brackets, expanded)
 
 
 class TestHopfGrid:
@@ -179,12 +202,29 @@ class TestBoundary:
         assert rep.max_abs_mean_curvature <= 1e-2
         assert rep.max_ii_norm >= 0.05
 
-    def test_mean_curvature_decreases_under_refinement(
-        self, berger13_16, berger13_32
-    ):
-        h16 = boundary_second_form(berger13_16).max_abs_mean_curvature
-        h32 = boundary_second_form(berger13_32).max_abs_mean_curvature
-        assert h32 < h16
+    @settings(max_examples=40, **SETTINGS)
+    @given(st.floats(1.0, 1e4), st.floats(1.0, 100.0), st.integers(0, 2**32 - 1))
+    def test_mean_curvature_vanishes_to_roundoff(self, s, ratio, seed):
+        # 10^4 random points of the boundary sphere {x2 = 0}: the level
+        # xi1 = 0 with eta in (0, pi) covers both faces
+        rng = np.random.default_rng(seed)
+        eta, xi2 = rng.uniform(0.0, np.pi, 10**4), rng.uniform(0.0, 2 * np.pi, 10**4)
+        mean_curv, _ = _level_second_form(BergerParams(s, s * ratio), eta, xi2, 0.0, 1.0)
+        assert np.abs(mean_curv).max() <= 1e-13
+
+    def test_round_second_form_vanishes_to_roundoff(self):
+        # every level xi1 = c is a great sphere, totally geodesic on round
+        rng = np.random.default_rng(11)
+        eta, xi2 = rng.uniform(0.0, np.pi, 10**4), rng.uniform(0.0, 2 * np.pi, 10**4)
+        for c in (0.0, 0.3, np.pi / 2, np.pi):
+            _, ii_norm = _level_second_form(BergerParams(1.0, 1.0), eta, xi2, c, 1.0)
+            assert ii_norm.max() <= 1e-13
+
+    def test_needs_berger_weights(self, berger13_16):
+        hand_built = MetricField(grid=berger13_16.grid, g=berger13_16.g)
+        for metric in (hand_built, berger13_16.scaled(2.0)):
+            with pytest.raises(InputFormatError, match="Berger weights"):
+                boundary_second_form(metric)
 
     def test_two_faces_reported(self, berger13_16):
         rep = boundary_second_form(berger13_16)
