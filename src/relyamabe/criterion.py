@@ -128,7 +128,8 @@ def _volume_ratio(G: np.ndarray, H: np.ndarray) -> np.ndarray:
 def volume_ratio(g, h) -> float:
     """Volume distortion gamma = sqrt(det h / det g).
 
-    For frame metrics this is a single determinant ratio.  For grid
+    For frame metrics this is a single determinant ratio; a determinant
+    or ratio that overflows raises NumericalFailureError.  For grid
     fields the pointwise ratio must be constant across cells to within
     a relative 1e-8 (the two fields must be relatively homogeneous);
     its mean is returned.
@@ -148,9 +149,13 @@ def volume_ratio(g, h) -> float:
                 "the two fields are not relatively homogeneous"
             )
         return mean
-    gm = _as_frame_metric(g)
-    hm = _as_frame_metric(h)
-    return float(_volume_ratio(gm.matrix[None], hm.matrix[None])[0])
+    G, H = (_as_frame_metric(m).matrix[None] for m in (g, h))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det_g = np.linalg.det(G)
+        gamma = np.sqrt(np.linalg.det(H) / det_g)  # as _volume_ratio
+    _require_finite(G, det_g)
+    _require_finite(H, gamma)
+    return float(gamma[0])
 
 
 @dataclass(frozen=True)
@@ -365,7 +370,8 @@ def _bisect(
     moves to lo + 2 (hi - lo), at most _BRACKET_GROWTHS times, until
     they differ.  The steps then take their midpoints from
     `_midpoint_tree`, one call of `fun` per tree (see the module
-    docstring).
+    docstring).  They stop early, at the bracket midpoint, when a
+    midpoint rounds to an end of its bracket.
     """
     f_lo, f_hi = fun(np.array([lo, hi])).tolist()
     for _ in range(_BRACKET_GROWTHS):
@@ -391,6 +397,8 @@ def _bisect(
             mids, node = _midpoint_tree(lo, hi), 0
             values = fun(np.array(mids)).tolist()
         mid, f_mid = mids[node], values[node]
+        if mid in (lo, hi):  # tol is below the float spacing: the bracket cannot shrink
+            break
         if f_mid == 0.0:
             return mid
         if np.sign(f_mid) == sign_lo:

@@ -205,6 +205,15 @@ def _stencils(shape: tuple[int, int, int], width: int) -> tuple[sps.csr_matrix, 
     return out
 
 
+# The frame fields as linear maps: V_k at x = (Re z, Im z, Re w, Im w) is _FRAME_MAPS[k] @ x.
+_FRAME_MAPS = np.array([
+    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # V1 x = (-x2, x1, -x4, x3)
+    [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]],  # V2 x = (x3, -x4, -x1, x2)
+    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],  # V3 x = (-x4, -x3, x2, x1)
+], dtype=float)
+_FRAME_MAPS.setflags(write=False)
+
+
 def frame_fields(z, w) -> np.ndarray:
     """Invariant frame at points (z, w) of S^3 in C^2.
 
@@ -232,11 +241,6 @@ def embedding(grid: HopfGrid) -> tuple[np.ndarray, np.ndarray]:
     """Chart embedding (z, w) at every cell center."""
     e, x1, x2 = grid.meshes()
     return np.cos(e) * np.exp(1j * x1), np.sin(e) * np.exp(1j * x2)
-
-
-def _real4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """View a C^2 vector (a, b) as the real 4-vector (Re a, Im a, Re b, Im b)."""
-    return np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -326,9 +330,10 @@ def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
         em[xi2] = (sin^2 eta,  cos eta sin eta sin theta,  cos eta sin eta cos theta),
 
     and the metric is g_ab = sum_k weight_k em_ak em_bk.  The expansion
-    is checked on every cell against `frame_fields(embedding(grid))`:
-    it must reproduce the coordinate vectors to 1e-10 (the frame spans
-    the tangent space at interior cells).
+    is checked on every cell against the frame `_FRAME_MAPS` at the
+    embedded point x = (cos eta cos xi1, cos eta sin xi1, sin eta cos xi2,
+    sin eta sin xi2): it must reproduce the coordinate vectors to 1e-10
+    (the frame spans the tangent space at interior cells).
     """
     e = grid.eta[:, None, None]
     x1 = grid.xi1[None, :, None]
@@ -348,11 +353,13 @@ def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
         (-ce * s1, ce * c1, zero, zero),
         (zero, zero, -se * s2, se * c2),
     )
-    v = frame_fields(*embedding(grid))
-    frame = np.moveaxis(_real4(v[..., 0], v[..., 1]), (-2, -1), (0, 1)).copy()  # (3, 4, ...)
+    x = (ce * c1, ce * s1, se * c2, se * s2)
+    # each frame component _FRAME_MAPS[k, c] @ x is one signed coordinate of x
+    frame = [[x[d] if m[c, d] > 0 else -x[d] for c, d in enumerate(np.abs(m).argmax(axis=1))]
+             for m in _FRAME_MAPS]
     resid = max(
-        float(np.abs(de[a][c] - em[a][0] * frame[0, c] - em[a][1] * frame[1, c]
-                     - em[a][2] * frame[2, c]).max())
+        float(np.abs(de[a][c] - em[a][0] * frame[0][c] - em[a][1] * frame[1][c]
+                     - em[a][2] * frame[2][c]).max())
         for a in range(3)
         for c in range(4)
     )
@@ -428,14 +435,6 @@ def grad_sq(f: np.ndarray, metric: MetricField) -> np.ndarray:
 
 
 # === boundary geometry of the faces xi1 = 0 and xi1 = pi ================
-
-# The frame fields as linear maps: V_k at x = (Re z, Im z, Re w, Im w) is _FRAME_MAPS[k] @ x.
-_FRAME_MAPS = np.array([
-    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # V1 x = (-x2, x1, -x4, x3)
-    [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]],  # V2 x = (x3, -x4, -x1, x2)
-    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],  # V3 x = (-x4, -x3, x2, x1)
-], dtype=float)
-_FRAME_MAPS.setflags(write=False)
 
 
 @dataclass(frozen=True)

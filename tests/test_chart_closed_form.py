@@ -2,19 +2,29 @@
 inverse of `MetricField`.
 
 `chart_metric` builds g elementwise from the closed-form frame
-expansion, and `MetricField` takes det and g^{-1} from 3x3 cofactors.
+expansion and checks the expansion against the real frame maps
+`_FRAME_MAPS`; `MetricField` takes det and g^{-1} from 3x3 cofactors.
 Each is checked against a reference kept here: the complex-array,
-three-operand `einsum` construction the closed form replaced, and
-`np.linalg.det`/`np.linalg.inv`.  Positive definiteness is checked
+three-operand `einsum` construction the closed form replaced, the
+closed form checked against the complex frame `frame_fields(embedding)`,
+and `np.linalg.det`/`np.linalg.inv`.  Positive definiteness is checked
 against `np.linalg.eigvalsh`.  Example counts are bounded and the
 search is derandomized."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relyamabe import BergerParams, HopfGrid, InvalidMetricError, MetricField, chart_metric
+from relyamabe import (
+    BergerParams,
+    ChartConsistencyError,
+    HopfGrid,
+    InvalidMetricError,
+    MetricField,
+    chart_metric,
+    su2_chart,
+)
 from relyamabe.su2_chart import embedding, frame_fields
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
@@ -59,6 +69,66 @@ def test_chart_metric_equals_einsum_construction(shape, st_):
     assert np.abs(m.g - g).max() <= 1e-13
     assert np.array_equal(m.g, np.swapaxes(m.g, -1, -2))
     assert m.chart_residual <= 1e-13 and resid <= 1e-13
+
+
+def complex_frame_chart_metric(grid: HopfGrid, s: float, t: float):
+    """g and the chart residual as `chart_metric` formed them when it took
+    the frame from the complex route `frame_fields(embedding(grid))`."""
+    e = grid.eta[:, None, None]
+    x1 = grid.xi1[None, :, None]
+    x2 = grid.xi2[None, None, :]
+    ce, se = np.cos(e), np.sin(e)
+    ct, st_ = np.cos(x1 + x2), np.sin(x1 + x2)
+    cs = ce * se
+    zero = np.zeros((1, 1, 1))
+    em = (
+        (zero, -ct, st_),
+        (ce * ce, -cs * st_, -cs * ct),
+        (se * se, cs * st_, cs * ct),
+    )
+    c1, s1, c2, s2 = np.cos(x1), np.sin(x1), np.cos(x2), np.sin(x2)
+    de = (
+        (-se * c1, -se * s1, ce * c2, ce * s2),
+        (-ce * s1, ce * c1, zero, zero),
+        (zero, zero, -se * s2, se * c2),
+    )
+    v = frame_fields(*embedding(grid))
+    frame = np.moveaxis(real4(v[..., 0], v[..., 1]), (-2, -1), (0, 1))
+    resid = max(
+        float(np.abs(de[a][c] - em[a][0] * frame[0, c] - em[a][1] * frame[1, c]
+                     - em[a][2] * frame[2, c]).max())
+        for a in range(3)
+        for c in range(4)
+    )
+    g = np.empty(grid.shape + (3, 3))
+    for a in range(3):
+        for b in range(a, 3):
+            g[..., a, b] = g[..., b, a] = (
+                em[a][0] * em[b][0] + s * em[a][1] * em[b][1] + t * em[a][2] * em[b][2]
+            )
+    return g, resid
+
+
+@settings(max_examples=25, **SETTINGS)
+@given(st.tuples(*(st.integers(4, 40),) * 3), BERGER)
+@example((4, 4, 4), (1.0, 1.0))
+@example((32, 32, 32), (1.0, 1.0))
+@example((32, 32, 32), (3.5, 7.0))
+def test_frame_map_check_equals_complex_frame_check_bitwise(shape, st_):
+    grid = HopfGrid(*shape)
+    m = chart_metric(grid, BergerParams(*st_))
+    g, resid = complex_frame_chart_metric(grid, *st_)
+    assert np.array_equal(m.g, g)
+    assert m.chart_residual == resid
+
+
+@pytest.mark.parametrize("entry", [tuple(ix) for ix in np.argwhere(su2_chart._FRAME_MAPS)])
+def test_frame_map_with_one_wrong_sign_fails_the_chart_check(monkeypatch, entry):
+    maps = su2_chart._FRAME_MAPS.copy()
+    maps[entry] = -maps[entry]
+    monkeypatch.setattr(su2_chart, "_FRAME_MAPS", maps)
+    with pytest.raises(ChartConsistencyError, match="not spanned by the frame"):
+        chart_metric(HopfGrid.cube(8), BergerParams(1.0, 3.5))
 
 
 def spd_field(shape, seed):

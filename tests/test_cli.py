@@ -390,6 +390,8 @@ class TestDumpGrid:
         ["pathcheck", "--s", "1", "--t-start", "3", "--t-end", "1e308", "--steps", "3"],
         ["criterion", "--g", "round", "--h", "berger:1,1e200"],
         ["criterion", "--g", "berger:1,1e200", "--h", "round"],
+        ["criterion", "--g", "round", "--h", "berger:1e155,1e155"],
+        ["criterion", "--g", "berger:1e155,1e155", "--h", "round"],
     ],
 )
 def test_overflowing_parameters_exit_1_with_one_error_line(tmp_path, capsys, argv):

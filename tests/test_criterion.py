@@ -3,11 +3,16 @@ classification, boundary curves, deformation paths, and sweeps."""
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relyamabe
 from relyamabe import (
     BergerParams,
     FrameMetric,
@@ -33,11 +38,15 @@ OVERFLOWING = [
     (lambda: berger_sweep([1.0], [2.0, 1e200]), "1e+200"),
     (lambda: berger_sweep([1e155], [1e155]), "1e+155"),
     (lambda: corollary_path_check(1.0, 3.0, 1e200, 3), "3.3333333333333334e+199"),
+    (lambda: theorem1_check(EYE, 6.0, FrameMetric.berger(1e155, 1e155), 1.0), "1e+155"),
+    (lambda: volume_ratio(FrameMetric.berger(1e155, 1e155), EYE), "1e+155"),
 ]
 
 
 @pytest.mark.parametrize(
-    "query, parameter", OVERFLOWING, ids=["classify", "sweep", "sweep-volume", "path"]
+    "query, parameter",
+    OVERFLOWING,
+    ids=["classify", "sweep", "sweep-volume", "path", "check-volume", "ratio-reference"],
 )
 def test_overflowing_curvature_raises_naming_the_metric(query, parameter):
     # RuntimeWarning is an error under the test configuration, so this
@@ -196,6 +205,31 @@ class TestBoundaryCurves:
     @pytest.mark.parametrize("s", [1.0, 2.25, 4.0])
     def test_scalar_sign_curve_matches_closed_root(self, s):
         assert abs(scalar_sign_curve(s) - (1.0 + math.sqrt(s)) ** 2) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "root, s, tol, closed",
+        [
+            ("boundary_curve", 1e6, 1e-12, "s + math.sqrt(s) + 1.0"),
+            ("scalar_sign_curve", 1e5, 1e-13, "(1.0 + math.sqrt(s)) ** 2"),
+        ],
+        ids=["boundary", "scalar-sign"],
+    )
+    def test_tolerance_below_float_spacing_terminates(self, root, s, tol, closed):
+        # the midpoints round to the bracket ends before the bracket is
+        # tol wide; a fresh interpreter with a timeout turns a bisection
+        # that never stops into a failure
+        code = (
+            f"import math; from relyamabe import {root}; s = {s!r}; "
+            f"print(repr({root}(s, tol={tol!r})), repr({closed}))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(relyamabe.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        found, expected = map(float, proc.stdout.split())
+        assert tol < math.ulp(expected)
+        assert abs(found - expected) <= 1e-14 * expected
 
     def test_domain_validation(self):
         with pytest.raises(InvalidMetricError):
