@@ -32,7 +32,6 @@ from .lie_curvature import (
     BergerParams,
     FrameMetric,
     LieAlgebraFrame,
-    _require_finite,
     _ricci,
     berger_ricci_closed,
     berger_scalar_closed,
@@ -375,11 +374,7 @@ def cmd_criterion(args: argparse.Namespace, cfg: RunConfig) -> None:
             "--g and --h are given in frames with different structure constants; "
             "the comparison needs both metrics in one frame"
         )
-    metrics = np.stack([metric_g.matrix, metric_h.matrix])
-    with np.errstate(over="ignore", invalid="ignore"):
-        scalar = _ricci(frame_g.c, metrics)[2]
-    _require_finite(metrics, scalar)
-    r_g, r_h = scalar.tolist()
+    r_g, r_h = _ricci(frame_g.c, np.stack([metric_g.matrix, metric_h.matrix]))[2].tolist()
     report = crit.theorem1_check(metric_g, r_g, metric_h, r_h)
     payload = report.to_dict()
     summary = (

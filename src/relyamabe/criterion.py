@@ -99,6 +99,8 @@ _PSD_REL_TOL = 1e-12
 _EINSTEIN_TOL = 1e-10
 _ROUND_SCALAR = 6.0
 _RATIO_REL_TOL = 1e-8
+#: how close to zero the path endpoint's scalar curvature must be
+_END_TOL = 1e-10
 #: bisection steps per stacked engine call (2**depth - 1 midpoints)
 _BISECT_DEPTH = 4
 #: doublings of a root bracket whose ends show no sign change
@@ -120,19 +122,26 @@ def _as_frame_metric(m) -> FrameMetric:
     return m if isinstance(m, FrameMetric) else FrameMetric(np.asarray(m, dtype=float))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _volume_ratio(G: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """sqrt(det H / det G) of stacked (N, 3, 3) metrics."""
-    return np.sqrt(np.linalg.det(H) / np.linalg.det(G))
+    """sqrt(det H / det G) of stacked (N, 3, 3) metrics.  A determinant
+    det G or a ratio that overflows raises NumericalFailureError naming
+    its metric."""
+    det_g = np.linalg.det(G)
+    gamma = np.sqrt(np.linalg.det(H) / det_g)
+    _require_finite(G, det_g)
+    _require_finite(H, gamma)
+    return gamma
 
 
 def volume_ratio(g, h) -> float:
     """Volume distortion gamma = sqrt(det h / det g).
 
-    For frame metrics this is a single determinant ratio; a determinant
-    or ratio that overflows raises NumericalFailureError.  For grid
-    fields the pointwise ratio must be constant across cells to within
-    a relative 1e-8 (the two fields must be relatively homogeneous);
-    its mean is returned.
+    For frame metrics this is `_volume_ratio` of the pair, so a
+    determinant or ratio that overflows raises NumericalFailureError.
+    For grid fields the pointwise ratio must be constant across cells to
+    within a relative 1e-8 (the two fields must be relatively
+    homogeneous); its mean is returned.
     """
     if isinstance(g, MetricField) or isinstance(h, MetricField):
         if not (isinstance(g, MetricField) and isinstance(h, MetricField)):
@@ -149,13 +158,7 @@ def volume_ratio(g, h) -> float:
                 "the two fields are not relatively homogeneous"
             )
         return mean
-    G, H = (_as_frame_metric(m).matrix[None] for m in (g, h))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        det_g = np.linalg.det(G)
-        gamma = np.sqrt(np.linalg.det(H) / det_g)  # as _volume_ratio
-    _require_finite(G, det_g)
-    _require_finite(H, gamma)
-    return float(gamma[0])
+    return float(_volume_ratio(*(_as_frame_metric(m).matrix[None] for m in (g, h)))[0])
 
 
 @dataclass(frozen=True)
@@ -181,20 +184,30 @@ class CriterionReport:
         }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pencil(G: np.ndarray, r_g: np.ndarray, H: np.ndarray, r_h: np.ndarray) -> np.ndarray:
     """The pencil eigenvalues (N, 3), ascending, of R_g G - R_h H in a
     G-orthonormal frame, for stacked metrics G, H (N, 3, 3) and scalar
-    curvatures r_g, r_h (N,)."""
+    curvatures r_g, r_h (N,).  A pencil that overflows raises
+    NumericalFailureError naming its metric H."""
     pencil = r_g[:, None, None] * np.eye(3) - r_h[:, None, None] * _orthonormal(G, H)
+    _require_finite(H, pencil)
     return np.linalg.eigvalsh(pencil)
 
 
-def _verdicts(G: np.ndarray, r_g: np.ndarray, r_h: np.ndarray, min_eig: np.ndarray):
-    """The scales ||R_g G||_F (N,) and the verdicts (N,) of the
-    comparisons whose minimal pencil eigenvalues are `min_eig`, decided
-    as `theorem1_check` describes."""
+@np.errstate(over="ignore", invalid="ignore")
+def _compare(G: np.ndarray, r_g: np.ndarray, H: np.ndarray, r_h: np.ndarray) -> dict:
+    """The comparison of stacked metrics G, H (N, 3, 3) with scalar
+    curvatures r_g, r_h (N,), decided as `theorem1_check` describes.
+    Returns columns: "eigs" (the pencil eigenvalues, (N, 3)), "scale"
+    (||R_g G||_F), "check" (the verdicts) and "gamma" (the volume
+    ratios).  A pencil, scale, determinant or ratio that overflows
+    raises NumericalFailureError naming its metric."""
+    eigs = _pencil(G, r_g, H, r_h)
     scale = _frobenius(r_g[:, None, None] * G)
-    verdict = np.select(
+    _require_finite(G, scale)
+    min_eig = eigs[:, 0]
+    check = np.select(
         [
             r_h <= 0.0,
             r_g <= 0.0,
@@ -209,18 +222,19 @@ def _verdicts(G: np.ndarray, r_g: np.ndarray, r_h: np.ndarray, min_eig: np.ndarr
         ],
         default=VERDICT_FAILS,
     )
-    return scale, verdict
+    return {"eigs": eigs, "scale": scale, "check": check, "gamma": _volume_ratio(G, H)}
 
 
-def _criterion_report(eigs, scale, verdict, gamma, r_g: float, r_h: float) -> CriterionReport:
-    """One row of `_pencil` output as a report."""
+def _criterion_report(col: dict, r_g: float, r_h: float) -> CriterionReport:
+    """Row 0 of `_compare` columns as a report."""
+    eigs = col["eigs"][0]
     min_eig = float(eigs[0])
-    scale = float(scale)
+    scale = float(col["scale"][0])
     return CriterionReport(
-        gamma=float(gamma),
+        gamma=float(col["gamma"][0]),
         min_eig=min_eig,
         strict_margin=min_eig / scale if scale > 0.0 else float("nan"),
-        verdict=str(verdict),
+        verdict=str(col["check"][0]),
         notes={
             "r_g": r_g,
             "r_h": r_h,
@@ -242,16 +256,12 @@ def theorem1_check(g, r_g: float, h, r_h: float) -> CriterionReport:
     against tolerances scaled by ||R_g G||_F separates strict / boundary
     / failing cases.
     """
-    gm = _as_frame_metric(g)
-    hm = _as_frame_metric(h)
+    G, H = (_as_frame_metric(m).matrix[None] for m in (g, h))
     r_g = float(r_g)
     r_h = float(r_h)
     if not (np.isfinite(r_g) and np.isfinite(r_h)):
         raise InvalidMetricError(f"scalar curvatures must be finite, got {r_g}, {r_h}")
-    G, rg, rh = gm.matrix[None], np.array([r_g]), np.array([r_h])
-    eigs = _pencil(G, rg, hm.matrix[None], rh)
-    scale, verdict = _verdicts(G, rg, rh, eigs[:, 0])
-    return _criterion_report(eigs[0], scale[0], verdict[0], volume_ratio(gm, hm), r_g, r_h)
+    return _criterion_report(_compare(G, np.array([r_g]), H, np.array([r_h])), r_g, r_h)
 
 
 @dataclass(frozen=True)
@@ -291,17 +301,13 @@ def _classify_berger(s: np.ndarray, t: np.ndarray) -> dict:
     verdict), "gamma" and "verdict" (the classification).  Parameters
     whose curvature data overflow raise NumericalFailureError."""
     H = _berger_metrics(s, t)
-    G = np.broadcast_to(np.eye(3), H.shape)
-    r_g = np.full(len(s), _ROUND_SCALAR)
+    _, ricci, scalar = _ricci(su2_structure_constants().c, H)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, ricci, scalar = _ricci(su2_structure_constants().c, H)
-        _require_finite(H, ricci)
         deviation = _einstein_deviation(_orthonormal(H, ricci), scalar)
-        eigs = _pencil(G, r_g, H, scalar)
-        gamma = _volume_ratio(G, H)
-    _require_finite(H, deviation, eigs, gamma)
-    scale, check = _verdicts(G, r_g, scalar, eigs[:, 0])
-    verdict = np.select(
+    _require_finite(H, deviation)
+    col = _compare(np.broadcast_to(np.eye(3), H.shape), np.full(len(s), _ROUND_SCALAR), H, scalar)
+    check = col["check"]
+    col["verdict"] = np.select(
         [
             deviation <= _EINSTEIN_TOL,
             check == VERDICT_AUTO_NONPOSITIVE,
@@ -311,15 +317,7 @@ def _classify_berger(s: np.ndarray, t: np.ndarray) -> dict:
         [CLASS_EINSTEIN, CLASS_AUTO_NONPOSITIVE, CLASS_STRICT, CLASS_BOUNDARY],
         default=CLASS_UNRESOLVED,
     )
-    return {
-        "R": scalar,
-        "einstein_dev": deviation,
-        "eigs": eigs,
-        "scale": scale,
-        "check": check,
-        "gamma": gamma,
-        "verdict": verdict,
-    }
+    return {"R": scalar, "einstein_dev": deviation, **col}
 
 
 def berger_classify(p: BergerParams) -> BergerClassification:
@@ -339,10 +337,7 @@ def berger_classify(p: BergerParams) -> BergerClassification:
         verdict=str(col["verdict"][0]),
         scalar=scalar,
         einstein_deviation=float(col["einstein_dev"][0]),
-        report=_criterion_report(
-            col["eigs"][0], col["scale"][0], col["check"][0], col["gamma"][0],
-            _ROUND_SCALAR, scalar,
-        ),
+        report=_criterion_report(col, _ROUND_SCALAR, scalar),
     )
 
 
@@ -499,13 +494,7 @@ class PathReport:
         }
 
 
-def corollary_path_check(
-    s: float,
-    t_start: float,
-    t_end: float,
-    steps: int,
-    end_tol: float = 1e-10,
-) -> PathReport:
+def corollary_path_check(s: float, t_start: float, t_end: float, steps: int) -> PathReport:
     """Check the path hypotheses and measure the terminal window on
     which the comparison against the path's starting metric holds.
 
@@ -514,7 +503,7 @@ def corollary_path_check(
     diag(1, s, t_start) (the start compares against itself, landing
     exactly on the boundary verdict).  Hypotheses:
     scalar curvature must be positive at every sample before the
-    endpoint (condition 3) and must vanish to `end_tol` at the endpoint
+    endpoint (condition 3) and must vanish to _END_TOL at the endpoint
     (condition 4); violations raise with the violated condition named.
     delta is t_end minus the first parameter of the terminal block of
     samples (endpoint excluded) where the comparison verdict is strict
@@ -550,19 +539,14 @@ def corollary_path_check(
 
     with np.errstate(over="ignore", invalid="ignore"):
         ts = t_start + (t_end - t_start) * np.arange(steps + 1) / steps
-        H = _berger_metrics(np.full(len(ts), start.s), ts)
-        _, ricci, scalar = _ricci(su2_structure_constants().c, H)
-        _require_finite(H, ricci)
-        # ts[0] == t_start, so the first sample is the reference metric
-        G = np.broadcast_to(H[0], H.shape)
-        r_g = np.full(len(ts), scalar[0])
-        eigs = _pencil(G, r_g, H, scalar)
-        gamma = _volume_ratio(G, H)
-    _require_finite(H, eigs, gamma)
-    _, verdict = _verdicts(G, r_g, scalar, eigs[:, 0])
+    H = _berger_metrics(np.full(len(ts), start.s), ts)
+    scalar = _ricci(su2_structure_constants().c, H)[2]
+    # ts[0] == t_start, so the first sample is the reference metric
+    col = _compare(np.broadcast_to(H[0], H.shape), np.full(len(ts), scalar[0]), H, scalar)
+    verdict = col["check"]
     samples = np.empty(len(ts), _PATH_SAMPLE)
-    samples["t"], samples["scalar"], samples["min_eig"] = ts, scalar, eigs[:, 0]
-    samples["gamma"], samples["verdict"] = gamma, verdict
+    samples["t"], samples["scalar"], samples["min_eig"] = ts, scalar, col["eigs"][:, 0]
+    samples["gamma"], samples["verdict"] = col["gamma"], verdict
 
     endpoint_scalar = float(scalar[-1])
     nonpositive = np.flatnonzero(scalar[:-1] <= 0.0)
@@ -572,10 +556,10 @@ def corollary_path_check(
             "condition (3) violated: scalar curvature must be positive "
             f"before the endpoint, got {scalar[i]:.6g} at t = {ts[i]:.6g}"
         )
-    if abs(endpoint_scalar) > end_tol:
+    if abs(endpoint_scalar) > _END_TOL:
         raise HypothesisViolationError(
             "condition (4) violated: endpoint scalar curvature must vanish, "
-            f"got {endpoint_scalar:.6g} at t = {ts[-1]:.6g} (tol {end_tol:g})"
+            f"got {endpoint_scalar:.6g} at t = {ts[-1]:.6g} (tol {_END_TOL:g})"
         )
 
     # The endpoint sample is scalar-flat by construction, so its verdict is

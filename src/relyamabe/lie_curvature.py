@@ -221,6 +221,7 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt((flat @ np.swapaxes(flat, 1, 2))[:, 0, 0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ricci(c: np.ndarray, G: np.ndarray):
     """Connection, Ricci tensor and scalar curvature of stacked left
     invariant metrics G (N, 3, 3), all in the frame with structure
@@ -231,7 +232,10 @@ def _ricci(c: np.ndarray, G: np.ndarray):
     - nabla_{[X_i, X_j]} X_k.  Only that diagonal of the Riemann tensor
     is formed, term by term in the order `curvature_report` sums the
     whole tensor, so the Ricci tensor has the bits of the Riemann trace at
-    1/9 of its products.  No closed form is assumed anywhere.
+    1/9 of its products.  No closed form is assumed anywhere.  A metric
+    whose Ricci tensor overflows raises NumericalFailureError naming it:
+    its scalar curvature, which contracts every entry (0 * inf is nan),
+    is then not finite either.
     """
     G_inv = np.linalg.inv(G)
     gamma = _connection(c, G, G_inv)
@@ -241,14 +245,16 @@ def _ricci(c: np.ndarray, G: np.ndarray):
     r -= np.einsum("mij,nimk->nikj", c, gamma)
     ricci = np.einsum("nikj->njk", r)
     ricci = 0.5 * (ricci + np.swapaxes(ricci, 1, 2))
-    return gamma, ricci, np.einsum("njk,njk->n", G_inv, ricci)
+    scalar = np.einsum("njk,njk->n", G_inv, ricci)
+    _require_finite(G, scalar)
+    return gamma, ricci, scalar
 
 
 def _require_finite(G: np.ndarray, *arrays: np.ndarray) -> None:
     """Raise NumericalFailureError naming the first of the stacked
     metrics G (N, 3, 3) whose curvature data in `arrays` (each of
     leading length N) are not all finite: floating-point overflow."""
-    if all(np.isfinite(a).all() for a in arrays):
+    if all(np.count_nonzero(np.isfinite(a)) == a.size for a in arrays):
         return
     finite = np.logical_and.reduce(
         [np.isfinite(a).all(axis=tuple(range(1, a.ndim))) for a in arrays]
@@ -322,14 +328,14 @@ def curvature_report(frame: LieAlgebraFrame, metric: FrameMetric) -> CurvatureRe
     whole Riemann tensor is formed.  Curvature data that overflow raise
     NumericalFailureError."""
     c, G = frame.c, metric.matrix[None]
+    gamma, ricci, scalar = _ricci(c, G)
     with np.errstate(over="ignore", invalid="ignore"):
-        gamma, ricci, scalar = _ricci(c, G)
         riemann = np.einsum("nmjk,nlim->nlkij", gamma, gamma)
         riemann -= np.einsum("nmik,nljm->nlkij", gamma, gamma)
         riemann -= np.einsum("mij,nlmk->nlkij", c, gamma)
         ric_on = _orthonormal(G, ricci)
         deviation = _einstein_deviation(ric_on, scalar)
-    _require_finite(G, riemann, ricci, deviation)
+    _require_finite(G, riemann, deviation)
     return CurvatureReport(
         metric=metric,
         gamma_coeffs=gamma[0],

@@ -510,13 +510,14 @@ def _level_second_form(
     return np.trace(ii, axis1=-2, axis2=-1), np.sqrt(np.einsum("...ab,...ab->...", ii, ii))
 
 
-def boundary_second_form(metric: MetricField, margin: float | None = None) -> BoundaryReport:
+def boundary_second_form(metric: MetricField) -> BoundaryReport:
     """Exact second fundamental form of the faces xi1 = 0 and xi1 = pi,
     halves of the great sphere {x2 = 0}, for the inward normals, at the
-    grid's (eta, xi2) points outside `margin` of the axes eta in
-    {0, pi/2} (default max(2 * d_eta, 0.15)).  It is computed from the
-    Berger weights `metric.params`; a field without them (hand-built, or
-    from `MetricField.scaled`) raises InputFormatError.
+    grid's (eta, xi2) points outside the collar of width `margin` =
+    max(2 * d_eta, 0.15) next to the axes eta in {0, pi/2}.  It is
+    computed from the Berger weights `metric.params`; a field without
+    them (hand-built, or from `MetricField.scaled`) raises
+    InputFormatError.
 
     H = 0 for every (s, t).  For f = x2, ell = (V_i f) = (x1, -x4, -x3),
     N^2 = x1^2 + x4^2/s + x3^2/t and nu = sum_i ell_i V_i / (w_i N).  The
@@ -530,8 +531,7 @@ def boundary_second_form(metric: MetricField, margin: float | None = None) -> Bo
             "the exact boundary second form needs the Berger weights of the metric field"
         )
     grid = metric.grid
-    if margin is None:
-        margin = max(2.0 * grid.spacings[0], _COLLAR_FLOOR)
+    margin = max(2.0 * grid.spacings[0], _COLLAR_FLOOR)
     keep = (grid.eta > margin) & (grid.eta < np.pi / 2 - margin)
     if not keep.any():
         raise InvalidMetricError(f"collar margin {margin:.3f} excludes every cell; refine the grid")

@@ -389,6 +389,8 @@ def yamabe_property_probe(
     quotient is the energy E (Q(1) = E, see `rayleigh_quotient`)."""
     if _not_whole(n_trials) or n_trials < 1:
         raise InputFormatError(f"n_trials must be a positive integer, got {n_trials}")
+    if _not_whole(seed) or seed < 0:
+        raise InputFormatError(f"seed must be a non-negative integer, got {seed}")
     energy = einstein_hilbert(metric, scalar).energy
     q = np.full(int(n_trials), energy)
     if n_trials > 1:

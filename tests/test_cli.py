@@ -392,9 +392,14 @@ class TestDumpGrid:
         ["criterion", "--g", "berger:1,1e200", "--h", "round"],
         ["criterion", "--g", "round", "--h", "berger:1e155,1e155"],
         ["criterion", "--g", "berger:1e155,1e155", "--h", "round"],
+        # finite scalar curvatures whose pencil overflows
+        ["criterion", "--g", "tiny.json", "--h", "huge.json"],
     ],
 )
 def test_overflowing_parameters_exit_1_with_one_error_line(tmp_path, capsys, argv):
+    for name, scale in (("tiny.json", 1e-200), ("huge.json", 1e200)):
+        (tmp_path / name).write_text(json.dumps({"metric": (scale * np.eye(3)).tolist()}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     # a numpy RuntimeWarning would raise here under the test configuration
     code, data = run(tmp_path, *argv)
     err = capsys.readouterr().err

@@ -40,13 +40,27 @@ OVERFLOWING = [
     (lambda: corollary_path_check(1.0, 3.0, 1e200, 3), "3.3333333333333334e+199"),
     (lambda: theorem1_check(EYE, 6.0, FrameMetric.berger(1e155, 1e155), 1.0), "1e+155"),
     (lambda: volume_ratio(FrameMetric.berger(1e155, 1e155), EYE), "1e+155"),
+    (
+        lambda: theorem1_check(
+            FrameMetric(1e-200 * np.eye(3)), 6e200, FrameMetric(1e200 * np.eye(3)), 6e-200
+        ),
+        "1e+200",
+    ),
+    (
+        lambda: theorem1_check(EYE, 6.0, FrameMetric(np.diag([1e10, 1.0, 1.0])), 1e300),
+        "10000000000.0, 1.0, 1.0",
+    ),
+    (lambda: theorem1_check(FrameMetric.berger(1.0, 1e10), 1e150, EYE, 6.0), "10000000000.0"),
 ]
 
 
 @pytest.mark.parametrize(
     "query, parameter",
     OVERFLOWING,
-    ids=["classify", "sweep", "sweep-volume", "path", "check-volume", "ratio-reference"],
+    ids=[
+        "classify", "sweep", "sweep-volume", "path", "check-volume", "ratio-reference",
+        "check-pencil-scales", "check-pencil", "check-scale",
+    ],
 )
 def test_overflowing_curvature_raises_naming_the_metric(query, parameter):
     # RuntimeWarning is an error under the test configuration, so this

@@ -237,6 +237,11 @@ class TestProbe:
         with pytest.raises(InputFormatError):
             yamabe_property_probe(berger13_16, 2.0, n_trials=n_trials)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, float("nan")])
+    def test_bad_seed_rejected(self, berger13_16, seed):
+        with pytest.raises(InputFormatError, match="seed must be a non-negative integer"):
+            yamabe_property_probe(berger13_16, 2.0, n_trials=3, seed=seed)
+
     def test_serializable(self, berger13_16):
         report = yamabe_property_probe(berger13_16, 2.0, n_trials=3, seed=1)
         assert json.dumps(report.to_dict())
