@@ -51,11 +51,7 @@ from .su2_chart import (
     integrate,
     partial_derivatives,
 )
-from .yamabe_estimator import (
-    EstimatorOptions,
-    estimate,
-    yamabe_property_probe,
-)
+from .yamabe_estimator import estimate, yamabe_property_probe
 
 __version__ = "0.1.0"
 
@@ -107,7 +103,6 @@ __all__ = [
     "corollary_path_check",
     "berger_sweep",
     # yamabe_estimator
-    "EstimatorOptions",
     "estimate",
     "yamabe_property_probe",
 ]

@@ -10,7 +10,8 @@ Exit codes: 0 on success, 1 when a computation fails at runtime
 (non-finite iterates, violated hypotheses, degenerate trials), 2 when
 the request itself is invalid (bad flags, malformed files, metrics
 failing structural invariants).  Payloads are byte-identical across
-reruns of the same request and seed.
+reruns of the same request: nothing is random but the estimator's fixed
+multistart, whose starts come from seed 0.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .lie_curvature import (
     su2_structure_constants,
 )
 from .su2_chart import HopfGrid, chart_metric
-from .yamabe_estimator import EstimatorOptions, estimate
+from .yamabe_estimator import estimate
 
 __all__ = ["RunConfig", "main"]
 
@@ -48,18 +49,15 @@ _INPUT_ERRORS = (InputFormatError, InvalidMetricError, ChartDomainError)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Common output/determinism settings shared by every subcommand."""
+    """Common output settings shared by every subcommand."""
 
     out: str | None = None
     format: str = "json"
-    seed: int = 0
     quiet: bool = False
 
     def validate(self) -> "RunConfig":
         if self.format not in ("json", "csv"):
             raise InputFormatError(f"format must be 'json' or 'csv', got {self.format!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise InputFormatError(f"seed must be a non-negative integer, got {self.seed}")
         return self
 
 
@@ -389,14 +387,7 @@ def cmd_yamabe(args: argparse.Namespace, cfg: RunConfig) -> None:
     grid = HopfGrid.cube(args.resolution)
     metric = chart_metric(grid, params)
     scalar = curvature_report(su2_structure_constants(), params.metric()).scalar
-    opts = EstimatorOptions(
-        max_iters=args.max_iters,
-        step=args.step,
-        tol=args.tol,
-        restarts=args.restarts,
-        seed=cfg.seed,
-    )
-    result = estimate(metric, scalar, opts)
+    result = estimate(metric, scalar)
     summary = (
         f"quotient estimate {result.value:.8f} "
         f"(converged={result.converged}, iterations={result.iterations_used})"
@@ -450,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write the payload to PATH instead of stdout")
     common.add_argument("--format", default=None, choices=("json", "csv"), help="payload format")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
     common.add_argument("--quiet", action="store_true", help="suppress the stderr summary line")
 
     parser = argparse.ArgumentParser(
@@ -479,10 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("yamabe", parents=[common], help="minimize the conformal quotient")
     p.add_argument("--geometry", default="round-hemisphere")
     p.add_argument("--resolution", type=int, default=32)
-    p.add_argument("--max-iters", type=int, default=400)
-    p.add_argument("--step", type=float, default=0.02)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--restarts", type=int, default=3)
     p.set_defaults(fn=cmd_yamabe, default_format="json")
 
     p = sub.add_parser("pathcheck", parents=[common], help="terminal window along a path")
@@ -505,7 +491,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     fmt = args.format if args.format is not None else args.default_format
     try:
-        cfg = RunConfig(out=args.out, format=fmt, seed=args.seed, quiet=args.quiet).validate()
+        cfg = RunConfig(out=args.out, format=fmt, quiet=args.quiet).validate()
         args.fn(args, cfg)
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")

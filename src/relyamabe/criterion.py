@@ -40,6 +40,7 @@ from .errors import (
     HypothesisViolationError,
     InvalidMetricError,
     NumericalFailureError,
+    _whole,
 )
 from .lie_curvature import (
     BergerParams,
@@ -522,8 +523,7 @@ def corollary_path_check(s: float, t_start: float, t_end: float, steps: int) -> 
     t_end = float(t_end)
     if not (np.isfinite(t_start) and np.isfinite(t_end)) or t_end < t_start:
         raise InvalidMetricError(f"need t_start <= t_end, got [{t_start}, {t_end}]")
-    if steps != steps or steps in (np.inf, -np.inf) or int(steps) != steps or steps < 1:
-        raise InvalidMetricError(f"steps must be a positive integer, got {steps}")
+    steps = _whole(steps, "steps", 1, InvalidMetricError)
     start = BergerParams(s, t_start)
 
     if t_end == t_start:
@@ -531,7 +531,7 @@ def corollary_path_check(s: float, t_start: float, t_end: float, steps: int) -> 
         return PathReport(
             t_start=t_start,
             t_end=t_end,
-            steps=int(steps),
+            steps=steps,
             samples=np.empty(0, _PATH_SAMPLE),
             delta=0.0,
             endpoint_scalar=rep.scalar,
@@ -575,7 +575,7 @@ def corollary_path_check(s: float, t_start: float, t_end: float, steps: int) -> 
     return PathReport(
         t_start=t_start,
         t_end=t_end,
-        steps=int(steps),
+        steps=steps,
         samples=samples,
         delta=float(delta),
         endpoint_scalar=endpoint_scalar,

@@ -59,3 +59,16 @@ class NumericalFailureError(RelYamabeError):
 class HypothesisViolationError(RelYamabeError):
     """Data handed to a conditional statement does not satisfy its
     hypotheses; the message names the violated condition."""
+
+
+def _whole(x, name: str, least: int, error: type[RelYamabeError] = InputFormatError) -> int:
+    """x as an int, when it is a whole number >= least (8.0 passes as 8);
+    anything else, nan and inf included, raises `error` naming `name`."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x or n < least:
+        kinds = {0: "a non-negative integer", 1: "a positive integer"}
+        raise error(f"{name} must be {kinds.get(least, f'an integer >= {least}')}, got {x}")
+    return n

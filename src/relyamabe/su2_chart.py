@@ -33,6 +33,7 @@ from .errors import (
     ChartDomainError,
     InputFormatError,
     InvalidMetricError,
+    _whole,
 )
 from .lie_curvature import BergerParams, _connection, su2_structure_constants
 
@@ -72,9 +73,8 @@ class HopfGrid:
     n_xi2: int
 
     def __post_init__(self):
-        for name, n in (("n_eta", self.n_eta), ("n_xi1", self.n_xi1), ("n_xi2", self.n_xi2)):
-            if n != n or n in (np.inf, -np.inf) or int(n) != n or n < _MIN_CELLS:
-                raise InputFormatError(f"{name} must be an integer >= {_MIN_CELLS}, got {n}")
+        for name in ("n_eta", "n_xi1", "n_xi2"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, _MIN_CELLS))
 
     @classmethod
     def cube(cls, n: int) -> "HopfGrid":

@@ -7,7 +7,6 @@ import pytest
 
 from relyamabe import (
     BergerParams,
-    EstimatorOptions,
     HopfGrid,
     berger_scalar_closed,
     chart_metric,
@@ -83,14 +82,14 @@ def berger24_32(grid32):
 
 @pytest.fixture(scope="session")
 def est_round32(round32):
-    return estimate(round32, 6.0, EstimatorOptions(seed=0))
+    return estimate(round32, 6.0)
 
 
 @pytest.fixture(scope="session")
 def est_round16(round16):
-    return estimate(round16, 6.0, EstimatorOptions(seed=0))
+    return estimate(round16, 6.0)
 
 
 @pytest.fixture(scope="session")
 def est_berger135_32(berger135_32):
-    return estimate(berger135_32, 1.0, EstimatorOptions(seed=0))
+    return estimate(berger135_32, 1.0)

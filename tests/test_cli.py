@@ -236,16 +236,14 @@ class TestCriterion:
 
 
 class TestYamabe:
-    def test_round_hemisphere_value(self, tmp_path):
+    def test_round_hemisphere_value(self, tmp_path, est_round16):
         code, data = run(
             tmp_path,
             "yamabe",
             "--geometry",
             "round-hemisphere",
             "--resolution",
-            "32",
-            "--seed",
-            "7",
+            "16",
         )
         assert code == 0
         payload = json.loads(data)
@@ -258,19 +256,10 @@ class TestYamabe:
         }
         target = 6.0 * np.pi ** (4.0 / 3.0)
         assert abs(payload["value"] - target) / target <= 0.05
+        assert payload["value"] == est_round16.value
 
     def test_seeded_reruns_bit_identical(self, tmp_path):
-        args = (
-            "yamabe",
-            "--geometry",
-            "berger:1,3.5",
-            "--resolution",
-            "16",
-            "--seed",
-            "7",
-            "--max-iters",
-            "150",
-        )
+        args = ("yamabe", "--geometry", "berger:1,3.5", "--resolution", "8")
         _, a = run(tmp_path, *args)
         out2 = tmp_path / "again.json"
         main(list(args) + ["--out", str(out2), "--quiet"])
@@ -292,6 +281,27 @@ class TestYamabe:
     def test_unknown_geometry_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "yamabe", "--geometry", "flat-torus")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["yamabe", "--restarts", "2"],
+            ["yamabe", "--max-iters", "5"],
+            ["yamabe", "--step", "0.1"],
+            ["yamabe", "--tol", "1e-6"],
+            ["yamabe", "--seed", "7"],
+            ["curvature", "--s", "1", "--t", "2", "--seed", "7"],
+            ["sweep", "--s", "1:2:2", "--t", "1:2:2", "--seed", "7"],
+            ["criterion", "--g", "round", "--h", "round", "--seed", "7"],
+            ["pathcheck", "--s", "1", "--t-start", "3", "--t-end", "4", "--seed", "7"],
+            ["dump-grid", "--resolution", "4", "--seed", "7"],
+        ],
+    )
+    def test_estimator_knobs_and_seed_are_usage_errors(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestPathcheck:

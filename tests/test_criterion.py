@@ -273,10 +273,18 @@ class TestPathCheck:
         assert np.all(np.diff(rep.samples["t"]) > 0.0)
         assert set(rep.samples["verdict"][:-1]) <= {"AppliesStrict", "AppliesBoundary"}
 
-    @pytest.mark.parametrize("steps", [0, 2.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("steps", [0, 2.5, 1.5, float("nan"), float("inf")])
     def test_bad_step_count_rejected(self, steps):
-        with pytest.raises(InvalidMetricError):
+        with pytest.raises(InvalidMetricError, match="steps must be a positive integer"):
             corollary_path_check(1.0, 3.0, 4.0, steps)
+
+    @pytest.mark.parametrize(
+        "steps", [10.0, np.float64(10.0), np.int64(10)], ids=["float", "float64", "int64"]
+    )
+    def test_whole_step_count_behaves_like_the_int(self, steps):
+        rep = corollary_path_check(1.0, 3.0, 4.0, steps)
+        assert rep.to_dict() == corollary_path_check(1.0, 3.0, 4.0, 10).to_dict()
+        assert type(rep.steps) is int
 
     def test_degenerate_path(self):
         rep = corollary_path_check(1.0, 3.0, 3.0, 5)

@@ -117,9 +117,8 @@ def test_import_loads_no_scipy_and_estimate_loads_it():
 import sys
 import relyamabe, relyamabe.cli
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-from relyamabe import BergerParams, EstimatorOptions, HopfGrid, chart_metric, estimate
-estimate(chart_metric(HopfGrid.cube(8), BergerParams(1.0, 1.0)), 6.0,
-         EstimatorOptions(max_iters=2, restarts=1))
+from relyamabe import BergerParams, HopfGrid, chart_metric, estimate
+estimate(chart_metric(HopfGrid.cube(8), BergerParams(1.0, 1.0)), 6.0)
 print("scipy.sparse" in sys.modules)
 """
     after_import, after_estimate = fresh_python(code).splitlines()

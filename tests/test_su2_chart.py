@@ -88,12 +88,21 @@ class TestHopfGrid:
             HopfGrid.cube(3)
 
     @pytest.mark.parametrize("axis", range(3))
-    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("bad", [2.5, 1.5, float("nan"), float("inf"), -float("inf")])
     def test_non_integer_cell_count_rejected(self, axis, bad):
         counts = [8, 8, 8]
         counts[axis] = bad
-        with pytest.raises(InputFormatError):
+        with pytest.raises(InputFormatError, match="must be an integer >= 4"):
             HopfGrid(*counts)
+
+    @pytest.mark.parametrize(
+        "n", [8.0, np.float64(8.0), np.int64(8)], ids=["float", "float64", "int64"]
+    )
+    def test_whole_cell_count_behaves_like_the_int(self, grid8, n):
+        grid = HopfGrid.cube(n)
+        assert grid == grid8 and all(type(k) is int for k in grid.shape)
+        params = BergerParams(1.0, 3.0)
+        assert np.array_equal(chart_metric(grid, params).g, chart_metric(grid8, params).g)
 
     def test_embedding_lies_on_sphere(self, grid16):
         z, w = embedding(grid16)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from relyamabe import (
     BergerParams,
-    EstimatorOptions,
     HopfGrid,
     InputFormatError,
     QuotientInput,
@@ -22,34 +21,8 @@ from relyamabe import (
     rayleigh_quotient,
     yamabe_property_probe,
 )
-from relyamabe.yamabe_estimator import _minimize_one, _QuotientWork, _random_start
+from relyamabe.yamabe_estimator import _RESTARTS, _minimize_one, _QuotientWork, _random_start
 from conftest import ROUND_ENERGY, berger_energy
-
-
-class TestOptions:
-    def test_defaults_valid(self):
-        opts = EstimatorOptions()
-        assert opts.max_iters >= 1 and opts.tol > 0 and opts.restarts >= 1
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_iters": 0},
-            {"tol": 0.0},
-            {"tol": -1e-9},
-            {"restarts": 0},
-            {"seed": -1},
-            {"step": 0.0},
-        ]
-        + [
-            {name: bad}
-            for name in ("max_iters", "restarts", "seed")
-            for bad in (float("nan"), float("inf"), -float("inf"))
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(InputFormatError):
-            EstimatorOptions(**kwargs)
 
 
 class TestEstimate:
@@ -80,14 +53,12 @@ class TestEstimate:
             berger_energy(1.0, 3.5), rel=0.05
         )
 
-    def test_deterministic_under_fixed_seed(self, round16):
-        opts = EstimatorOptions(seed=11, restarts=2, max_iters=120)
-        a = estimate(round16, 6.0, opts)
-        b = estimate(round16, 6.0, opts)
-        assert a.value == b.value
-        assert a.iterations_used == b.iterations_used
-        assert np.array_equal(a.minimizer, b.minimizer)
-        assert a.trace == b.trace
+    def test_deterministic_under_fixed_seed(self, round16, est_round16):
+        again = estimate(round16, 6.0)
+        assert again.value == est_round16.value
+        assert again.iterations_used == est_round16.iterations_used
+        assert np.array_equal(again.minimizer, est_round16.minimizer)
+        assert again.trace == est_round16.trace
 
     @pytest.mark.parametrize("scalar", [float("nan"), np.full((3, 3, 3), 2.0)])
     def test_bad_scalar_curvature_rejected(self, berger13_16, scalar):
@@ -169,21 +140,21 @@ class TestDescentLoop:
             return last
 
         work.trial = recording_trial
-        f, _, trace, conv, reason = _minimize_one(work, f0, EstimatorOptions(max_iters=400))
+        f, _, trace, conv, reason = _minimize_one(work, f0)
         assert (reason, conv, len(trace)) == ("max_iters", False, 401)
         carried, direct = last[1], work.stiffness @ f
         assert last[0] is f
         assert np.abs(carried - direct).max() <= 1e-10 * np.abs(direct).max()
 
     @pytest.mark.parametrize(
-        "name, scalar, seeded, max_iters",
+        "name, scalar, seeded",
         [
-            pytest.param("berger13_16", 2.0, False, 400, id="False-400"),
-            pytest.param("berger13_16", 2.0, True, 30, id="True-30"),
-            pytest.param("round16", 6.0, False, 400, id="round16-False-400"),
+            pytest.param("berger13_16", 2.0, False, id="False-400"),
+            pytest.param("berger13_16", 2.0, True, id="True-400"),
+            pytest.param("round16", 6.0, False, id="round16-False-400"),
         ],
     )
-    def test_one_product_per_iteration(self, request, name, scalar, seeded, max_iters):
+    def test_one_product_per_iteration(self, request, name, scalar, seeded):
         metric = request.getfixturevalue(name)
         work = _QuotientWork(metric, scalar)
         if seeded:
@@ -191,7 +162,7 @@ class TestDescentLoop:
         else:
             f0 = np.ones(metric.grid.size)
         work.stiffness = CountingMatrix(work.stiffness)
-        _, _, trace, _, reason = _minimize_one(work, f0, EstimatorOptions(max_iters=max_iters))
+        _, _, trace, _, reason = _minimize_one(work, f0)
         if seeded:
             assert reason == "max_iters"
         else:
@@ -199,14 +170,13 @@ class TestDescentLoop:
         assert work.stiffness.products == len(trace)  # iterations + 1
 
     def test_one_debug_record_per_start(self, berger13_16, caplog):
-        opts = EstimatorOptions(restarts=2, max_iters=20)
         with caplog.at_level(logging.DEBUG, logger="relyamabe"):
-            est = estimate(berger13_16, 2.0, opts)
+            est = estimate(berger13_16, 2.0)
         records = [r for r in caplog.records if r.name == "relyamabe"]
-        assert len(records) == opts.restarts + 1
+        assert len(records) == _RESTARTS + 1
         assert all(r.levelno == logging.DEBUG for r in records)
         kinds = [r.args[0] for r in records]
-        assert kinds == ["constant", "seeded 1", "seeded 2"]
+        assert kinds == ["constant", "seeded 1", "seeded 2", "seeded 3"]
         assert all(r.args[2] in ("tol", "stationary", "max_iters") for r in records)
         assert records[0].args[1] == est.iterations_used
 
@@ -237,10 +207,20 @@ class TestProbe:
         with pytest.raises(InputFormatError):
             yamabe_property_probe(berger13_16, 2.0, n_trials=n_trials)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, float("nan")])
+    @pytest.mark.parametrize("seed", [-1, 1.5, float("nan"), float("inf")])
     def test_bad_seed_rejected(self, berger13_16, seed):
         with pytest.raises(InputFormatError, match="seed must be a non-negative integer"):
             yamabe_property_probe(berger13_16, 2.0, n_trials=3, seed=seed)
+
+    @pytest.mark.parametrize(
+        "n_trials, seed",
+        [(5.0, 3.0), (np.float64(5.0), np.int64(3)), (5, np.float64(3.0))],
+        ids=["float", "float64-int64", "int-float64"],
+    )
+    def test_whole_floats_count_as_integers(self, berger13_16, n_trials, seed):
+        report = yamabe_property_probe(berger13_16, 2.0, n_trials=n_trials, seed=seed)
+        assert report == yamabe_property_probe(berger13_16, 2.0, n_trials=5, seed=3)
+        assert type(report.n_trials) is int
 
     def test_serializable(self, berger13_16):
         report = yamabe_property_probe(berger13_16, 2.0, n_trials=3, seed=1)
