@@ -20,6 +20,7 @@ import numpy as np
 from relyamabe import (
     BergerParams,
     berger_classify,
+    berger_sweep,
     boundary_curve,
     scalar_sign_curve,
 )
@@ -34,22 +35,21 @@ GLYPHS = {
 
 
 def ascii_map(n: int = 33) -> None:
-    s_vals = np.linspace(1.0, 4.0, n)
-    t_vals = np.linspace(1.0, 4.0, n)
+    vals = np.linspace(1.0, 4.0, n)
+    # one stacked classification of the grid: verdicts[i, j] is that of
+    # (s, t) = (vals[i], vals[j]), "invalid" where s > t
+    verdicts = berger_sweep(vals, vals)["verdict"].reshape(n, n)
     print("legend: # criterion strict   B criterion boundary   . unresolved")
     print("        - scalar curvature <= 0 (automatic)   E Einstein (round)")
     print()
     header = "      s = 1" + " " * (n - 8) + "4"
     print(header)
-    for t in reversed(t_vals):
-        row = []
-        for s in s_vals:
-            # the family is normalized to s <= t; the lower wedge is its
-            # mirror image (swapping the two stretched directions is an
-            # isometry), so classify the sorted pair
-            lo, hi = sorted((float(s), float(t)))
-            cls = berger_classify(BergerParams(lo, hi))
-            row.append(GLYPHS[cls.verdict])
+    for j in reversed(range(n)):
+        # the family is normalized to s <= t; the lower wedge is its
+        # mirror image (swapping the two stretched directions is an
+        # isometry), so read the row of the sorted pair
+        row = [GLYPHS[verdicts[min(i, j), max(i, j)]] for i in range(n)]
+        t = vals[j]
         label = f"t={t:4.2f} " if abs(t - round(t)) < 1e-9 else "       "
         print(label + "".join(row))
     print()

@@ -9,9 +9,10 @@ window along a path), and `dump-grid` (discretized metric dump).
 Exit codes: 0 on success, 1 when a computation fails at runtime
 (non-finite iterates, violated hypotheses, degenerate trials), 2 when
 the request itself is invalid (bad flags, malformed files, metrics
-failing structural invariants).  Payloads are byte-identical across
-reruns of the same request: nothing is random but the estimator's fixed
-multistart, whose starts come from seed 0.
+failing structural invariants, an --out path that cannot be
+written).  Payloads are byte-identical across reruns of the same
+request: nothing is random but the estimator's fixed multistart, whose
+starts come from seed 0.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,23 +42,9 @@ from .lie_curvature import (
 from .su2_chart import HopfGrid, chart_metric
 from .yamabe_estimator import estimate
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _INPUT_ERRORS = (InputFormatError, InvalidMetricError, ChartDomainError)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Common output settings shared by every subcommand."""
-
-    out: str | None = None
-    format: str = "json"
-    quiet: bool = False
-
-    def validate(self) -> "RunConfig":
-        if self.format not in ("json", "csv"):
-            raise InputFormatError(f"format must be 'json' or 'csv', got {self.format!r}")
-        return self
 
 
 # === parsing helpers =====================================================
@@ -121,7 +107,7 @@ def _spec_numbers(path: str, key: str, value, ndim: int) -> np.ndarray:
 
 
 def load_metric_spec(path: str) -> tuple[LieAlgebraFrame, FrameMetric, BergerParams | None]:
-    """Load a metric description from a JSON file.
+    """Load a metric description from a UTF-8 JSON file.
 
     Two forms are accepted: {"berger": {"s": ..., "t": ...}} or
     {"metric": [[...]x3], "structure_constants": [[[...]]]} with the
@@ -129,8 +115,8 @@ def load_metric_spec(path: str) -> tuple[LieAlgebraFrame, FrameMetric, BergerPar
     Unknown keys are rejected.
     """
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read metric file {path!r}: {exc}") from exc
     try:
         doc = json.loads(raw)
@@ -284,16 +270,17 @@ def _render_json(payload: dict) -> str:
     return "{\n" + ",\n".join(entries) + "\n}\n"
 
 
-def render_payload(payload, cfg: RunConfig) -> str:
+def render_payload(payload, fmt: str) -> str:
     """Render a dict payload, or a table (a structured array, whose dtype
-    gives the column names and their order).  A table renders as CSV
-    rows or as the JSON {"rows": [...]}; a table that is an entry of a
-    dict payload renders in JSON as the list of its row objects."""
+    gives the column names and their order), in `fmt`, "json" or "csv".
+    A table renders as CSV rows or as the JSON {"rows": [...]}; a table
+    that is an entry of a dict payload renders in JSON as the list of
+    its row objects."""
     if _is_table(payload):
-        if cfg.format == "csv":
+        if fmt == "csv":
             return render_rows_csv(payload)
         payload = {"rows": payload}
-    elif cfg.format == "csv":
+    elif fmt == "csv":
         flat = _pythonify(payload)
         lines = ["key,value"]
         for key in sorted(flat):
@@ -310,19 +297,26 @@ def render_payload(payload, cfg: RunConfig) -> str:
     return _render_json(payload)
 
 
-def emit(text: str, summary: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+def emit(args: argparse.Namespace, payload, summary: str) -> None:
+    """Write the payload, rendered in --format, to the --out file or to
+    stdout, then the summary line to stderr unless --quiet.  An --out
+    file that cannot be written raises InputFormatError."""
+    text = render_payload(payload, args.format)
+    if args.out:
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise InputFormatError(f"cannot write --out file {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
-    if not cfg.quiet:
+    if not args.quiet:
         sys.stderr.write(summary.rstrip("\n") + "\n")
 
 
 # === subcommands =========================================================
 
 
-def cmd_curvature(args: argparse.Namespace, cfg: RunConfig) -> None:
+def cmd_curvature(args: argparse.Namespace) -> None:
     if args.spec is not None:
         if args.s is not None or args.t is not None:
             raise InputFormatError("--spec excludes --s/--t")
@@ -350,19 +344,19 @@ def cmd_curvature(args: argparse.Namespace, cfg: RunConfig) -> None:
             f" (closed-form delta {payload['closed_form_delta']['scalar']:.3e}), "
             f"einstein deviation {rep.einstein_deviation:.3e}"
         )
-    emit(render_payload(payload, cfg), summary, cfg)
+    emit(args, payload, summary)
 
 
-def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> None:
+def cmd_sweep(args: argparse.Namespace) -> None:
     s_values = parse_range(args.s, "--s")
     t_values = parse_range(args.t, "--t")
     rows = crit.berger_sweep(s_values, t_values)
     n_valid = int(np.count_nonzero(rows["verdict"] != "invalid"))
     summary = f"swept {len(rows)} parameter pairs ({n_valid} in domain)"
-    emit(render_payload(rows, cfg), summary, cfg)
+    emit(args, rows, summary)
 
 
-def cmd_criterion(args: argparse.Namespace, cfg: RunConfig) -> None:
+def cmd_criterion(args: argparse.Namespace) -> None:
     frame_g, metric_g, _ = resolve_metric_token(args.g)
     frame_h, metric_h, _ = resolve_metric_token(args.h)
     # R_g G - R_h H compares matrices, which says something only when
@@ -379,23 +373,23 @@ def cmd_criterion(args: argparse.Namespace, cfg: RunConfig) -> None:
         f"verdict {report.verdict}: min_eig = {report.min_eig:.12g}, "
         f"gamma = {report.gamma:.12g}"
     )
-    emit(render_payload(payload, cfg), summary, cfg)
+    emit(args, payload, summary)
 
 
-def cmd_yamabe(args: argparse.Namespace, cfg: RunConfig) -> None:
+def cmd_yamabe(args: argparse.Namespace) -> None:
     params = resolve_geometry(args.geometry)
     grid = HopfGrid.cube(args.resolution)
     metric = chart_metric(grid, params)
-    scalar = curvature_report(su2_structure_constants(), params.metric()).scalar
+    (scalar,) = _ricci(su2_structure_constants().c, params.metric().matrix[None])[2].tolist()
     result = estimate(metric, scalar)
     summary = (
         f"quotient estimate {result.value:.8f} "
         f"(converged={result.converged}, iterations={result.iterations_used})"
     )
-    emit(render_payload(result.to_dict(), cfg), summary, cfg)
+    emit(args, result.to_dict(), summary)
 
 
-def cmd_pathcheck(args: argparse.Namespace, cfg: RunConfig) -> None:
+def cmd_pathcheck(args: argparse.Namespace) -> None:
     report = crit.corollary_path_check(args.s, args.t_start, args.t_end, args.steps)
     summary = (
         f"delta = {report.delta:.12g}, endpoint scalar = {report.endpoint_scalar:.3e} "
@@ -403,11 +397,11 @@ def cmd_pathcheck(args: argparse.Namespace, cfg: RunConfig) -> None:
     )
     # the JSON payload holds the report's fields, the keys of to_dict(),
     # with the samples left a table that renders from its columns
-    payload = report.samples if cfg.format == "csv" else vars(report)
-    emit(render_payload(payload, cfg), summary, cfg)
+    payload = report.samples if args.format == "csv" else vars(report)
+    emit(args, payload, summary)
 
 
-def cmd_dump_grid(args: argparse.Namespace, cfg: RunConfig) -> None:
+def cmd_dump_grid(args: argparse.Namespace) -> None:
     params = resolve_geometry(args.geometry)
     grid = HopfGrid.cube(args.resolution)
     metric = chart_metric(grid, params)
@@ -428,7 +422,7 @@ def cmd_dump_grid(args: argparse.Namespace, cfg: RunConfig) -> None:
     for name, values in comps.items():
         table[name] = values.reshape(-1)
     summary = f"dumped {grid.size} cells at resolution {args.resolution}"
-    emit(render_payload(table, cfg), summary, cfg)
+    emit(args, table, summary)
 
 
 # === argument wiring =====================================================
@@ -487,12 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fmt = args.format if args.format is not None else args.default_format
+    args = build_parser().parse_args(argv)
+    if args.format is None:
+        args.format = args.default_format
     try:
-        cfg = RunConfig(out=args.out, format=fmt, quiet=args.quiet).validate()
-        args.fn(args, cfg)
+        args.fn(args)
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -13,10 +13,12 @@ entering the bound.  Nonpositive candidate scalar curvature needs no
 criterion at all, and nonpositive reference curvature is outside the
 statement's hypotheses; both short-circuit.
 
-For the Berger family compared against the round sphere the verdict
-boundary is an explicit curve t*(s) = s + sqrt(s) + 1 and the scalar
-curvature changes sign on the curve t = (1 + sqrt(s))^2; both are
-recovered here by bisection on engine-computed quantities.
+For the Berger family diag(1, s, t), s <= t, the scalar curvature
+obeys R t = 8 - (2/s)(t - 1 - s)^2.  So R changes sign on the curve
+t = (1 + sqrt(s))^2, and against the round sphere the largest pencil
+entry R t reaches R_g = 6, the verdict boundary, on the curve
+t*(s) = s + sqrt(s) + 1.  Both are recovered here by bisection, to a
+bracket width of 1e-8, on engine-computed quantities.
 
 The bisection is stacked: each round evaluates, in one call of the
 stacked engine, the heap-ordered tree of the midpoints that the next
@@ -108,6 +110,9 @@ _BISECT_DEPTH = 4
 _BRACKET_GROWTHS = 8
 #: largest s whose roots the grown brackets reach
 _ROOT_S_MAX = 1e6
+#: bracket width at which the root bisection stops, far above the
+#: float spacing at every t a grown bracket reaches
+_ROOT_TOL = 1e-8
 
 #: the fields, in column order, of a `berger_sweep` row and of a
 #: `PathReport` sample
@@ -356,18 +361,15 @@ def _midpoint_tree(lo: float, hi: float) -> list[float]:
     return mids
 
 
-def _bisect(
-    fun: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float, what: str
-) -> float:
-    """Root of `fun` on [lo, hi] by bisection to width `tol`.  `fun` maps
-    an array of points to their values in one stacked call.
+def _bisect(fun: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, what: str) -> float:
+    """Root of `fun` on [lo, hi] by bisection to width _ROOT_TOL.  `fun`
+    maps an array of points to their values in one stacked call.
 
     When the values at the two ends have the same sign, the upper end
     moves to lo + 2 (hi - lo), at most _BRACKET_GROWTHS times, until
     they differ.  The steps then take their midpoints from
     `_midpoint_tree`, one call of `fun` per tree (see the module
-    docstring).  They stop early, at the bracket midpoint, when a
-    midpoint rounds to an end of its bracket.
+    docstring).
     """
     f_lo, f_hi = fun(np.array([lo, hi])).tolist()
     for _ in range(_BRACKET_GROWTHS):
@@ -388,13 +390,11 @@ def _bisect(
         )
     sign_lo = np.sign(f_lo)
     mids, values, node = [], [], 0
-    while hi - lo > tol:
+    while hi - lo > _ROOT_TOL:
         if node >= len(mids):
             mids, node = _midpoint_tree(lo, hi), 0
             values = fun(np.array(mids)).tolist()
         mid, f_mid = mids[node], values[node]
-        if mid in (lo, hi):  # tol is below the float spacing: the bracket cannot shrink
-            break
         if f_mid == 0.0:
             return mid
         if np.sign(f_mid) == sign_lo:
@@ -404,62 +404,59 @@ def _bisect(
     return 0.5 * (lo + hi)
 
 
-def _check_domain(s: float, tol: float, what: str) -> None:
+def _berger_root(
+    what: str, s: float, value: Callable, lo: float, hi: float, closed: Callable
+) -> float:
+    """The t at which value(H, R) of the metrics H = diag(1, s, t) and
+    their scalar curvatures R changes sign, bisected from [s + lo,
+    s + hi] by `_bisect` and checked against the closed-form root
+    closed(s) to 1e-6: the bisection is the computation, the closed
+    form only guards it.  `what` names the root function in errors."""
+    s = float(s)
     if not 1.0 <= s <= _ROOT_S_MAX:
         raise InvalidMetricError(f"{what} supports 1 <= s <= {_ROOT_S_MAX:g}, got s={s}")
-    if not np.isfinite(tol) or tol <= 0.0:
-        raise InvalidMetricError(f"tolerance must be positive, got {tol}")
+    c = su2_structure_constants().c
+
+    def fun(t: np.ndarray) -> np.ndarray:
+        H = _berger_metrics(np.full(len(t), s), t)
+        return value(H, _ricci(c, H)[2])
+
+    root = _bisect(fun, s + lo, s + hi, what)
+    expected = closed(s)
+    if abs(root - expected) > 1e-6:
+        raise NumericalFailureError(
+            f"{what} at s={s:g} found t={root:.9f}, "
+            f"inconsistent with the closed-form root {expected:.9f}"
+        )
+    return root
 
 
-def boundary_curve(s: float, tol: float = 1e-8) -> float:
+def boundary_curve(s: float) -> float:
     """The t at which diag(1, s, t) crosses from failing to passing the
     comparison against the round sphere, located by bisection on the
-    minimal pencil eigenvalue.  The bracket is (s, s + 4], which holds
+    minimal pencil eigenvalue to a bracket width of 1e-8 (fixed: there
+    is no tolerance argument).  The bracket is (s, s + 4], which holds
     the root for s < 9; for larger s its upper end doubles its distance
     from the lower one until the eigenvalue changes sign.  That reaches
     the root for s up to 1e6; larger s raise InvalidMetricError."""
-    s = float(s)
-    _check_domain(s, tol, "boundary_curve")
-    c = su2_structure_constants().c
 
-    def min_eig(t: np.ndarray) -> np.ndarray:
-        H = _berger_metrics(np.full(len(t), s), t)
+    def min_eig(H: np.ndarray, scalar: np.ndarray) -> np.ndarray:
         G = np.broadcast_to(np.eye(3), H.shape)
-        return _pencil(G, np.full(len(t), _ROUND_SCALAR), H, _ricci(c, H)[2])[:, 0]
+        return _pencil(G, np.full(len(H), _ROUND_SCALAR), H, scalar)[:, 0]
 
-    t_star = _bisect(min_eig, s + 1e-3, s + 4.0, tol, "criterion boundary curve")
-    # Self-check against the closed-form root t = s + sqrt(s) + 1; the
-    # bisection is the computation, the closed form only guards it.
-    expected = s + math.sqrt(s) + 1.0
-    if abs(t_star - expected) > 1e-6:
-        raise NumericalFailureError(
-            f"criterion boundary curve at s={s:g} found t={t_star:.9f}, "
-            f"inconsistent with the closed-form root {expected:.9f}"
-        )
-    return t_star
+    return _berger_root("boundary_curve", s, min_eig, 1e-3, 4.0, lambda s: s + math.sqrt(s) + 1.0)
 
 
-def scalar_sign_curve(s: float, tol: float = 1e-8) -> float:
+def scalar_sign_curve(s: float) -> float:
     """The t at which the scalar curvature of diag(1, s, t) changes
-    sign, located by bisection.  The bracket is [s, s + 8], which holds
+    sign, located by bisection to a bracket width of 1e-8 (fixed: there
+    is no tolerance argument).  The bracket is [s, s + 8], which holds
     the root for s < 12.25; for larger s its upper end doubles its
     distance from the lower one until the curvature changes sign.  That
     reaches the root for s up to 1e6; larger s raise InvalidMetricError."""
-    s = float(s)
-    _check_domain(s, tol, "scalar_sign_curve")
-    c = su2_structure_constants().c
-
-    def scalar(t: np.ndarray) -> np.ndarray:
-        return _ricci(c, _berger_metrics(np.full(len(t), s), t))[2]
-
-    t_zero = _bisect(scalar, s, s + 8.0, tol, "scalar curvature sign curve")
-    expected = (1.0 + math.sqrt(s)) ** 2
-    if abs(t_zero - expected) > 1e-6:
-        raise NumericalFailureError(
-            f"scalar sign curve at s={s:g} found t={t_zero:.9f}, "
-            f"inconsistent with the closed-form root {expected:.9f}"
-        )
-    return t_zero
+    return _berger_root(
+        "scalar_sign_curve", s, lambda H, R: R, 0.0, 8.0, lambda s: (1.0 + math.sqrt(s)) ** 2
+    )
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,19 @@ def assert_names_bad_entry(capsys, spec, key):
     assert str(spec) in err and repr(key) in err
 
 
+def write_non_utf8(tmp_path):
+    """A metric file that opens with a UTF-16 byte order mark."""
+    spec = tmp_path / "utf16.json"
+    spec.write_bytes(b"\xff\xfe{}")
+    return spec
+
+
+def assert_cannot_read(capsys, spec):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read metric file {str(spec)!r}")
+    assert err.count("\n") == 1
+
+
 class TestParseRange:
     def test_linear_range(self):
         vals = parse_range("1:4:4", "s")
@@ -121,6 +134,11 @@ class TestCurvature:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["curvature", "--spec", str(tmp_path / "nope.json")]) == 2
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        spec = write_non_utf8(tmp_path)
+        assert main(["curvature", "--spec", str(spec)]) == 2
+        assert_cannot_read(capsys, spec)
 
     def test_invalid_params_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "curvature", "--s", "2", "--t", "1")
@@ -212,6 +230,11 @@ class TestCriterion:
         spec.write_text(json.dumps(doc))
         assert main(["criterion", "--g", "round", "--h", str(spec)]) == 2
         assert_names_bad_entry(capsys, spec, key)
+
+    def test_non_utf8_spec_exits_2(self, tmp_path, capsys):
+        spec = write_non_utf8(tmp_path)
+        assert main(["criterion", "--g", "round", "--h", str(spec)]) == 2
+        assert_cannot_read(capsys, spec)
 
     @pytest.mark.parametrize("factor", [2.0, -1.0])
     def test_metrics_in_different_frames_exit_2(self, tmp_path, capsys, factor):
@@ -428,6 +451,15 @@ class TestOutputPlumbing:
     def test_summary_line_on_stderr(self, capsys):
         assert main(["curvature", "--s", "1", "--t", "3"]) == 0
         assert captured_nonempty(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("out", ["no/such/dir/x.json", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_exits_2_with_one_error_line(self, tmp_path, capsys, out):
+        path = tmp_path / out
+        assert main(["curvature", "--s", "1", "--t", "2", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write --out file {str(path)!r}")
+        assert captured.err.count("\n") == 1
 
 
 def captured_nonempty(text):

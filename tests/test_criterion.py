@@ -3,16 +3,11 @@ classification, boundary curves, deformation paths, and sweeps."""
 
 import json
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import relyamabe
 from relyamabe import (
     BergerParams,
     FrameMetric,
@@ -220,38 +215,15 @@ class TestBoundaryCurves:
     def test_scalar_sign_curve_matches_closed_root(self, s):
         assert abs(scalar_sign_curve(s) - (1.0 + math.sqrt(s)) ** 2) <= 1e-6
 
-    @pytest.mark.parametrize(
-        "root, s, tol, closed",
-        [
-            ("boundary_curve", 1e6, 1e-12, "s + math.sqrt(s) + 1.0"),
-            ("scalar_sign_curve", 1e5, 1e-13, "(1.0 + math.sqrt(s)) ** 2"),
-        ],
-        ids=["boundary", "scalar-sign"],
-    )
-    def test_tolerance_below_float_spacing_terminates(self, root, s, tol, closed):
-        # the midpoints round to the bracket ends before the bracket is
-        # tol wide; a fresh interpreter with a timeout turns a bisection
-        # that never stops into a failure
-        code = (
-            f"import math; from relyamabe import {root}; s = {s!r}; "
-            f"print(repr({root}(s, tol={tol!r})), repr({closed}))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(relyamabe.__file__).resolve().parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        found, expected = map(float, proc.stdout.split())
-        assert tol < math.ulp(expected)
-        assert abs(found - expected) <= 1e-14 * expected
-
     def test_domain_validation(self):
         with pytest.raises(InvalidMetricError):
             boundary_curve(0.5)
         with pytest.raises(InvalidMetricError):
             scalar_sign_curve(0.5)
-        with pytest.raises(InvalidMetricError):
-            boundary_curve(1.0, tol=0.0)
+        # the roots are bisected to a fixed width: there is no tolerance
+        for root in (boundary_curve, scalar_sign_curve):
+            with pytest.raises(TypeError, match="tol"):
+                root(2.0, tol=1e-8)
 
     @pytest.mark.parametrize("root", [boundary_curve, scalar_sign_curve])
     @pytest.mark.parametrize("s", [1e7, 1e17, 1e200])

@@ -27,7 +27,6 @@ from relyamabe import (
     criterion,
 )
 from relyamabe.cli import (
-    RunConfig,
     _pythonify,
     main,
     render_payload,
@@ -202,13 +201,13 @@ def test_table_renderers_equal_row_references(table):
     columns = table.dtype.names
     rows = row_dicts(table)
     assert render_rows_csv(table) == rows_csv(rows, columns)
-    assert render_payload(table, RunConfig(format="json")) == rows_json(rows)
+    assert render_payload(table, "json") == rows_json(rows)
     # the same table as one entry of a dict payload, between entries that
     # sort before and after it, nested and non-finite ones among them
     others = {"a": -0.0, "m": {"z": [1, float("nan")], "b": []}, "zz": float("inf"), "n": 3}
     payload = {**others, "samples": table}
     want = payload_json({**others, "samples": rows})
-    assert render_payload(payload, RunConfig(format="json")) == want
+    assert render_payload(payload, "json") == want
 
 
 def count_calls(monkeypatch, name: str) -> list:
