@@ -49,8 +49,7 @@ def boundary_minimality() -> None:
     print("totally geodesic).  For squashed metrics the mean curvature still")
     print("vanishes to roundoff, so the boundary is minimal for every (s, t),")
     print("but ||II|| does not: individual directions curve, only the trace")
-    print("cancels.  The grid only picks the points: a finer grid has a")
-    print("thinner axis collar, so it reports points closer to the axes.")
+    print("cancels.  The grid only picks the points at which both are reported.")
 
 
 def main() -> None:

@@ -7,12 +7,12 @@ comparison), `yamabe` (quotient minimization), `pathcheck` (terminal
 window along a path), and `dump-grid` (discretized metric dump).
 
 Exit codes: 0 on success, 1 when a computation fails at runtime
-(non-finite iterates, violated hypotheses, degenerate trials), 2 when
-the request itself is invalid (bad flags, malformed files, metrics
-failing structural invariants, an --out path that cannot be
-written).  Payloads are byte-identical across reruns of the same
-request: nothing is random but the estimator's fixed multistart, whose
-starts come from seed 0.
+(non-finite iterates, violated hypotheses, degenerate trials) or the
+payload cannot be written out (a full disk), 2 when the request itself
+is invalid (bad flags, malformed files, metrics failing structural
+invariants, an --out path that cannot be opened).  Payloads are
+byte-identical across reruns of the same request: nothing is random but
+the estimator's fixed multistart, whose starts come from seed 0.
 """
 
 from __future__ import annotations
@@ -300,15 +300,19 @@ def render_payload(payload, fmt: str) -> str:
 def emit(args: argparse.Namespace, payload, summary: str) -> None:
     """Write the payload, rendered in --format, to the --out file or to
     stdout, then the summary line to stderr unless --quiet.  An --out
-    file that cannot be written raises InputFormatError."""
+    file that cannot be opened raises InputFormatError; an OSError
+    while writing or flushing the payload propagates to `main`."""
     text = render_payload(payload, args.format)
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            out = open(args.out, "w")
         except OSError as exc:
             raise InputFormatError(f"cannot write --out file {args.out!r}: {exc}") from exc
+        with out:
+            out.write(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
     if not args.quiet:
         sys.stderr.write(summary.rstrip("\n") + "\n")
 
@@ -496,6 +500,10 @@ def main(argv=None) -> int:
         # the consumer closed stdout early (e.g. piping into head);
         # park stdout on devnull so interpreter shutdown stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        # writing the payload failed (a full disk, say): a runtime failure
+        sys.stderr.write(f"error: cannot write the payload: {exc}\n")
         return 1
     return 0
 

@@ -52,7 +52,7 @@ from .lie_curvature import (
     _orthonormal,
     _require_finite,
     _ricci,
-    curvature_report,
+    curvature_report,  # not called here: benchmarks/selftest.py reads criterion.curvature_report
     su2_structure_constants,
 )
 from .su2_chart import MetricField
@@ -524,15 +524,9 @@ def corollary_path_check(s: float, t_start: float, t_end: float, steps: int) -> 
     start = BergerParams(s, t_start)
 
     if t_end == t_start:
-        rep = curvature_report(su2_structure_constants(), start.metric())
-        return PathReport(
-            t_start=t_start,
-            t_end=t_end,
-            steps=steps,
-            samples=np.empty(0, _PATH_SAMPLE),
-            delta=0.0,
-            endpoint_scalar=rep.scalar,
-        )
+        (scalar,) = _ricci(su2_structure_constants().c, start.metric().matrix[None])[2].tolist()
+        samples = np.empty(0, _PATH_SAMPLE)
+        return PathReport(t_start, t_end, steps, samples, delta=0.0, endpoint_scalar=scalar)
 
     with np.errstate(over="ignore", invalid="ignore"):
         ts = t_start + (t_end - t_start) * np.arange(steps + 1) / steps

@@ -167,7 +167,7 @@ class FrameMetric:
             raise InvalidMetricError("frame metric has non-finite entries")
         if np.abs(m - m.T).max() > 1e-12 * np.abs(m).max():
             raise InvalidMetricError("frame metric must be symmetric")
-        m = 0.5 * (m + m.T)
+        m = 0.5 * m + 0.5 * m.T  # halved first: the sum of two entries near 1e308 overflows
         if np.linalg.eigvalsh(m).min() <= 0.0:
             raise InvalidMetricError("frame metric must be positive definite")
         object.__setattr__(self, "matrix", m)

@@ -58,9 +58,6 @@ _MIN_CELLS = 4
 _CHART_TOL = 1e-10
 _SPHERE_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
-# Collar of eta rows next to the coordinate axes eta in {0, pi/2} whose
-# boundary points are not reported; the boundary form itself is exact.
-_COLLAR_FLOOR = 0.15
 
 
 @dataclass(frozen=True)
@@ -439,23 +436,20 @@ def grad_sq(f: np.ndarray, metric: MetricField) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FaceSecondForm:
-    """Second fundamental form data of one face at its points
-    (kept_eta, xi2), xi2 the grid's, outside the axis collar."""
+    """Second fundamental form data of one face at the grid's (eta, xi2)
+    points: the arrays have shape (n_eta, n_xi2)."""
 
     name: str
-    kept_eta: np.ndarray
     mean_curvature: np.ndarray = field(repr=False)
     ii_norm: np.ndarray = field(repr=False)
     max_abs_mean_curvature: float
     max_ii_norm: float
     min_ii_norm: float
-    excluded_cells: int
 
 
 @dataclass(frozen=True)
 class BoundaryReport:
     faces: tuple[FaceSecondForm, ...]
-    margin: float
 
     @property
     def max_abs_mean_curvature(self) -> float:
@@ -467,14 +461,12 @@ class BoundaryReport:
 
     def to_dict(self) -> dict:
         return {
-            "margin": self.margin,
             "faces": [
                 {
                     "name": f.name,
                     "max_abs_mean_curvature": f.max_abs_mean_curvature,
                     "max_ii_norm": f.max_ii_norm,
                     "min_ii_norm": f.min_ii_norm,
-                    "excluded_cells": f.excluded_cells,
                 }
                 for f in self.faces
             ],
@@ -512,38 +504,31 @@ def _level_second_form(
 
 def boundary_second_form(metric: MetricField) -> BoundaryReport:
     """Exact second fundamental form of the faces xi1 = 0 and xi1 = pi,
-    halves of the great sphere {x2 = 0}, for the inward normals, at the
-    grid's (eta, xi2) points outside the collar of width `margin` =
-    max(2 * d_eta, 0.15) next to the axes eta in {0, pi/2}.  It is
-    computed from the Berger weights `metric.params`; a field without
-    them (hand-built, or from `MetricField.scaled`) raises
-    InputFormatError.
+    halves of the great sphere {x2 = 0}, for the inward normals, at every
+    (eta, xi2) point of the grid.  It is computed from the Berger weights
+    `metric.params`; a field without them (hand-built, or from
+    `MetricField.scaled`) raises InputFormatError.
 
     H = 0 for every (s, t).  For f = x2, ell = (V_i f) = (x1, -x4, -x3),
     N^2 = x1^2 + x4^2/s + x3^2/t and nu = sum_i ell_i V_i / (w_i N).  The
     frame fields are divergence free, so H = div nu = sum_i V_i(ell_i)
     / (w_i N) - sum_ij ell_i ell_j V_i(ell_j) / (w_i w_j N^3).  Each
     V_i(ell_i) = -x2 vanishes on the face, and V_i(ell_j) = -V_j(ell_i)
-    for i != j.  |II| vanishes only at s = t = 1.
+    for i != j.  |II| vanishes only at s = t = 1.  N^2 >= 1/t on the
+    face, so the form is smooth up to the axes eta in {0, pi/2}.
     """
     if metric.params is None:
         raise InputFormatError(
             "the exact boundary second form needs the Berger weights of the metric field"
         )
-    grid = metric.grid
-    margin = max(2.0 * grid.spacings[0], _COLLAR_FLOOR)
-    keep = (grid.eta > margin) & (grid.eta < np.pi / 2 - margin)
-    if not keep.any():
-        raise InvalidMetricError(f"collar margin {margin:.3f} excludes every cell; refine the grid")
-    eta = grid.eta[keep]
+    eta, xi2 = metric.grid.eta[:, None], metric.grid.xi2
     faces = []
     for name, c, sign in (("xi1=0", 0.0, 1.0), ("xi1=pi", np.pi, -1.0)):
-        mean_curv, ii_norm = _level_second_form(metric.params, eta[:, None], grid.xi2, c, sign)
+        mean_curv, ii_norm = _level_second_form(metric.params, eta, xi2, c, sign)
         faces.append(FaceSecondForm(
-            name, eta, mean_curv, ii_norm,
+            name, mean_curv, ii_norm,
             max_abs_mean_curvature=float(np.abs(mean_curv).max()),
             max_ii_norm=float(ii_norm.max()),
             min_ii_norm=float(ii_norm.min()),
-            excluded_cells=int((~keep).sum() * grid.n_xi2),
         ))
-    return BoundaryReport(faces=tuple(faces), margin=float(margin))
+    return BoundaryReport(faces=tuple(faces))

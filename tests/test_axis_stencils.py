@@ -29,7 +29,6 @@ from relyamabe import (
     HopfGrid,
     MetricField,
     QuotientInput,
-    boundary_second_form,
     chart_metric,
     grad_sq,
     laplace_beltrami,
@@ -286,12 +285,14 @@ def full_gamma_second_form(metric: MetricField):
 @pytest.mark.parametrize("s, t", [(1.0, 3.0), (2.0, 4.0), (1.7, 4.6)])
 def test_full_gamma_converges_to_exact_form(s, t):
     # per cell on the layers next to the faces, xi1 = h/2 and pi - h/2,
-    # outside the default collar; measured 11-15x per doubling
+    # outside a collar of width max(2 d_eta, 0.15) next to the axes,
+    # where the stencils lose accuracy; measured 11-15x per doubling
     params = BergerParams(s, t)
     errors = []
     for n in (8, 16, 32):
         metric = chart_metric(HopfGrid.cube(n), params)
-        grid, margin = metric.grid, boundary_second_form(metric).margin
+        grid = metric.grid
+        margin = max(2.0 * grid.spacings[0], 0.15)
         keep = (grid.eta > margin) & (grid.eta < np.pi / 2 - margin)
         err = 0.0
         faces = full_gamma_second_form(metric)

@@ -4,10 +4,15 @@ import csv
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relyamabe
 from relyamabe import su2_structure_constants
 from relyamabe.cli import main, parse_range
 
@@ -427,6 +432,10 @@ class TestDumpGrid:
         ["criterion", "--g", "berger:1e155,1e155", "--h", "round"],
         # finite scalar curvatures whose pencil overflows
         ["criterion", "--g", "tiny.json", "--h", "huge.json"],
+        # entries near the largest float, which no sum of two may reach
+        ["curvature", "--s", "1", "--t", "1e308"],
+        ["criterion", "--g", "round", "--h", "berger:1,1e308"],
+        ["pathcheck", "--s", "1", "--t-start", "1e308", "--t-end", "1e308"],
     ],
 )
 def test_overflowing_parameters_exit_1_with_one_error_line(tmp_path, capsys, argv):
@@ -460,6 +469,24 @@ class TestOutputPlumbing:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write --out file {str(path)!r}")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("out", [[], ["--out", "/dev/full"]], ids=["stdout", "out-file"])
+    def test_full_disk_exits_1_with_one_error_line(self, out):
+        # /dev/full opens, then fails every write with ENOSPC: a runtime
+        # failure, not a bad request; a fresh interpreter, because the
+        # failed stdout must be the real one
+        argv = ["curvature", "--s", "1", "--t", "2", "--quiet"]
+        src = str(Path(relyamabe.__file__).resolve().parents[1])
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "relyamabe", *argv, *out],
+                env=dict(os.environ, PYTHONPATH=src), stdout=full, stderr=subprocess.PIPE,
+                text=True, timeout=120,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write the payload: [Errno 28]")
+        assert proc.stderr.count("\n") == 1
 
 
 def captured_nonempty(text):

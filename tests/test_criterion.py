@@ -46,6 +46,9 @@ OVERFLOWING = [
         "10000000000.0, 1.0, 1.0",
     ),
     (lambda: theorem1_check(FrameMetric.berger(1.0, 1e10), 1e150, EYE, 6.0), "10000000000.0"),
+    # entries near the largest float: the frame metric halves before it sums
+    (lambda: theorem1_check(EYE, 6.0, FrameMetric.berger(1.0, 1e308), 1.0), "1e+308"),
+    (lambda: corollary_path_check(1.0, 1e308, 1e308, 3), "1e+308"),
 ]
 
 
@@ -54,7 +57,8 @@ OVERFLOWING = [
     OVERFLOWING,
     ids=[
         "classify", "sweep", "sweep-volume", "path", "check-volume", "ratio-reference",
-        "check-pencil-scales", "check-pencil", "check-scale",
+        "check-pencil-scales", "check-pencil", "check-scale", "check-largest-float",
+        "path-degenerate",
     ],
 )
 def test_overflowing_curvature_raises_naming_the_metric(query, parameter):

@@ -238,9 +238,25 @@ class TestBoundary:
     def test_two_faces_reported(self, berger13_16):
         rep = boundary_second_form(berger13_16)
         assert tuple(f.name for f in rep.faces) == ("xi1=0", "xi1=pi")
+        grid = berger13_16.grid
         for f in rep.faces:
-            assert f.kept_eta.size > 0
-            assert f.excluded_cells > 0
+            assert f.mean_curvature.shape == f.ii_norm.shape == (grid.n_eta, grid.n_xi2)
+
+    @settings(max_examples=30, **SETTINGS)
+    @given(
+        st.tuples(*[st.integers(4, 40)] * 3),
+        st.floats(1.0, 1e3).flatmap(lambda s: st.tuples(st.just(s), st.floats(s, 1e3))),
+    )
+    def test_every_grid_point_of_both_faces(self, shape, st_pair):
+        # the exact form is smooth up to the axes, so even the coarsest
+        # grid reports every (eta, xi2) point
+        params = BergerParams(*st_pair)
+        grid = HopfGrid(*shape)
+        rep = boundary_second_form(chart_metric(grid, params))
+        for f, c, sign in zip(rep.faces, (0.0, np.pi), (1.0, -1.0)):
+            assert f.mean_curvature.shape == f.ii_norm.shape == (grid.n_eta, grid.n_xi2)
+            mean_curv, _ = _level_second_form(params, grid.eta[:, None], grid.xi2, c, sign)
+            assert f.max_abs_mean_curvature == np.abs(mean_curv).max() <= 1e-13
 
     def test_normal_is_orthogonal_to_face_tangents_and_inward(self, berger13_32):
         # the face unit normal n^b = ginv[., xi1, b] / sqrt(ginv[xi1, xi1])

@@ -53,6 +53,16 @@ class TestEstimate:
             berger_energy(1.0, 3.5), rel=0.05
         )
 
+    def test_multistart_beats_the_constant_start_on_coarse_round(self):
+        # on the round n = 8 grid the constant is a saddle of the discrete
+        # quotient: its descent stops at 27.7256, a seeded start at 27.7056
+        metric = chart_metric(HopfGrid.cube(8), BergerParams(1.0, 1.0))
+        _, q_const, _, _, _ = _minimize_one(_QuotientWork(metric, 6.0), np.ones(metric.grid.size))
+        value = estimate(metric, 6.0).value
+        assert value == pytest.approx(27.7056, abs=1e-4)
+        assert q_const == pytest.approx(27.7256, abs=1e-4)
+        assert value < q_const
+
     def test_deterministic_under_fixed_seed(self, round16, est_round16):
         again = estimate(round16, 6.0)
         assert again.value == est_round16.value
