@@ -300,19 +300,27 @@ def render_payload(payload, fmt: str) -> str:
 def emit(args: argparse.Namespace, payload, summary: str) -> None:
     """Write the payload, rendered in --format, to the --out file or to
     stdout, then the summary line to stderr unless --quiet.  An --out
-    file that cannot be opened raises InputFormatError; an OSError
-    while writing or flushing the payload propagates to `main`."""
+    file that cannot be opened raises InputFormatError and a failed write
+    (a full disk) RelYamabeError; BrokenPipeError propagates."""
     text = render_payload(payload, args.format)
     if args.out:
         try:
             out = open(args.out, "w")
         except OSError as exc:
             raise InputFormatError(f"cannot write --out file {args.out!r}: {exc}") from exc
-        with out:
-            out.write(text)
-    else:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+    try:
+        if args.out:
+            with out:
+                out.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:  # stdout keeps the unwritten bytes: shutdown must not flush them
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise RelYamabeError(f"cannot write the payload: {exc}") from exc
     if not args.quiet:
         sys.stderr.write(summary.rstrip("\n") + "\n")
 
@@ -496,14 +504,7 @@ def main(argv=None) -> int:
     except RelYamabeError as exc:  # every other class is a runtime failure
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except BrokenPipeError:
-        # the consumer closed stdout early (e.g. piping into head);
-        # park stdout on devnull so interpreter shutdown stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except OSError as exc:
-        # writing the payload failed (a full disk, say): a runtime failure
-        sys.stderr.write(f"error: cannot write the payload: {exc}\n")
+    except BrokenPipeError:  # the reader closed stdout early (piping into head)
         return 1
     return 0
 

@@ -442,9 +442,18 @@ class FaceSecondForm:
     name: str
     mean_curvature: np.ndarray = field(repr=False)
     ii_norm: np.ndarray = field(repr=False)
-    max_abs_mean_curvature: float
-    max_ii_norm: float
-    min_ii_norm: float
+
+    @property
+    def max_abs_mean_curvature(self) -> float:
+        return float(np.abs(self.mean_curvature).max())
+
+    @property
+    def max_ii_norm(self) -> float:
+        return float(self.ii_norm.max())
+
+    @property
+    def min_ii_norm(self) -> float:
+        return float(self.ii_norm.min())
 
 
 @dataclass(frozen=True)
@@ -524,11 +533,5 @@ def boundary_second_form(metric: MetricField) -> BoundaryReport:
     eta, xi2 = metric.grid.eta[:, None], metric.grid.xi2
     faces = []
     for name, c, sign in (("xi1=0", 0.0, 1.0), ("xi1=pi", np.pi, -1.0)):
-        mean_curv, ii_norm = _level_second_form(metric.params, eta, xi2, c, sign)
-        faces.append(FaceSecondForm(
-            name, mean_curv, ii_norm,
-            max_abs_mean_curvature=float(np.abs(mean_curv).max()),
-            max_ii_norm=float(ii_norm.max()),
-            min_ii_norm=float(ii_norm.min()),
-        ))
+        faces.append(FaceSecondForm(name, *_level_second_form(metric.params, eta, xi2, c, sign)))
     return BoundaryReport(faces=tuple(faces))

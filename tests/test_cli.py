@@ -471,18 +471,27 @@ class TestOutputPlumbing:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("out", [[], ["--out", "/dev/full"]], ids=["stdout", "out-file"])
-    def test_full_disk_exits_1_with_one_error_line(self, out):
+    @pytest.mark.parametrize(
+        "out, unbuffered",
+        [([], ""), ([], "1"), (["--out", "/dev/full"], "")],
+        ids=["stdout", "stdout-unbuffered", "out-file"],
+    )
+    def test_full_disk_exits_1_with_one_error_line(self, out, unbuffered):
         # /dev/full opens, then fails every write with ENOSPC: a runtime
         # failure, not a bad request; a fresh interpreter, because the
-        # failed stdout must be the real one
+        # failed stdout must be the real one.  A buffered stdout keeps
+        # the bytes it could not write, and interpreter shutdown flushes
+        # them again unless the failure was handled
         argv = ["curvature", "--s", "1", "--t", "2", "--quiet"]
         src = str(Path(relyamabe.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=src)
+        if unbuffered:
+            env.update(PYTHONUNBUFFERED=unbuffered)
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "relyamabe", *argv, *out],
-                env=dict(os.environ, PYTHONPATH=src), stdout=full, stderr=subprocess.PIPE,
-                text=True, timeout=120,
+                env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
             )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: cannot write the payload: [Errno 28]")
