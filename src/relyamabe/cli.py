@@ -7,12 +7,13 @@ comparison), `yamabe` (quotient minimization), `pathcheck` (terminal
 window along a path), and `dump-grid` (discretized metric dump).
 
 Exit codes: 0 on success, 1 when a computation fails at runtime
-(non-finite iterates, violated hypotheses, degenerate trials) or the
-payload cannot be written out (a full disk), 2 when the request itself
-is invalid (bad flags, malformed files, metrics failing structural
-invariants, an --out path that cannot be opened).  Payloads are
-byte-identical across reruns of the same request: nothing is random but
-the estimator's fixed multistart, whose starts come from seed 0.
+(non-finite iterates, violated hypotheses, degenerate trials, a grid
+that does not fit in memory) or the payload cannot be written out (a
+full disk), 2 when the request itself is invalid (bad flags, malformed
+files, metrics failing structural invariants, an --out path that cannot
+be opened).  Payloads are byte-identical across reruns of the same
+request: nothing is random but the estimator's fixed multistart, whose
+starts come from seed 0.
 """
 
 from __future__ import annotations
@@ -390,8 +391,7 @@ def cmd_criterion(args: argparse.Namespace) -> None:
 
 def cmd_yamabe(args: argparse.Namespace) -> None:
     params = resolve_geometry(args.geometry)
-    grid = HopfGrid.cube(args.resolution)
-    metric = chart_metric(grid, params)
+    metric = chart_metric(HopfGrid.cube(args.resolution), params)
     (scalar,) = _ricci(su2_structure_constants().c, params.metric().matrix[None])[2].tolist()
     result = estimate(metric, scalar)
     summary = (
@@ -417,19 +417,10 @@ def cmd_dump_grid(args: argparse.Namespace) -> None:
     params = resolve_geometry(args.geometry)
     grid = HopfGrid.cube(args.resolution)
     metric = chart_metric(grid, params)
-    e, x1, x2 = grid.meshes()
-    comps = {
-        "eta": e,
-        "xi1": x1,
-        "xi2": x2,
-        "sqrt_det": metric.sqrt_det,
-        "g_eta_eta": metric.g[..., 0, 0],
-        "g_eta_xi1": metric.g[..., 0, 1],
-        "g_eta_xi2": metric.g[..., 0, 2],
-        "g_xi1_xi1": metric.g[..., 1, 1],
-        "g_xi1_xi2": metric.g[..., 1, 2],
-        "g_xi2_xi2": metric.g[..., 2, 2],
-    }
+    names = ("eta", "xi1", "xi2")
+    comps = dict(zip(names, grid.meshes()), sqrt_det=metric.sqrt_det)
+    for a, b in zip(*np.triu_indices(3)):  # g_eta_eta, g_eta_xi1, ..., g_xi2_xi2
+        comps[f"g_{names[a]}_{names[b]}"] = metric.g[a, b]
     table = np.empty(grid.size, [(name, float) for name in comps])
     for name, values in comps.items():
         table[name] = values.reshape(-1)
@@ -503,6 +494,9 @@ def main(argv=None) -> int:
         return 2
     except RelYamabeError as exc:  # every other class is a runtime failure
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:  # a grid too large for this machine
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'an allocation failed'}\n")
         return 1
     except BrokenPipeError:  # the reader closed stdout early (piping into head)
         return 1

@@ -33,6 +33,7 @@ from .errors import (
     ChartDomainError,
     InputFormatError,
     InvalidMetricError,
+    NumericalFailureError,
     _whole,
 )
 from .lie_curvature import BergerParams, _connection, su2_structure_constants
@@ -242,10 +243,11 @@ def embedding(grid: HopfGrid) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class MetricField:
-    """A Berger metric evaluated on a grid: g[..., a, b] in chart
-    coordinates (eta, xi1, xi2) at every cell center, plus the derived
-    volume data.  `params` records the Berger weights when the field
-    came from one (rescaled fields drop it).
+    """A Berger metric evaluated on a grid: g[a, b] is the contiguous
+    field of the chart component g_ab, (a, b) over (eta, xi1, xi2), at
+    every cell center, plus the derived volume data; inv[i, j] holds
+    g^{ij} the same way.  `params` records the Berger weights when the
+    field came from one (rescaled fields drop it).
 
     Every cell must be finite, symmetric to 1e-12 relative to its
     largest entry, and positive definite (all leading minors positive);
@@ -258,48 +260,40 @@ class MetricField:
     chart_residual: float = 0.0
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        if g.shape != self.grid.shape + (3, 3):
+        g = np.asarray(self.g, dtype=float, order="C")
+        if g.shape != (3, 3) + self.grid.shape:
             raise InvalidMetricError(
                 f"metric field shape {g.shape} does not match grid {self.grid.shape}"
             )
         if not np.all(np.isfinite(g)):
             raise InvalidMetricError("metric field has non-finite entries")
-        # component-major copy: gc[a, b] is the contiguous field g_ab
-        gc = np.ascontiguousarray(np.moveaxis(g, (-2, -1), (0, 1)))
-        gct = gc.swapaxes(0, 1)
-        if np.any(np.abs(gc - gct).max(axis=(0, 1)) > _SYMMETRY_TOL * np.abs(gc).max(axis=(0, 1))):
+        gt = g.swapaxes(0, 1)
+        if np.any(np.abs(g - gt).max(axis=(0, 1)) > _SYMMETRY_TOL * np.abs(g).max(axis=(0, 1))):
             raise InvalidMetricError("metric field is not symmetric at every cell")
-        # cofactors of the symmetric 3x3 cells; det and the leading
-        # minors g_00 and c_22 decide positive definiteness (Sylvester).
-        # Entries far from 1 can overflow det or the inverse; such cells
-        # are rejected below rather than warned about.
+        # inv first holds the cofactors of the symmetric 3x3 cells; det
+        # and the leading minors g_00 and c_22 decide positive
+        # definiteness (Sylvester).  Entries far from 1 can overflow det
+        # or the inverse; such cells are rejected below rather than
+        # warned about.
+        inv = np.empty(g.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            gc = 0.5 * (gc + gct)
-            (g00, g01, g02), (_, g11, g12), (_, _, g22) = gc
-            cof = {
-                (0, 0): g11 * g22 - g12 * g12,
-                (0, 1): g02 * g12 - g01 * g22,
-                (0, 2): g01 * g12 - g02 * g11,
-                (1, 1): g00 * g22 - g02 * g02,
-                (1, 2): g01 * g02 - g00 * g12,
-                (2, 2): g00 * g11 - g01 * g01,
-            }
-            det = g00 * cof[0, 0] + g01 * cof[0, 1] + g02 * cof[0, 2]
-            if not (np.all(g00 > 0.0) and np.all(cof[2, 2] > 0.0) and np.all(det > 0.0)):
+            g = 0.5 * (g + gt)
+            (g00, g01, g02), (_, g11, g12), (_, _, g22) = g
+            inv[0, 0] = g11 * g22 - g12 * g12
+            inv[0, 1] = inv[1, 0] = g02 * g12 - g01 * g22
+            inv[0, 2] = inv[2, 0] = g01 * g12 - g02 * g11
+            inv[1, 1] = g00 * g22 - g02 * g02
+            inv[1, 2] = inv[2, 1] = g01 * g02 - g00 * g12
+            inv[2, 2] = g00 * g11 - g01 * g01
+            det = g00 * inv[0, 0] + g01 * inv[0, 1] + g02 * inv[0, 2]
+            if not (np.all(g00 > 0.0) and np.all(inv[2, 2] > 0.0) and np.all(det > 0.0)):
                 raise InvalidMetricError("metric field is not positive definite at every cell")
-            # the components g^{ij} stay contiguous: grad_sq reads them
-            # on every call
-            inv_of = {ij: c / det for ij, c in cof.items()}
-        if not all(np.all(np.isfinite(a)) for a in (det, *inv_of.values())):
+            inv /= det
+        if not (np.all(np.isfinite(det)) and np.all(np.isfinite(inv))):
             raise InvalidMetricError("metric field determinant or inverse is not finite")
-        inv_ij = tuple(tuple(inv_of[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
-        g = np.ascontiguousarray(np.moveaxis(gc, (0, 1), (-2, -1)))
-        inv = np.ascontiguousarray(np.moveaxis(np.array(inv_ij), (0, 1), (-2, -1)))
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "_inv_ij", inv_ij)
         object.__setattr__(self, "sqrt_det", np.sqrt(det))
         object.__setattr__(self, "weight", self.sqrt_det * self.grid.cell_volume)
 
@@ -330,7 +324,8 @@ def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
     is checked on every cell against the frame `_FRAME_MAPS` at the
     embedded point x = (cos eta cos xi1, cos eta sin xi1, sin eta cos xi2,
     sin eta sin xi2): it must reproduce the coordinate vectors to 1e-10
-    (the frame spans the tangent space at interior cells).
+    (the frame spans the tangent space at interior cells).  A field that
+    fails MetricField's checks in floating point raises NumericalFailureError.
     """
     e = grid.eta[:, None, None]
     x1 = grid.xi1[None, :, None]
@@ -365,13 +360,19 @@ def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
             f"coordinate vectors are not spanned by the frame (residual {resid:.3e})"
         )
     s, t = params.s, params.t
-    g = np.empty(grid.shape + (3, 3))
+    g = np.empty((3, 3) + grid.shape)
     for a in range(3):
         for b in range(a, 3):
-            g[..., a, b] = g[..., b, a] = (
+            g[a, b] = g[b, a] = (
                 em[a][0] * em[b][0] + s * em[a][1] * em[b][1] + t * em[a][2] * em[b][2]
             )
-    return MetricField(grid=grid, g=g, params=params, chart_residual=resid)
+    try:
+        return MetricField(grid=grid, g=g, params=params, chart_residual=resid)
+    except InvalidMetricError as exc:  # in-domain weights: cancellation or overflow
+        raise NumericalFailureError(
+            f"the chart field of the metric diag(1.0, {s!r}, {t!r}) on the {grid.shape} grid "
+            f"fails in floating point: {exc}"
+        ) from exc
 
 
 def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int, width: int = 3) -> np.ndarray:
@@ -409,8 +410,8 @@ def _derivatives(f: np.ndarray, grid: HopfGrid, width: int = 3) -> list[np.ndarr
 
 
 def partial_derivatives(f: np.ndarray, grid: HopfGrid, width: int = 3) -> np.ndarray:
-    """Stacked coordinate derivatives df[..., i] = d_i f at every cell."""
-    return np.stack(_derivatives(f, grid, width), axis=-1)
+    """Stacked coordinate derivatives df[i] = d_i f at every cell."""
+    return np.stack(_derivatives(f, grid, width))
 
 
 def integrate(f, metric: MetricField) -> float:
@@ -427,7 +428,7 @@ def grad_sq(f: np.ndarray, metric: MetricField) -> np.ndarray:
     acc = np.zeros(metric.grid.shape)
     for i in range(3):
         for j in range(3):
-            acc += metric._inv_ij[i][j] * df[i] * df[j]
+            acc += metric.inv[i, j] * df[i] * df[j]
     return np.maximum(acc, 0.0)
 
 

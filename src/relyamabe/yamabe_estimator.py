@@ -124,7 +124,7 @@ def _stiffness(metric: MetricField) -> sps.csr_matrix:
     acc = None
     for i in range(3):
         for j in range(3):
-            block = ops[i].T @ sps.diags(wf * metric.inv[..., i, j].reshape(-1)) @ ops[j]
+            block = ops[i].T @ sps.diags(wf * metric.inv[i, j].reshape(-1)) @ ops[j]
             acc = block if acc is None else acc + block
     return acc.tocsr()
 
@@ -161,9 +161,12 @@ class _QuotientWork:
         self, f: np.ndarray, af: np.ndarray, g: np.ndarray, ag: np.ndarray, s: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """The normalized candidate of the step f - s g and its stiffness
-        product, formed by linearity from af = A f and ag = A g."""
+        product, formed by linearity from af = A f and ag = A g; NaN
+        arrays when the step's critical norm overflows."""
         x = f - s * g
         nrm = self.norm(x)
+        if not np.isfinite(nrm):
+            nrm = np.nan
         return x / nrm, (af - s * ag) / nrm
 
 
@@ -192,16 +195,17 @@ def _minimize_one(work: _QuotientWork, f0: np.ndarray):
         g = work.gradient(f, af)
         ag = work.stiffness @ g
         accepted = False
-        for _ in range(_BACKTRACKS):
-            cand, acand = work.trial(f, af, g, ag, step)
-            qc = work.quotient(cand, acand)
-            if not np.isfinite(qc):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial is rejected
+            for _ in range(_BACKTRACKS):
+                cand, acand = work.trial(f, af, g, ag, step)
+                qc = work.quotient(cand, acand)
+                if not np.isfinite(qc):
+                    step *= 0.5
+                    continue
+                if qc <= q:
+                    accepted = True
+                    break
                 step *= 0.5
-                continue
-            if qc <= q:
-                accepted = True
-                break
-            step *= 0.5
         if not accepted:
             return f, q, trace, True, "stationary"
         rel = abs(q - qc) / max(abs(q), 1e-30)
@@ -328,9 +332,9 @@ def _span_form(phi: np.ndarray, metric: MetricField, r: np.ndarray) -> np.ndarra
         dphi[:, a] = _derivatives(f, metric.grid)
     flat = phi.reshape(k, -1)
     form = (flat * (metric.weight * r).reshape(-1)) @ flat.T
-    inv = metric._inv_ij
+    inv = metric.inv
     for i in range(3):
-        flux = metric.weight * (inv[i][0] * dphi[0] + inv[i][1] * dphi[1] + inv[i][2] * dphi[2])
+        flux = metric.weight * (inv[i, 0] * dphi[0] + inv[i, 1] * dphi[1] + inv[i, 2] * dphi[2])
         form += CONFORMAL_COEFF * (dphi[i].reshape(k, -1) @ flux.reshape(k, -1).T)
     return form
 

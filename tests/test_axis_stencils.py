@@ -4,6 +4,9 @@ Each result must equal, bit for bit, a reference written here in the
 form the operators were first applied in: the difference form gathered
 over the flattened `HopfGrid.diff_ops` matrices with `np.bincount`, the
 three-operand `einsum` for |df|^2 and the nine-derivative divergence.
+The `einsum` references take contiguous cells-major operands, the
+layout the library used when they were written: on a strided view
+`einsum` may sum its terms in another order.
 The axis tables and the diff_ops matrices share one source, so both are
 first checked against a copy of the COO matrix construction they
 replaced, written with the same rules: centered windows exactly
@@ -32,6 +35,7 @@ from relyamabe import (
     chart_metric,
     grad_sq,
     laplace_beltrami,
+    neumann_residual,
     partial_derivatives,
     rayleigh_quotient,
     yamabe_property_probe,
@@ -160,7 +164,7 @@ def test_stiffness_equals_nine_blocks_of_undropped_operators(shape, seed, berger
     want = None
     for i in range(3):
         for j in range(3):
-            block = ops[i].T @ sps.diags(wf * metric.inv[..., i, j].reshape(-1)) @ ops[j]
+            block = ops[i].T @ sps.diags(wf * metric.inv[i, j].reshape(-1)) @ ops[j]
             want = block if want is None else want + block
     want = want.tocsr()
     got = _stiffness(metric)
@@ -178,7 +182,7 @@ def gathered_derivatives(f: np.ndarray, grid: HopfGrid, width: int) -> np.ndarra
         rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
         contrib = op.data * (flat[op.indices] - flat[rows])
         out.append(np.bincount(rows, weights=contrib, minlength=op.shape[0]).reshape(grid.shape))
-    return np.stack(out, axis=-1)
+    return np.stack(out)
 
 
 def metric_field(grid: HopfGrid, seed: int, berger: bool) -> MetricField:
@@ -188,7 +192,17 @@ def metric_field(grid: HopfGrid, seed: int, berger: bool) -> MetricField:
         s = rng.uniform(1.0, 3.0)
         return chart_metric(grid, BergerParams(s, s + rng.uniform(0.0, 3.0)))
     a = rng.standard_normal(grid.shape + (3, 3))
-    return MetricField(grid=grid, g=a @ np.swapaxes(a, -1, -2) + np.eye(3))
+    return MetricField(grid=grid, g=np.moveaxis(a @ np.swapaxes(a, -1, -2) + np.eye(3), (-2, -1), (0, 1)))
+
+
+def cells_major(a: np.ndarray) -> np.ndarray:
+    """A contiguous copy of a per-cell tensor field a[i, j] as a[..., i, j]."""
+    return np.ascontiguousarray(np.moveaxis(a, (0, 1), (-2, -1)))
+
+
+def stacked_derivatives(f: np.ndarray, grid: HopfGrid) -> np.ndarray:
+    """The contiguous stack df[..., i] = d_i f."""
+    return np.stack(list(partial_derivatives(f, grid)), axis=-1)
 
 
 def full_window_derivative(f: np.ndarray, grid: HopfGrid, axis: int, width: int) -> np.ndarray:
@@ -240,7 +254,7 @@ def test_constants_have_exact_zero_derivatives(shape, c, width):
     grid = HopfGrid(*shape)
     d = partial_derivatives(np.full(shape, c), grid, width)
     # every axis, the periodic xi2 wrap included, and no -0.0
-    assert same_bits(d, np.zeros(shape + (3,)))
+    assert same_bits(d, np.zeros((3,) + shape))
 
 
 @settings(max_examples=30, **SETTINGS)
@@ -248,9 +262,10 @@ def test_constants_have_exact_zero_derivatives(shape, c, width):
 def test_grad_sq_equals_einsum(shape, seed, berger):
     grid = HopfGrid(*shape)
     metric = metric_field(grid, seed, berger)
+    inv = cells_major(metric.inv)
     for f in (np.random.default_rng(seed + 1).standard_normal(shape), np.full(shape, 2.0)):
-        df = partial_derivatives(f, grid)
-        want = np.maximum(np.einsum("...ij,...i,...j->...", metric.inv, df, df), 0.0)
+        df = stacked_derivatives(f, grid)
+        want = np.maximum(np.einsum("...ij,...i,...j->...", inv, df, df), 0.0)
         assert same_bits(grad_sq(f, metric), want)
 
 
@@ -258,19 +273,20 @@ def full_gamma_second_form(metric: MetricField):
     """Per face (mean curvature, |II|) on every cell layer, from all 27
     Christoffel symbols on the whole grid."""
     grid = metric.grid
+    g, inv = cells_major(metric.g), cells_major(metric.inv)
     dg = np.empty(grid.shape + (3, 3, 3))
     for a in range(3):
         for b in range(3):
-            dg[..., :, a, b] = partial_derivatives(metric.g[..., a, b], grid, width=5)
+            dg[..., :, a, b] = np.moveaxis(partial_derivatives(g[..., a, b], grid, width=5), 0, -1)
     gamma = 0.5 * (
-        np.einsum("...im,...amb->...iab", metric.inv, dg)
-        + np.einsum("...im,...bma->...iab", metric.inv, dg)
-        - np.einsum("...im,...mab->...iab", metric.inv, dg)
+        np.einsum("...im,...amb->...iab", inv, dg)
+        + np.einsum("...im,...bma->...iab", inv, dg)
+        - np.einsum("...im,...mab->...iab", inv, dg)
     )
-    inv_dphi = 1.0 / np.sqrt(metric.inv[..., 1, 1])
+    inv_dphi = 1.0 / np.sqrt(inv[..., 1, 1])
     tang = [0, 2]
     hess = -gamma[..., 1, :, :][..., tang, :][..., :, tang] * inv_dphi[..., None, None]
-    ghat_inv = np.linalg.inv(metric.g[..., tang, :][..., :, tang])
+    ghat_inv = np.linalg.inv(g[..., tang, :][..., :, tang])
     out = []
     for j, sign in ((0, 1.0), (grid.n_xi1 - 1, -1.0)):
         ii = sign * hess[:, j, :, :, :]
@@ -310,12 +326,25 @@ def test_laplace_beltrami_equals_nine_derivative_divergence(shape, seed, berger)
     grid = HopfGrid(*shape)
     metric = metric_field(grid, seed, berger)
     f = 1.0 + 0.3 * np.random.default_rng(seed + 1).random(shape)
-    df = partial_derivatives(f, grid)
-    flux = metric.sqrt_det[..., None] * np.einsum("...ij,...j->...i", metric.inv, df)
+    df = stacked_derivatives(f, grid)
+    flux = metric.sqrt_det[..., None] * np.einsum("...ij,...j->...i", cells_major(metric.inv), df)
     want = np.zeros(shape)
     for i in range(3):
-        want += partial_derivatives(flux[..., i], grid)[..., i]
+        want += partial_derivatives(flux[..., i], grid)[i]
     assert same_bits(laplace_beltrami(f, metric), want / metric.sqrt_det)
+
+
+@settings(max_examples=30, **SETTINGS)
+@given(SHAPE, SEED, st.booleans())
+def test_neumann_residual_equals_einsum_form(shape, seed, berger):
+    grid = HopfGrid(*shape)
+    metric = metric_field(grid, seed, berger)
+    u = 1.0 + 0.3 * np.random.default_rng(seed + 1).random(shape)
+    inv = cells_major(metric.inv)
+    normal = inv[..., :, 1] / np.sqrt(inv[..., 1, 1])[..., None]
+    flux = np.einsum("...i,...i->...", normal, stacked_derivatives(u, grid))
+    want = max(float(np.abs(flux[:, j, :]).max()) for j in (0, grid.n_xi1 - 1))
+    assert same_bits(np.float64(neumann_residual(u, metric)), np.float64(want))
 
 
 def mesh_trials(grid: HopfGrid, n_trials: int, seed: int):

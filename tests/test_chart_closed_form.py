@@ -34,6 +34,21 @@ SEED = st.integers(0, 2**32 - 1)
 BERGER = st.tuples(st.floats(1.0, 6.0), st.floats(0.0, 6.0)).map(lambda p: (p[0], p[0] + p[1]))
 
 
+def cells(a):
+    """A per-cell tensor field g[a, b] as the view g[..., a, b]."""
+    return np.moveaxis(a, (0, 1), (-2, -1))
+
+
+def components(a):
+    """A per-cell tensor field g[..., a, b] as the view g[a, b]."""
+    return np.moveaxis(a, (-2, -1), (0, 1))
+
+
+def cell_field(cell, shape=(4, 4, 4)):
+    """The field with the same 3x3 cell everywhere, component-major."""
+    return np.broadcast_to(np.asarray(cell, dtype=float)[:, :, None, None, None], (3, 3) + shape)
+
+
 def real4(a, b):
     return np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
 
@@ -66,8 +81,8 @@ def test_chart_metric_equals_einsum_construction(shape, st_):
     grid = HopfGrid(*shape)
     m = chart_metric(grid, BergerParams(*st_))
     g, resid = einsum_chart_metric(grid, *st_)
-    assert np.abs(m.g - g).max() <= 1e-13
-    assert np.array_equal(m.g, np.swapaxes(m.g, -1, -2))
+    assert np.abs(cells(m.g) - g).max() <= 1e-13
+    assert np.array_equal(m.g, np.swapaxes(m.g, 0, 1))
     assert m.chart_residual <= 1e-13 and resid <= 1e-13
 
 
@@ -100,10 +115,10 @@ def complex_frame_chart_metric(grid: HopfGrid, s: float, t: float):
         for a in range(3)
         for c in range(4)
     )
-    g = np.empty(grid.shape + (3, 3))
+    g = np.empty((3, 3) + grid.shape)
     for a in range(3):
         for b in range(a, 3):
-            g[..., a, b] = g[..., b, a] = (
+            g[a, b] = g[b, a] = (
                 em[a][0] * em[b][0] + s * em[a][1] * em[b][1] + t * em[a][2] * em[b][2]
             )
     return g, resid
@@ -132,19 +147,22 @@ def test_frame_map_with_one_wrong_sign_fails_the_chart_check(monkeypatch, entry)
 
 
 def spd_field(shape, seed):
+    """A random positive definite field, as a (non-contiguous)
+    component-major view."""
     a = np.random.default_rng(seed).standard_normal(shape + (3, 3))
-    return a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(3)
+    return components(a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(3))
 
 
 def assert_linalg_agrees(m: MetricField):
-    det, inv = np.linalg.det(m.g), np.linalg.inv(m.g)
+    # one layout: g[a, b] and inv[i, j] are contiguous component fields
+    for field in (m.g, m.inv):
+        assert field.shape == (3, 3) + m.grid.shape
+        assert field.flags.c_contiguous
+    det, inv = np.linalg.det(cells(m.g)), np.linalg.inv(cells(m.g))
     assert np.all(np.abs(m.det - det) <= 1e-12 * np.abs(det))
     scale = np.abs(inv).max(axis=(-2, -1))[..., None, None]
-    assert np.all(np.abs(m.inv - inv) <= 1e-12 * scale)
-    assert np.array_equal(m.inv, np.swapaxes(m.inv, -1, -2))
-    for i in range(3):
-        for j in range(3):
-            assert np.array_equal(m._inv_ij[i][j], m.inv[..., i, j])
+    assert np.all(np.abs(cells(m.inv) - inv) <= 1e-12 * scale)
+    assert np.array_equal(m.inv, np.swapaxes(m.inv, 0, 1))
 
 
 @settings(max_examples=30, **SETTINGS)
@@ -167,10 +185,10 @@ def test_accepted_exactly_when_every_cell_is_positive_definite(seed, shift):
     g = b + np.swapaxes(b, -1, -2) + shift * np.eye(3)
     lowest = np.linalg.eigvalsh(g).min()
     if lowest > 0.0:
-        assert MetricField(grid=HopfGrid(*shape), g=g).volume() > 0.0
+        assert MetricField(grid=HopfGrid(*shape), g=components(g)).volume() > 0.0
     else:
         with pytest.raises(InvalidMetricError):
-            MetricField(grid=HopfGrid(*shape), g=g)
+            MetricField(grid=HopfGrid(*shape), g=components(g))
 
 
 @pytest.mark.parametrize(
@@ -178,34 +196,34 @@ def test_accepted_exactly_when_every_cell_is_positive_definite(seed, shift):
 )
 def test_indefinite_field_with_positive_det_rejected(diag):
     # (-1, -1, 1) has det +1 in every cell
-    g = np.broadcast_to(np.diag(diag), (4, 4, 4, 3, 3))
+    g = cell_field(np.diag(diag))
     with pytest.raises(InvalidMetricError, match="positive definite"):
         MetricField(grid=HopfGrid.cube(4), g=g)
 
 
 def test_indefinite_cell_in_a_positive_field_rejected():
-    g = np.broadcast_to(np.eye(3), (4, 4, 4, 3, 3)).copy()
-    g[1, 2, 3] = np.diag([-1.0, -1.0, 1.0])
+    g = cell_field(np.eye(3)).copy()
+    g[:, :, 1, 2, 3] = np.diag([-1.0, -1.0, 1.0])
     with pytest.raises(InvalidMetricError, match="positive definite"):
         MetricField(grid=HopfGrid.cube(4), g=g)
 
 
 def test_symmetry_is_checked_per_cell_at_relative_tolerance():
-    g = np.broadcast_to(np.eye(3), (4, 4, 4, 3, 3)).copy()
-    g[0, 0, 0, 0, 1] = 2e-12
+    g = cell_field(np.eye(3)).copy()
+    g[0, 1, 0, 0, 0] = 2e-12
     with pytest.raises(InvalidMetricError, match="symmetric"):
         MetricField(grid=HopfGrid.cube(4), g=g)
     # relative: the same absolute defect on a cell of scale 1e4 is roundoff
-    g[0, 0, 0] = 1e4 * np.eye(3)
-    g[0, 0, 0, 0, 1] = 2e-12
+    g[:, :, 0, 0, 0] = 1e4 * np.eye(3)
+    g[0, 1, 0, 0, 0] = 2e-12
     m = MetricField(grid=HopfGrid.cube(4), g=g)
-    assert np.array_equal(m.g, np.swapaxes(m.g, -1, -2))
+    assert np.array_equal(m.g, np.swapaxes(m.g, 0, 1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_field_rejected(bad):
-    g = np.broadcast_to(np.eye(3), (4, 4, 4, 3, 3)).copy()
-    g[2, 1, 0, 1, 1] = bad
+    g = cell_field(np.eye(3)).copy()
+    g[1, 1, 2, 1, 0] = bad
     with pytest.raises(InvalidMetricError, match="non-finite"):
         MetricField(grid=HopfGrid.cube(4), g=g)
 
@@ -213,6 +231,6 @@ def test_non_finite_field_rejected(bad):
 @pytest.mark.parametrize("diag", [(1e110, 1e110, 1e110), (1e200, 1e200, 1e-300)])
 def test_field_whose_det_or_inverse_overflows_rejected(diag):
     # the cofactor products leave the float range: no inverse of zeros
-    g = np.broadcast_to(np.diag(diag), (4, 4, 4, 3, 3))
+    g = cell_field(np.diag(diag))
     with pytest.raises(InvalidMetricError, match="not finite"):
         MetricField(grid=HopfGrid.cube(4), g=g)

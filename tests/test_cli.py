@@ -302,6 +302,14 @@ class TestYamabe:
         assert len(caplog.records) == 4  # the constant and three restarts
         assert (tmp_path / "on.json").read_bytes() == (tmp_path / "off.json").read_bytes()
 
+    def test_overflowing_line_search_trials_are_quiet(self, tmp_path, capsys):
+        # long trial steps overflow the critical norm at t near 1e8 and are
+        # rejected; a numpy RuntimeWarning would raise here under the test
+        # configuration
+        code, data = run(tmp_path, "yamabe", "--geometry", "berger:1,1e8", "--resolution", "8")
+        assert code == 0 and capsys.readouterr().err == ""
+        assert math.isfinite(json.loads(data)["value"])
+
     def test_tiny_resolution_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "yamabe", "--resolution", "3")
         assert code == 2
@@ -448,6 +456,38 @@ def test_overflowing_parameters_exit_1_with_one_error_line(tmp_path, capsys, arg
     assert (code, data) == (1, b"")
     assert err.startswith("error: curvature data of the metric diag(")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dump-grid", "--geometry", "berger:1,1e10", "--resolution", "4"],
+        ["yamabe", "--geometry", "berger:1,1e9", "--resolution", "8"],
+        ["yamabe", "--geometry", "berger:1e200,1e200", "--resolution", "4"],
+    ],
+)
+def test_berger_chart_field_failing_in_floating_point_exits_1(tmp_path, capsys, argv):
+    # in-domain Berger weights whose chart field loses its determinant to
+    # cancellation or overflow: a runtime failure, not a bad request
+    code, data = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert (code, data) == (1, b"")
+    assert err.startswith("error: the chart field of the metric diag(1.0, ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["yamabe", "dump-grid"])
+def test_out_of_memory_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, command):
+    # no real allocation: with memory overcommit a huge one can succeed
+    # and the process is killed when its pages are touched
+    def chart_metric(grid, params):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(relyamabe.cli, "chart_metric", chart_metric)
+    code, data = run(tmp_path, command, "--resolution", "100000")
+    err = capsys.readouterr().err
+    assert (code, data) == (1, b"")
+    assert err == "error: out of memory: Unable to allocate 74.5 GiB for an array\n"
 
 
 class TestOutputPlumbing:

@@ -203,7 +203,7 @@ class TestConformalScalar:
         rbar = conformal_scalar(u, round32, 6.0)
         gbar = MetricField(
             round32.grid,
-            round32.g * (u**4)[..., None, None],
+            round32.g * u**4,
             None,
             round32.chart_residual,
         )

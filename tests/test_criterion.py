@@ -86,9 +86,7 @@ class TestVolumeRatio:
     def test_field_inputs_nonconstant_ratio_rejected(self, round32):
         eta, _, _ = round32.grid.meshes()
         u4 = (1.0 + 0.3 * np.cos(eta)) ** 4
-        warped = MetricField(
-            round32.grid, round32.g * u4[..., None, None], None, 0.0
-        )
+        warped = MetricField(round32.grid, round32.g * u4, None, 0.0)
         with pytest.raises(HypothesisViolationError):
             volume_ratio(round32, warped)
 

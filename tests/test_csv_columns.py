@@ -81,7 +81,7 @@ def grid_rows(geometry: BergerParams, n: int) -> list[dict]:
     metric = chart_metric(grid, geometry)
     e, x1, x2 = grid.meshes()
     comps = [e, x1, x2, metric.sqrt_det] + [
-        metric.g[..., i, j] for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+        metric.g[i, j] for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
     ]
     flat = [c.reshape(-1) for c in comps]
     return [{k: float(f[i]) for k, f in zip(GRID_COLUMNS, flat)} for i in range(grid.size)]

@@ -11,7 +11,9 @@ from relyamabe import (
     ChartDomainError,
     HopfGrid,
     InputFormatError,
+    InvalidMetricError,
     MetricField,
+    NumericalFailureError,
     boundary_second_form,
     chart_metric,
     embedding,
@@ -115,17 +117,17 @@ class TestHopfGrid:
     def test_partial_derivative_exactness_on_linear(self, grid16):
         eta, _, _ = grid16.meshes()
         d = partial_derivatives(eta, grid16)
-        assert np.abs(d[..., 0] - 1.0).max() <= 1e-12
-        assert np.abs(d[..., 1]).max() <= 1e-12
+        assert np.abs(d[0] - 1.0).max() <= 1e-12
+        assert np.abs(d[1]).max() <= 1e-12
 
 
 class TestChartMetric:
     def test_round_closed_form_per_cell(self, grid16, round16):
         eta, _, _ = grid16.meshes()
-        expected = np.zeros(grid16.shape + (3, 3))
-        expected[..., 0, 0] = 1.0
-        expected[..., 1, 1] = np.cos(eta) ** 2
-        expected[..., 2, 2] = np.sin(eta) ** 2
+        expected = np.zeros((3, 3) + grid16.shape)
+        expected[0, 0] = 1.0
+        expected[1, 1] = np.cos(eta) ** 2
+        expected[2, 2] = np.sin(eta) ** 2
         assert np.abs(round16.g - expected).max() <= 1e-10
 
     @pytest.mark.parametrize("st", [(1.0, 3.0), (2.0, 4.0)])
@@ -138,6 +140,16 @@ class TestChartMetric:
 
     def test_chart_residual_negligible(self, berger13_32):
         assert berger13_32.chart_residual <= 1e-10
+
+    def test_in_domain_weights_failing_in_floating_point(self):
+        # BergerParams accepts (1, 1e10); the cofactor determinant of its
+        # chart cells cancels to <= 0, a numerical failure, not bad input
+        with pytest.raises(NumericalFailureError, match=r"diag\(1\.0, 1\.0, 10000000000\.0\)"):
+            chart_metric(HopfGrid.cube(4), BergerParams(1.0, 1e10))
+
+    def test_old_cells_major_layout_rejected(self, round16):
+        with pytest.raises(InvalidMetricError, match="does not match grid"):
+            MetricField(grid=round16.grid, g=np.moveaxis(round16.g, (0, 1), (-2, -1)))
 
     def test_scaled_metric(self, round16):
         doubled = round16.scaled(2.0)
@@ -262,8 +274,9 @@ class TestBoundary:
         # the face unit normal n^b = ginv[., xi1, b] / sqrt(ginv[xi1, xi1])
         # is g-orthogonal to the in-face coordinate directions by
         # construction, and points into the domain on both faces
-        g = berger13_32.g
-        ginv = berger13_32.inv
+        # cells-major views: g[..., a, b]
+        g = np.moveaxis(berger13_32.g, (0, 1), (-2, -1))
+        ginv = np.moveaxis(berger13_32.inv, (0, 1), (-2, -1))
         for j, inward_sign in ((0, 1.0), (-1, -1.0)):
             gf = g[:, j, :, :, :]
             ginvf = ginv[:, j, :, :, :]

@@ -140,6 +140,17 @@ class TestDescentLoop:
         direct = work.quotient(cand, work.stiffness @ cand)
         assert work.quotient(cand, acand) == pytest.approx(direct, rel=1e-12)
 
+    def test_trial_whose_norm_overflows_is_rejected(self):
+        # dividing by the infinite norm would give the zero field, whose
+        # quotient 0 is below any positive Q: the line search would take it
+        work = berger_work(8)
+        f = np.ones(work.w.size)
+        af = work.stiffness @ f
+        g = work.gradient(f, af)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cand, acand = work.trial(f, af, g, work.stiffness @ g, 1e300)
+            assert np.isnan(work.quotient(cand, acand))
+
     def test_carried_product_drift(self, berger13_16):
         work = _QuotientWork(berger13_16, 2.0)
         f0 = _random_start(np.random.default_rng(0), berger13_16.grid.meshes())
