@@ -56,7 +56,7 @@ def ascii_map(n: int = 33) -> None:
 
 
 def curve_table() -> None:
-    print("analytic transition curves (bisected to 1e-8):")
+    print("analytic transition curves (closed form, within one ulp):")
     print(f"{'s':>6} {'criterion curve t*':>20} {'scalar-flat curve t0':>22}")
     for s in (1.0, 1.5, 2.25, 3.0, 4.0):
         print(f"{s:6.2f} {boundary_curve(s):20.8f} {scalar_sign_curve(s):22.8f}")

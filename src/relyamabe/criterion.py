@@ -15,26 +15,21 @@ statement's hypotheses; both short-circuit.
 
 For the Berger family diag(1, s, t), s <= t, the scalar curvature
 obeys R t = 8 - (2/s)(t - 1 - s)^2.  So R changes sign on the curve
-t = (1 + sqrt(s))^2, and against the round sphere the largest pencil
+t = s + 2 sqrt(s) + 1, and against the round sphere the largest pencil
 entry R t reaches R_g = 6, the verdict boundary, on the curve
-t*(s) = s + sqrt(s) + 1.  Both are recovered here by bisection, to a
-bracket width of 1e-8, on engine-computed quantities.
-
-The bisection is stacked: each round evaluates, in one call of the
-stacked engine, the heap-ordered tree of the midpoints that the next
-_BISECT_DEPTH steps could visit, each formed as 0.5 * (lo + hi) from
-its own bracket exactly as a one-point-per-step bisection forms it.
-The steps then walk the tree by the sign of each value, so the
-midpoints, the exact-zero return and the root are those of the
-sequential bisection, with one engine call per _BISECT_DEPTH steps
-instead of one per step.
+t*(s) = s + sqrt(s) + 1.  Both are returned in those closed forms, each
+proved within one ulp of the true root at every call by the identity's
+exact sign at the two neighbouring floats.  The scalar-flat curve is
+not evaluated as (1 + sqrt(s))^2: the square of a rounded sum misses
+the root by two or three ulps for some s, while s + 2 sqrt(s) + 1,
+whose 2 sqrt(s) is exact, passes the one-ulp check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from fractions import Fraction
 
 import numpy as np
 
@@ -104,15 +99,11 @@ _ROUND_SCALAR = 6.0
 _RATIO_REL_TOL = 1e-8
 #: how close to zero the path endpoint's scalar curvature must be
 _END_TOL = 1e-10
-#: bisection steps per stacked engine call (2**depth - 1 midpoints)
-_BISECT_DEPTH = 4
-#: doublings of a root bracket whose ends show no sign change
-_BRACKET_GROWTHS = 8
-#: largest s whose roots the grown brackets reach
+#: largest s the Berger roots accept: the exact check needs the float
+#: below each root to lie past the parabola's vertex s + 1, which fails
+#: once sqrt(s) nears the float spacing at s (from about s = 1e32), and
+#: the closed forms were sampled to one ulp up to 1e6
 _ROOT_S_MAX = 1e6
-#: bracket width at which the root bisection stops, far above the
-#: float spacing at every t a grown bracket reaches
-_ROOT_TOL = 1e-8
 
 #: the fields, in column order, of a `berger_sweep` row and of a
 #: `PathReport` sample
@@ -347,116 +338,45 @@ def berger_classify(p: BergerParams) -> BergerClassification:
     )
 
 
-def _midpoint_tree(lo: float, hi: float) -> list[float]:
-    """The midpoints the next _BISECT_DEPTH bisection steps from [lo, hi]
-    can visit, in heap order: node k halves its bracket, node 2k + 1
-    halves the lower half and node 2k + 2 the upper half."""
-    brackets = [(lo, hi)]
-    mids = []
-    for k in range(2**_BISECT_DEPTH - 1):
-        a, b = brackets[k]
-        mid = 0.5 * (a + b)
-        mids.append(mid)
-        brackets += [(a, mid), (mid, b)]
-    return mids
-
-
-def _bisect(fun: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, what: str) -> float:
-    """Root of `fun` on [lo, hi] by bisection to width _ROOT_TOL.  `fun`
-    maps an array of points to their values in one stacked call.
-
-    When the values at the two ends have the same sign, the upper end
-    moves to lo + 2 (hi - lo), at most _BRACKET_GROWTHS times, until
-    they differ.  The steps then take their midpoints from
-    `_midpoint_tree`, one call of `fun` per tree (see the module
-    docstring).
-    """
-    f_lo, f_hi = fun(np.array([lo, hi])).tolist()
-    for _ in range(_BRACKET_GROWTHS):
-        if f_lo == 0.0 or np.sign(f_lo) != np.sign(f_hi):
-            break
-        hi = lo + 2.0 * (hi - lo)
-        (f_hi,) = fun(np.array([hi])).tolist()
-    if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
-        raise HypothesisViolationError(f"{what}: non-finite values at the bracket ends")
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if np.sign(f_lo) == np.sign(f_hi):
-        raise HypothesisViolationError(
-            f"{what}: no sign change on [{lo:.6g}, {hi:.6g}] "
-            f"(f = {f_lo:.3e} and {f_hi:.3e})"
-        )
-    sign_lo = np.sign(f_lo)
-    mids, values, node = [], [], 0
-    while hi - lo > _ROOT_TOL:
-        if node >= len(mids):
-            mids, node = _midpoint_tree(lo, hi), 0
-            values = fun(np.array(mids)).tolist()
-        mid, f_mid = mids[node], values[node]
-        if f_mid == 0.0:
-            return mid
-        if np.sign(f_mid) == sign_lo:
-            lo, node = mid, 2 * node + 2
-        else:
-            hi, node = mid, 2 * node + 1
-    return 0.5 * (lo + hi)
-
-
-def _berger_root(
-    what: str, s: float, value: Callable, lo: float, hi: float, closed: Callable
-) -> float:
-    """The t at which value(H, R) of the metrics H = diag(1, s, t) and
-    their scalar curvatures R changes sign, bisected from [s + lo,
-    s + hi] by `_bisect` and checked against the closed-form root
-    closed(s) to 1e-6: the bisection is the computation, the closed
-    form only guards it.  `what` names the root function in errors."""
+def _berger_root(what: str, s: float, c: float) -> float:
+    """The root t = s + c sqrt(s) + 1 of (t - 1 - s)^2 = c^2 s above the
+    parabola's vertex s + 1, for 1 <= s <= _ROOT_S_MAX, evaluated in
+    floating point in that form (the product c sqrt(s) is exact for
+    c = 1 and 2).  By the identity in the module docstring the parabola
+    is (s/2)(6 - R t) for c = 1 and -(s/2) R t for c = 2.  Its exact
+    sign, in rational arithmetic, must be negative at the float below t
+    and positive at the float above it, which proves t within one ulp
+    of the true root; otherwise NumericalFailureError.  `what` names
+    the root function in errors."""
     s = float(s)
     if not 1.0 <= s <= _ROOT_S_MAX:
         raise InvalidMetricError(f"{what} supports 1 <= s <= {_ROOT_S_MAX:g}, got s={s}")
-    c = su2_structure_constants().c
-
-    def fun(t: np.ndarray) -> np.ndarray:
-        H = _berger_metrics(np.full(len(t), s), t)
-        return value(H, _ricci(c, H)[2])
-
-    root = _bisect(fun, s + lo, s + hi, what)
-    expected = closed(s)
-    if abs(root - expected) > 1e-6:
+    t = s + c * math.sqrt(s) + 1.0
+    vertex, width = Fraction(s) + 1, Fraction(c) ** 2 * Fraction(s)
+    below, above = (
+        (Fraction(math.nextafter(t, side)) - vertex) ** 2 - width for side in (-math.inf, math.inf)
+    )
+    if not below < 0 < above:
         raise NumericalFailureError(
-            f"{what} at s={s:g} found t={root:.9f}, "
-            f"inconsistent with the closed-form root {expected:.9f}"
+            f"{what} at s={s!r}: the closed form t={t!r} is not within one ulp of the root"
         )
-    return root
+    return t
 
 
 def boundary_curve(s: float) -> float:
     """The t at which diag(1, s, t) crosses from failing to passing the
-    comparison against the round sphere, located by bisection on the
-    minimal pencil eigenvalue to a bracket width of 1e-8 (fixed: there
-    is no tolerance argument).  The bracket is (s, s + 4], which holds
-    the root for s < 9; for larger s its upper end doubles its distance
-    from the lower one until the eigenvalue changes sign.  That reaches
-    the root for s up to 1e6; larger s raise InvalidMetricError."""
-
-    def min_eig(H: np.ndarray, scalar: np.ndarray) -> np.ndarray:
-        G = np.broadcast_to(np.eye(3), H.shape)
-        return _pencil(G, np.full(len(H), _ROUND_SCALAR), H, scalar)[:, 0]
-
-    return _berger_root("boundary_curve", s, min_eig, 1e-3, 4.0, lambda s: s + math.sqrt(s) + 1.0)
+    comparison against the round sphere: t*(s) = s + sqrt(s) + 1, within
+    one ulp (proved at each call; there is no tolerance argument), for
+    1 <= s <= 1e6; other s raise InvalidMetricError."""
+    return _berger_root("boundary_curve", s, 1.0)
 
 
 def scalar_sign_curve(s: float) -> float:
     """The t at which the scalar curvature of diag(1, s, t) changes
-    sign, located by bisection to a bracket width of 1e-8 (fixed: there
-    is no tolerance argument).  The bracket is [s, s + 8], which holds
-    the root for s < 12.25; for larger s its upper end doubles its
-    distance from the lower one until the curvature changes sign.  That
-    reaches the root for s up to 1e6; larger s raise InvalidMetricError."""
-    return _berger_root(
-        "scalar_sign_curve", s, lambda H, R: R, 0.0, 8.0, lambda s: (1.0 + math.sqrt(s)) ** 2
-    )
+    sign: t0(s) = s + 2 sqrt(s) + 1, within one ulp (proved at each call;
+    there is no tolerance argument), for 1 <= s <= 1e6; other s raise
+    InvalidMetricError."""
+    return _berger_root("scalar_sign_curve", s, 2.0)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ classification, boundary curves, deformation paths, and sweeps."""
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relyamabe import (
     BergerParams,
@@ -23,6 +26,7 @@ from relyamabe import (
     theorem1_check,
     volume_ratio,
 )
+from relyamabe import criterion
 
 EYE = FrameMetric.round()
 
@@ -217,21 +221,85 @@ class TestBoundaryCurves:
     def test_scalar_sign_curve_matches_closed_root(self, s):
         assert abs(scalar_sign_curve(s) - (1.0 + math.sqrt(s)) ** 2) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "s, t_star, t_flat",
+        [(1.0, 3.0, 4.0), (2.25, 4.75, 6.25), (4.0, 7.0, 9.0), (9.0, 13.0, 16.0)],
+    )
+    def test_exact_inputs_give_exact_roots(self, s, t_star, t_flat):
+        assert boundary_curve(s) == t_star
+        assert scalar_sign_curve(s) == t_flat
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(1.0, 1e6))
+    def test_exact_sign_flips_between_the_neighbours_of_each_root(self, s):
+        # (t - 1 - s)^2 - s is (s/2)(6 - R t) and 4s - (t - 1 - s)^2 is
+        # (s/2) R t: each changes sign on its curve, exactly
+        def boundary(t):
+            return (Fraction(t) - 1 - Fraction(s)) ** 2 - Fraction(s)
+
+        def flat(t):
+            return 4 * Fraction(s) - (Fraction(t) - 1 - Fraction(s)) ** 2
+
+        for root, closed, sign in (
+            (boundary_curve, s + math.sqrt(s) + 1.0, boundary),
+            (scalar_sign_curve, s + 2.0 * math.sqrt(s) + 1.0, flat),
+        ):
+            t = root(s)
+            assert t == closed
+            below, above = (sign(math.nextafter(t, side)) for side in (-math.inf, math.inf))
+            assert below * above < 0
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.floats(1.0, 1e3))
+    def test_boundary_curve_splits_the_engine_verdicts(self, s):
+        t = boundary_curve(s)
+        below = berger_classify(BergerParams(s, t * (1.0 - 1e-6)))
+        above = berger_classify(BergerParams(s, t * (1.0 + 1e-6)))
+        assert (below.verdict, above.verdict) == ("PositiveScalarUnresolved", "Theorem1Strict")
+        assert below.report.verdict == "Fails"
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.floats(1.0, 1e3))
+    def test_scalar_sign_curve_splits_the_engine_sign(self, s):
+        t = scalar_sign_curve(s)
+        assert berger_classify(BergerParams(s, t * (1.0 - 1e-6))).scalar > 0.0
+        assert berger_classify(BergerParams(s, t * (1.0 + 1e-6))).scalar < 0.0
+
+    @pytest.mark.parametrize("s", [9.0, 10.0, 12.25, 13.0, 25.0, 1e6])
+    def test_closed_forms_at_large_s(self, s):
+        assert boundary_curve(s) == s + math.sqrt(s) + 1.0
+        assert scalar_sign_curve(s) == s + 2.0 * math.sqrt(s) + 1.0
+        assert abs(scalar_sign_curve(s) - (1.0 + math.sqrt(s)) ** 2) <= 3 * math.ulp(s)
+
+    @pytest.mark.parametrize("root", [boundary_curve, scalar_sign_curve], ids=["boundary", "sign"])
+    @pytest.mark.parametrize("s", [1.0, 2.25, 5.5, 8.75])
+    def test_roots_make_no_engine_call(self, monkeypatch, root, s):
+        calls = []
+        engine = criterion._ricci
+        monkeypatch.setattr(criterion, "_ricci", lambda *a: calls.append(a) or engine(*a))
+        root(s)
+        assert calls == []
+
     def test_domain_validation(self):
         with pytest.raises(InvalidMetricError):
             boundary_curve(0.5)
         with pytest.raises(InvalidMetricError):
             scalar_sign_curve(0.5)
-        # the roots are bisected to a fixed width: there is no tolerance
+        # the roots are closed forms: there is no tolerance
         for root in (boundary_curve, scalar_sign_curve):
             with pytest.raises(TypeError, match="tol"):
                 root(2.0, tol=1e-8)
 
     @pytest.mark.parametrize("root", [boundary_curve, scalar_sign_curve])
+    def test_nan_s_rejected(self, root):
+        with pytest.raises(InvalidMetricError, match=r"supports 1 <= s <= 1e\+06, got s=nan"):
+            root(float("nan"))
+
+    @pytest.mark.parametrize("root", [boundary_curve, scalar_sign_curve])
     @pytest.mark.parametrize("s", [1e7, 1e17, 1e200])
     def test_s_beyond_the_bracket_growth_rejected(self, root, s):
-        # s + 4.0 rounds to s above about 1e16; below that the grown
-        # brackets still fall short of the roots past s = 1e6
+        # the closed forms were sampled to one ulp up to s = 1e6; from
+        # about s = 1e32 the exact check of a root fails outright
         with pytest.raises(InvalidMetricError, match=r"supports 1 <= s <= 1e\+06"):
             root(s)
 
