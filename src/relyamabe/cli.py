@@ -12,8 +12,7 @@ that does not fit in memory) or the payload cannot be written out (a
 full disk), 2 when the request itself is invalid (bad flags, malformed
 files, metrics failing structural invariants, an --out path that cannot
 be opened).  Payloads are byte-identical across reruns of the same
-request: nothing is random but the estimator's fixed multistart, whose
-starts come from seed 0.
+request: no subcommand draws anything at random.
 """
 
 from __future__ import annotations

@@ -20,24 +20,16 @@ background) on one thread of a 2-core x86 VM, the product takes about
 0.55 ms, the gradient 0.09 ms and each trial 0.29 ms, 0.085 ms of it
 the critical-norm sum; an iteration averages about 1.4 trials.
 
-The landscape is benign — on round and Berger backgrounds the known
-minimizers are low-frequency — so a fixed multistart suffices: the
-constant, then `_RESTARTS` = 3 low-frequency perturbations drawn from
-seed 0, each run for at most `_MAX_ITERS` iterations.  The procedure
-has no options and is reproducible bit for bit.  The constant start
-converges in 5 steps and the seeded ones stop on `max_iters`; they stay
-for coarse grids, where the constant can be a saddle of the discrete
-quotient.  Of 12 metrics, round and the Berger (1, 1.5), (1, 2), (1, 3),
-(1, 3.5), (1.5, 1.5), (2, 2), (1.5, 3.9), (2, 4), (1.7, 4.6), (3, 3)
-and (1, 5), a seeded start ends below the constant one on
-
-    n         4   5   6   7   8   9  10  12  16
-    metrics  11   9   5   3   1   0   0   0   0
-
-(29 of 60 cases at n <= 8, none of 48 at n >= 9), and on none of 15
-Berger metrics of Theorem 1's region at n = 16, 24 and 32.  The last
-seeded win is round at n = 8: 27.7056 against the constant's 27.7256.
-Each start is logged on the `relyamabe` logger at DEBUG.
+The descent runs once, from the constant, for at most `_MAX_ITERS`
+iterations, and converges there in 5 steps on round and Berger
+backgrounds; the procedure has no options and is reproducible bit for
+bit.  On coarse grids the constant can be a saddle of the discrete
+quotient, and its descent then stops above the discrete minimum: on
+round at n = 8 it ends at 27.7256, while a perturbed start reaches
+27.7056 only after 400 iterations without converging.  Of 12 round and
+Berger metrics, a perturbed start ended lower only at n <= 8.  An
+estimate that does not depend on its start is ROADMAP item 1b.  The
+descent is logged on the `relyamabe` logger at DEBUG.
 """
 
 from __future__ import annotations
@@ -72,14 +64,12 @@ __all__ = [
     "yamabe_property_probe",
 ]
 
-#: iterations of one start at most
+#: descent iterations at most
 _MAX_ITERS = 400
 #: initial line-search step
 _STEP = 0.02
 #: relative decrease below which an accepted step counts as small
 _TOL = 1e-9
-#: seeded starts tried after the constant one, all drawn from seed 0
-_RESTARTS = 3
 #: accepted steps with relative decrease below _TOL required to declare convergence
 _CONSECUTIVE = 5
 #: maximum step halvings per line search
@@ -94,8 +84,8 @@ _log = logging.getLogger("relyamabe")
 class QuotientEstimate:
     """Result of the minimization.  value equals the Rayleigh quotient
     of `minimizer` (recomputed through the same code path every caller
-    uses); trace is the non-increasing objective history of the best
-    start."""
+    uses); trace is the non-increasing objective history of the
+    descent."""
 
     value: float
     minimizer: np.ndarray = field(repr=False)
@@ -218,51 +208,25 @@ def _minimize_one(work: _QuotientWork, f0: np.ndarray):
     return f, q, trace, False, "max_iters"
 
 
-def _random_start(rng: np.random.Generator, meshes) -> np.ndarray:
-    """A positive low-frequency perturbation of the constant."""
-    e, x1, x2 = meshes
-    amp = rng.uniform(0.05, 0.3, size=4)
-    ph = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    return (
-        1.0
-        + amp[0] * np.cos(x1)
-        + amp[1] * np.cos(2.0 * e)
-        + amp[2] * np.sin(x1) * np.cos(x2 + ph[0])
-        + amp[3] * np.cos(2.0 * x2 + ph[1]) * np.sin(e)
-    ).reshape(-1)
-
-
 def estimate(metric: MetricField, scalar) -> QuotientEstimate:
     """Estimate inf Q over the conformal class of `metric` (scalar
     curvature `scalar`, constant or per-cell).  A non-finite or
     mis-shaped `scalar` raises InputFormatError before any work.
 
-    Starts: the constant, then `_RESTARTS` low-frequency fields drawn
-    from seed 0.  The reported value is the Rayleigh quotient of the
-    best minimizer, recomputed through the public quotient so the two
-    are identical by construction.
+    The descent starts from the constant.  The reported value is the
+    Rayleigh quotient of its minimizer, recomputed through the public
+    quotient so the two are identical by construction.
     """
     work = _QuotientWork(metric, scalar)
-    rng = np.random.default_rng(0)
-    meshes = metric.grid.meshes()
-    starts = [np.ones(metric.grid.size)]
-    for _ in range(_RESTARTS):
-        starts.append(_random_start(rng, meshes))
-
-    best = None
-    for k, f0 in enumerate(starts):
-        f, q, trace, conv, reason = _minimize_one(work, f0)
-        _log.debug(
-            "start %s: %d iterations, stopped on %s, Q = %.17g, converged = %s",
-            "constant" if k == 0 else f"seeded {k}", len(trace) - 1, reason, q, conv,
+    f, q, trace, conv, reason = _minimize_one(work, np.ones(metric.grid.size))
+    _log.debug(
+        "descent from the constant: %d iterations, stopped on %s, Q = %.17g, converged = %s",
+        len(trace) - 1, reason, q, conv,
+    )
+    if not np.isfinite(q):
+        raise NumericalFailureError(
+            f"minimization produced a non-finite quotient ({q})", trace=trace
         )
-        if not np.isfinite(q):
-            raise NumericalFailureError(
-                f"minimization produced a non-finite quotient ({q})", trace=trace
-            )
-        if best is None or q < best[1]:
-            best = (f, q, trace, conv)
-    f, _, trace, conv = best
     minimizer = f.reshape(metric.grid.shape)
     value = rayleigh_quotient(QuotientInput(f=minimizer, metric=metric, scalar_curvature=scalar))
     if not np.isfinite(value):

@@ -25,6 +25,23 @@ def berger_energy(s: float, t: float) -> float:
     return berger_scalar_closed(p) * (np.pi**2 * np.sqrt(s * t)) ** (2.0 / 3.0)
 
 
+def perturbed_start(grid: HopfGrid, k: int = 1) -> np.ndarray:
+    """The k-th of a stream of positive low-frequency perturbations of the
+    constant drawn from seed 0, flattened: a non-constant descent start."""
+    e, x1, x2 = grid.meshes()
+    rng = np.random.default_rng(0)
+    for _ in range(k):
+        amp = rng.uniform(0.05, 0.3, size=4)
+        ph = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    return (
+        1.0
+        + amp[0] * np.cos(x1)
+        + amp[1] * np.cos(2.0 * e)
+        + amp[2] * np.sin(x1) * np.cos(x2 + ph[0])
+        + amp[3] * np.cos(2.0 * x2 + ph[1]) * np.sin(e)
+    ).reshape(-1)
+
+
 @pytest.fixture(scope="session")
 def frame():
     return su2_structure_constants()
