@@ -163,6 +163,18 @@ def _axis_stencil(n: int, h: float, periodic: bool, width: int) -> tuple[np.ndar
 
 
 @functools.lru_cache(maxsize=16)
+def _axis_matrix(n: int, h: float, periodic: bool, width: int) -> np.ndarray:
+    """`_axis_stencil`'s tables as a dense read-only (n, n) matrix:
+    m[i, idx[j, i]] = wts[j, i], so m @ f is the stencil derivative of f
+    along the axis and m.T applies its transpose."""
+    wts, idx = _axis_stencil(n, h, periodic, width)
+    m = np.zeros((n, n))
+    m[np.broadcast_to(np.arange(n), idx.shape), idx] = wts
+    m.setflags(write=False)
+    return m
+
+
+@functools.lru_cache(maxsize=16)
 def _axis_neighbours(
     n: int, h: float, periodic: bool, width: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,8 @@
 """Descent estimate of the conformal quotient infimum.
 
 The Rayleigh-type quotient Q(u) = N(u) / ||u||_6^2 from the conformal
-energy module, with N(u) = a u^T A u + sum(w R u^2) and A the sparse
-stiffness matrix, is minimized over grid fields by normalized descent
+energy module, with N(u) = a u^T A u + sum(w R u^2) and A the stiffness
+operator, is minimized over grid fields by normalized descent
 with a backtracking line search.  The search direction g is the
 quadrature-weighted L^2 gradient of the numerator N alone; it is
 neither the gradient of Q nor its projection onto the constraint
@@ -15,10 +15,14 @@ Each iteration makes one stiffness product, A g.  Along a trial
 x = f - s g the product A x is A f - s A g, so every backtracking trial
 forms its candidate's product by linearity, and the accepted
 candidate's product is carried forward as the next iteration's A f.
-At n = 32 (32,768 cells; 661,880 stored entries of A on a Berger
-background) on one thread of a 2-core x86 VM, the product takes about
-0.55 ms, the gradient 0.09 ms and each trial 0.29 ms, 0.085 ms of it
-the critical-norm sum; an iteration averages about 1.4 trials.
+A is never assembled: a product takes the three difference-form
+derivatives of its field, weights them with the six per-cell fields
+w g^{ij} formed once per estimate, and applies each transposed
+derivative as a dense n x n axis matrix.  At n = 32 (32,768 cells) on
+one thread of a 2-core x86 VM, the product takes about 1.1 ms, the
+gradient 0.08 ms and each trial 0.2 ms, 0.07 ms of it the
+critical-norm sum; an iteration averages about 1.4 trials, and a whole
+estimate on Berger (1, 3.5) about 16 ms.
 
 The descent runs once, from the constant, for at most `_MAX_ITERS`
 iterations, and converges there in 5 steps on round and Berger
@@ -36,7 +40,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,10 +55,7 @@ from .conformal_energy import (
     rayleigh_quotient,
 )
 from .errors import NumericalFailureError, _whole
-from .su2_chart import HopfGrid, MetricField, _derivatives
-
-if TYPE_CHECKING:
-    import scipy.sparse as sps
+from .su2_chart import HopfGrid, MetricField, _axis_matrix, _derivatives
 
 __all__ = [
     "QuotientEstimate",
@@ -104,26 +104,49 @@ class QuotientEstimate:
         }
 
 
-def _stiffness(metric: MetricField) -> sps.csr_matrix:
-    """Sparse form of the Dirichlet energy: f^T A f = integral |df|^2 dV
-    under the grid quadrature."""
-    import scipy.sparse as sps
+@dataclass(frozen=True)
+class _Stiffness:
+    """The Dirichlet energy operator A, f^T A f = integral |df|^2 dV
+    under the grid quadrature, applied without assembly:
+    A f = sum_i D_i^T (sum_j coef[i][j] D_j f).  D_j is the
+    difference-form derivative of `grad_sq`, so A 1 == 0 bit for bit;
+    D_i^T applies the transposed dense matrix `axes[i]` of the same
+    stencil along axis i."""
 
-    ops = metric.grid.diff_ops()
-    wf = metric.weight.reshape(-1)
-    acc = None
-    for i in range(3):
-        for j in range(3):
-            block = ops[i].T @ sps.diags(wf * metric.inv[i, j].reshape(-1)) @ ops[j]
-            acc = block if acc is None else acc + block
-    return acc.tocsr()
+    grid: HopfGrid
+    coef: tuple = field(repr=False)
+    axes: tuple = field(repr=False)
+
+    def __matmul__(self, f: np.ndarray) -> np.ndarray:
+        shape = self.grid.shape
+        d = _derivatives(f.reshape(shape), self.grid)
+        flux = [c[0] * d[0] + c[1] * d[1] + c[2] * d[2] for c in self.coef]
+        m0, m1, m2 = self.axes
+        out = (m0.T @ flux[0].reshape(shape[0], -1)).reshape(shape)
+        out += np.matmul(m1.T, flux[1])
+        out += flux[2] @ m2
+        return out.reshape(-1)
+
+
+def _stiffness(metric: MetricField) -> _Stiffness:
+    """The stiffness operator of `metric`, with its six distinct
+    per-cell coefficients w g^{ij} (g is symmetric) formed once."""
+    grid = metric.grid
+    c = {(i, j): metric.weight * metric.inv[i, j] for i in range(3) for j in range(i, 3)}
+    coef = tuple(tuple(c[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
+    axes = tuple(
+        _axis_matrix(n, h, periodic, 3)
+        for n, h, periodic in zip(grid.shape, grid.spacings, (False, False, True))
+    )
+    return _Stiffness(grid, coef, axes)
 
 
 class _QuotientWork:
     """Flattened-array quotient, search direction and trial steps used
     inside the descent loop; R is parsed as the public quotient parses
-    it.  The methods take stiffness products from the caller and form
-    none; the loop decides which ones it makes."""
+    it.  `stiffness` is the matrix-free operator A, applied as
+    `stiffness @ f`.  The methods take stiffness products from the
+    caller and form none; the loop decides which ones it makes."""
 
     def __init__(self, metric: MetricField, scalar):
         self.a = CONFORMAL_COEFF

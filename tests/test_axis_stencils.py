@@ -7,19 +7,22 @@ three-operand `einsum` for |df|^2 and the nine-derivative divergence.
 The `einsum` references take contiguous cells-major operands, the
 layout the library used when they were written: on a strided view
 `einsum` may sum its terms in another order.
-The axis tables and the diff_ops matrices share one source, so both are
-first checked against a copy of the COO matrix construction they
-replaced, written with the same rules: centered windows exactly
-antisymmetric, and no stored zeros in the grid operators.  Both sides
-run in one process, so the checks hold with any libm.
+The axis tables, the dense axis matrices and the diff_ops matrices share
+one source, so all three are first checked against a copy of the COO
+matrix construction they replaced, written with the same rules:
+centered windows exactly antisymmetric, and no stored zeros in the grid
+operators.  Both sides run in one process, so the checks hold with any
+libm.
 
-Two checks are not bitwise.  The probe evaluates its trials as a
+Three checks are not bitwise.  The probe evaluates its trials as a
 quadratic form on their 7-field span, which sums in another order than
 the per-trial quotient of trials built on full meshes, so the two agree
-to 1e-12 relative.  The face second form from all Christoffel symbols of
-the grid must converge, on the cells next to the faces, to the exact
-form on the same cell layers.  Example counts are bounded and the
-search is derandomized."""
+to 1e-12 relative.  The matrix-free stiffness product sums in another
+order than the assembled nine-block matrix, so the two agree to 1e-12
+of |A| |f|; the product is still exactly zero on constants.  The face
+second form from all Christoffel symbols of the grid must converge, on
+the cells next to the faces, to the exact form on the same cell layers.
+Example counts are bounded and the search is derandomized."""
 
 import numpy as np
 import pytest
@@ -41,7 +44,7 @@ from relyamabe import (
     yamabe_property_probe,
 )
 from relyamabe.conformal_energy import CONFORMAL_COEFF
-from relyamabe.su2_chart import _axis_derivative, _axis_stencil, _level_second_form
+from relyamabe.su2_chart import _axis_derivative, _axis_matrix, _axis_stencil, _level_second_form
 from relyamabe.yamabe_estimator import _probe_coefficients, _probe_span, _span_form, _stiffness
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
@@ -116,6 +119,16 @@ def test_axis_tables_equal_coo_matrix_rows(periodic, width):
             assert not wts.flags.writeable and not idx.flags.writeable
 
 
+@pytest.mark.parametrize("width", [3, 5])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_axis_matrix_equals_dense_coo_matrix(periodic, width):
+    for n in range(4, 41):
+        for h in ((np.pi / 2) / n, np.pi / n, (2 * np.pi) / n):
+            m = _axis_matrix(n, h, periodic, width)
+            assert same_bits(m, coo_d1_matrix(n, h, periodic, width).toarray())
+            assert not m.flags.writeable
+
+
 @settings(max_examples=30, **SETTINGS)
 @given(st.tuples(*(st.integers(4, 24),) * 3), WIDTH)
 def test_diff_ops_equal_kron_of_coo_matrices(shape, width):
@@ -155,9 +168,10 @@ def test_diff_ops_store_no_zero(shape, width):
 
 @settings(max_examples=20, **SETTINGS)
 @given(SHAPE, SEED, st.booleans())
-def test_stiffness_equals_nine_blocks_of_undropped_operators(shape, seed, berger):
-    # the dropped zeros contribute nothing: the stiffness matrix keeps
-    # every bit of the assembly from operators that still store them
+def test_matrix_free_stiffness_equals_nine_blocks_of_undropped_operators(shape, seed, berger):
+    # the product applies sum_ij D_i^T diag(w g^ij) D_j without assembling
+    # it; against the matrix built from operators that still store their
+    # zeros it agrees to roundoff, kills constants exactly and is symmetric
     metric = metric_field(HopfGrid(*shape), seed, berger)
     ops = kron_operators(shape, 3, drop_zeros=False)
     wf = metric.weight.reshape(-1)
@@ -166,11 +180,14 @@ def test_stiffness_equals_nine_blocks_of_undropped_operators(shape, seed, berger
         for j in range(3):
             block = ops[i].T @ sps.diags(wf * metric.inv[i, j].reshape(-1)) @ ops[j]
             want = block if want is None else want + block
-    want = want.tocsr()
-    got = _stiffness(metric)
-    assert got.shape == want.shape
-    for name in ("data", "indices", "indptr"):
-        assert same_bits(getattr(got, name), getattr(want, name))
+    stiffness = _stiffness(metric)
+    rng = np.random.default_rng(seed + 1)
+    f, g = rng.standard_normal((2, metric.grid.size))
+    af, ag = stiffness @ f, stiffness @ g
+    scale = abs(want) @ np.abs(f)
+    assert np.abs(af - want @ f).max() <= 1e-12 * scale.max()
+    assert np.all(stiffness @ np.ones(metric.grid.size) == 0.0)
+    assert abs(g @ af - f @ ag) <= 1e-12 * (np.abs(g) @ scale)
 
 
 def gathered_derivatives(f: np.ndarray, grid: HopfGrid, width: int) -> np.ndarray:

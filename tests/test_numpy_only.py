@@ -1,10 +1,11 @@
-"""Everything but the sparse stiffness path runs on numpy alone.
+"""Everything but `HopfGrid.diff_ops` runs on numpy alone.
 
 scipy.sparse is imported only where a sparse operator is built
-(`HopfGrid.diff_ops`, `estimate`).  Each check starts a fresh
-interpreter, because the test process has imported scipy long before;
-one of them refuses every scipy import and must still produce the bytes
-this process produces with scipy loaded."""
+(`HopfGrid.diff_ops`); the estimator applies its stiffness operator
+without assembling one.  Each check starts a fresh interpreter, because
+the test process has imported scipy long before; one of them refuses
+every scipy import and must still produce the bytes this process
+produces with scipy loaded."""
 
 import hashlib
 import json
@@ -43,6 +44,7 @@ CLI_RUNS = {
                       "--format", "csv"],
     "dump-grid-json": ["dump-grid", "--geometry", "berger:2,4", "--resolution", "8",
                        "--format", "json"],
+    "yamabe": ["yamabe", "--geometry", "berger:1,3.5", "--resolution", "8"],
 }
 
 NO_SCIPY = """
@@ -112,15 +114,17 @@ def test_outputs_without_scipy_equal_outputs_with_scipy():
     assert refused == loaded
 
 
-def test_import_loads_no_scipy_and_estimate_loads_it():
+def test_import_and_estimate_load_no_scipy():
     code = """
 import sys
+def loaded():
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 import relyamabe, relyamabe.cli
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+loaded()
 from relyamabe import BergerParams, HopfGrid, chart_metric, estimate
 estimate(chart_metric(HopfGrid.cube(8), BergerParams(1.0, 1.0)), 6.0)
-print("scipy.sparse" in sys.modules)
+loaded()
 """
     after_import, after_estimate = fresh_python(code).splitlines()
     assert after_import == "[]"
-    assert after_estimate == "True"
+    assert after_estimate == "[]"

@@ -103,7 +103,8 @@ class TestEstimate:
 
 
 class CountingMatrix:
-    """Stands in for the stiffness matrix and counts its products."""
+    """Wraps the matrix-free stiffness operator (anything with `@`) and
+    counts its products."""
 
     def __init__(self, matrix):
         self.matrix, self.products = matrix, 0
