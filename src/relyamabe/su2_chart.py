@@ -116,7 +116,8 @@ class HopfGrid:
 
     def diff_ops(self, width: int = 3) -> tuple[sps.csr_matrix, ...]:
         """Sparse d/d_eta, d/d_xi1, d/d_xi2 acting on flattened fields,
-        shared by every grid of the same shape."""
+        on windows of `width` points (every other derivative here uses
+        3), shared by every grid of the same shape."""
         return _stencils(self.shape, width)
 
 
@@ -163,11 +164,11 @@ def _axis_stencil(n: int, h: float, periodic: bool, width: int) -> tuple[np.ndar
 
 
 @functools.lru_cache(maxsize=16)
-def _axis_matrix(n: int, h: float, periodic: bool, width: int) -> np.ndarray:
-    """`_axis_stencil`'s tables as a dense read-only (n, n) matrix:
-    m[i, idx[j, i]] = wts[j, i], so m @ f is the stencil derivative of f
-    along the axis and m.T applies its transpose."""
-    wts, idx = _axis_stencil(n, h, periodic, width)
+def _axis_matrix(n: int, h: float, periodic: bool) -> np.ndarray:
+    """The width-3 tables of `_axis_stencil` as a dense read-only (n, n)
+    matrix: m[i, idx[j, i]] = wts[j, i], so m @ f is the stencil
+    derivative of f along the axis and m.T applies its transpose."""
+    wts, idx = _axis_stencil(n, h, periodic, 3)
     m = np.zeros((n, n))
     m[np.broadcast_to(np.arange(n), idx.shape), idx] = wts
     m.setflags(write=False)
@@ -175,13 +176,11 @@ def _axis_matrix(n: int, h: float, periodic: bool, width: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _axis_neighbours(
-    n: int, h: float, periodic: bool, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """`_axis_stencil`'s tables without each point's own entry: read-only
-    (k - 1, n) tables, each window's other entries in ascending point
-    order."""
-    wts, idx = _axis_stencil(n, h, periodic, width)
+def _axis_neighbours(n: int, h: float, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The width-3 tables of `_axis_stencil` without each point's own
+    entry: read-only (k - 1, n) tables, each window's other entries in
+    ascending point order."""
+    wts, idx = _axis_stencil(n, h, periodic, 3)
     others = (idx != np.arange(n)).T
     out = tuple(np.ascontiguousarray(a.T[others].reshape(n, len(a) - 1).T) for a in (wts, idx))
     for a in out:
@@ -387,9 +386,10 @@ def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
         ) from exc
 
 
-def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int, width: int = 3) -> np.ndarray:
-    """d f / d x_axis in difference form: out_i = sum_j w_ij (f_j - f_i),
-    the window's entries summed in stored order from 0.0, f a grid field.
+def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int) -> np.ndarray:
+    """d f / d x_axis in difference form: out_i = sum_j w_ij (f_j - f_i)
+    over the width-3 windows, the window's entries summed in stored order
+    from 0.0, f a grid field.
 
     Algebraically this equals the matvec with the axis operator of
     `HopfGrid.diff_ops` (the stencil weights sum to zero), but every
@@ -404,7 +404,7 @@ def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int, width: int = 3) -
     the own term) this one may read +/-inf.
     """
     n = grid.shape[axis]
-    wts, idx = _axis_neighbours(n, grid.spacings[axis], axis == 2, width)
+    wts, idx = _axis_neighbours(n, grid.spacings[axis], axis == 2)
     bcast = [1, 1, 1]
     bcast[axis] = n
     out = np.zeros(f.shape)
@@ -413,17 +413,17 @@ def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int, width: int = 3) -
     return out
 
 
-def _derivatives(f: np.ndarray, grid: HopfGrid, width: int = 3) -> list[np.ndarray]:
+def _derivatives(f: np.ndarray, grid: HopfGrid) -> list[np.ndarray]:
     """[d_eta f, d_xi1 f, d_xi2 f] of a grid field."""
     f = np.asarray(f, dtype=float)
     if f.shape != grid.shape:
         raise InputFormatError(f"field shape {f.shape} does not match grid {grid.shape}")
-    return [_axis_derivative(f, grid, i, width) for i in range(3)]
+    return [_axis_derivative(f, grid, i) for i in range(3)]
 
 
-def partial_derivatives(f: np.ndarray, grid: HopfGrid, width: int = 3) -> np.ndarray:
+def partial_derivatives(f: np.ndarray, grid: HopfGrid) -> np.ndarray:
     """Stacked coordinate derivatives df[i] = d_i f at every cell."""
-    return np.stack(_derivatives(f, grid, width))
+    return np.stack(_derivatives(f, grid))
 
 
 def integrate(f, metric: MetricField) -> float:

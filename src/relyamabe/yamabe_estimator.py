@@ -21,19 +21,22 @@ w g^{ij} formed once per estimate, and applies each transposed
 derivative as a dense n x n axis matrix.  At n = 32 (32,768 cells) on
 one thread of a 2-core x86 VM, the product takes about 1.1 ms, the
 gradient 0.08 ms and each trial 0.2 ms, 0.07 ms of it the
-critical-norm sum; an iteration averages about 1.4 trials, and a whole
-estimate on Berger (1, 3.5) about 16 ms.
+critical-norm sum.  An estimate makes 5 to 7 trials in its 5
+iterations on round and Berger backgrounds at n = 8 to 32 (26 once),
+and takes about 16 ms at n = 32.
 
 The descent runs once, from the constant, for at most `_MAX_ITERS`
-iterations, and converges there in 5 steps on round and Berger
-backgrounds; the procedure has no options and is reproducible bit for
-bit.  On coarse grids the constant can be a saddle of the discrete
-quotient, and its descent then stops above the discrete minimum: on
-round at n = 8 it ends at 27.7256, while a perturbed start reaches
-27.7056 only after 400 iterations without converging.  Of 12 round and
-Berger metrics, a perturbed start ended lower only at n <= 8.  An
-estimate that does not depend on its start is ROADMAP item 1b.  The
-descent is logged on the `relyamabe` logger at DEBUG.
+iterations; it has no options and is reproducible bit for bit.  For
+constant R the constant is an exact critical point of the discrete
+quotient (A 1 == 0, so the gradient at a constant u is 2 R u): the
+descent never leaves it, stops after `_CONSECUTIVE` steps that move Q
+by roundoff, and the estimate is Q(1) to rounding with a Neumann
+residual of exactly 0.0.  So it cannot see a lower minimum: on round
+at n = 8 the constant is a saddle, the estimate reads 27.7256 and a
+perturbed start reaches 27.7056 (unconverged after 400 iterations); of
+12 round and Berger metrics, a perturbed start ended lower only at
+n <= 8.  An estimate that does not depend on its start is ROADMAP item
+1b.  The descent is logged on the `relyamabe` logger at DEBUG.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ def _stiffness(metric: MetricField) -> _Stiffness:
     c = {(i, j): metric.weight * metric.inv[i, j] for i in range(3) for j in range(i, 3)}
     coef = tuple(tuple(c[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
     axes = tuple(
-        _axis_matrix(n, h, periodic, 3)
+        _axis_matrix(n, h, periodic)
         for n, h, periodic in zip(grid.shape, grid.spacings, (False, False, True))
     )
     return _Stiffness(grid, coef, axes)
@@ -143,17 +146,17 @@ def _stiffness(metric: MetricField) -> _Stiffness:
 
 class _QuotientWork:
     """Flattened-array quotient, search direction and trial steps used
-    inside the descent loop; R is parsed as the public quotient parses
-    it.  `stiffness` is the matrix-free operator A, applied as
-    `stiffness @ f`.  The methods take stiffness products from the
-    caller and form none; the loop decides which ones it makes."""
+    inside the descent loop, and by the probe for its span form; R is
+    parsed as the public quotient parses it.  `stiffness` is the
+    matrix-free operator A, applied as `stiffness @ f`.  The methods
+    take stiffness products from the caller and form none; the loop
+    decides which ones it makes."""
 
     def __init__(self, metric: MetricField, scalar):
-        self.a = CONFORMAL_COEFF
-        r = _scalar_field(scalar, metric.grid.shape).reshape(-1)
+        self.r = _scalar_field(scalar, metric.grid.shape).reshape(-1)
         self.stiffness = _stiffness(metric)
         self.w = metric.weight.reshape(-1)
-        self.wr = self.w * r
+        self.wr = self.w * self.r
 
     def norm(self, f: np.ndarray) -> float:
         """Critical norm ||f||_6 under the grid quadrature."""
@@ -162,13 +165,15 @@ class _QuotientWork:
     def quotient(self, f: np.ndarray, af: np.ndarray) -> float:
         """Q(f) = N(f) = a f^T A f + sum(w R f^2) of a candidate that
         `norm` has brought to ||f||_6 = 1, given af = A f."""
-        return self.a * (f @ af) + np.sum(self.wr * f * f)
+        return CONFORMAL_COEFF * (f @ af) + np.sum(self.wr * f * f)
 
     def gradient(self, f: np.ndarray, af: np.ndarray) -> np.ndarray:
         """L^2 gradient of the numerator N(f) = a f^T A f + sum(w R f^2)
         against the quadrature inner product, given af = A f.  It
-        ignores the denominator of Q; the descent renormalizes instead."""
-        return (2.0 * self.a * af + 2.0 * self.wr * f) / self.w
+        ignores the denominator of Q; the descent renormalizes instead.
+        With A 1 == 0 and the term 2 R f formed from R itself, a constant
+        f under constant R has an exactly constant gradient."""
+        return 2.0 * CONFORMAL_COEFF * af / self.w + 2.0 * self.r * f
 
     def trial(
         self, f: np.ndarray, af: np.ndarray, g: np.ndarray, ag: np.ndarray, s: float
@@ -308,22 +313,13 @@ def _probe_span(grid: HopfGrid) -> np.ndarray:
     return np.stack([np.broadcast_to(f, grid.shape) for f in fields])
 
 
-def _span_form(phi: np.ndarray, metric: MetricField, r: np.ndarray) -> np.ndarray:
-    """The quotient's numerator as a matrix on the span of `phi`:
-    M_ab = sum w (8 g^ij d_i phi_a d_j phi_b + R phi_a phi_b), with the
-    width-3 axis stencils of `grad_sq`, so c^T M c is the numerator of
-    the field sum_a c_a phi_a."""
-    k = len(phi)
-    dphi = np.empty((3, k) + metric.grid.shape)  # dphi[i, a] = d_i phi_a
-    for a, f in enumerate(phi):
-        dphi[:, a] = _derivatives(f, metric.grid)
-    flat = phi.reshape(k, -1)
-    form = (flat * (metric.weight * r).reshape(-1)) @ flat.T
-    inv = metric.inv
-    for i in range(3):
-        flux = metric.weight * (inv[i, 0] * dphi[0] + inv[i, 1] * dphi[1] + inv[i, 2] * dphi[2])
-        form += CONFORMAL_COEFF * (dphi[i].reshape(k, -1) @ flux.reshape(k, -1).T)
-    return form
+def _span_form(flat: np.ndarray, work: _QuotientWork) -> np.ndarray:
+    """The quotient's numerator as a matrix on the span of the flat
+    fields `flat`: M_ba = phi_a . (8 A phi_b + w R phi_b) with the
+    descent's stiffness operator A, one product per field, so c^T M c
+    is the numerator of the field sum_a c_a phi_a."""
+    rows = [CONFORMAL_COEFF * (work.stiffness @ phi) + work.wr * phi for phi in flat]
+    return np.stack(rows) @ flat.T
 
 
 def _probe_coefficients(n: int, seed: int) -> np.ndarray:
@@ -363,28 +359,28 @@ def yamabe_property_probe(
 
     with c = (1, a0 [m = 1], a0 [m = 2], a1 [p = 1], a1 [p = 2],
     a2 cos ph, -a2 sin ph).  The numerator of Q is c^T M c with M the
-    7x7 numerator matrix of the span, assembled once per call; only the
-    denominator sum w u^6 is formed on the grid, for all trials at once
-    in blocks of cells.  Trial 0, the constant, is not evaluated: its
-    quotient is the energy E (Q(1) = E, see `rayleigh_quotient`)."""
+    7x7 numerator matrix of the span, formed once per call from seven
+    products with the descent's stiffness operator; only the denominator
+    sum w u^6 is formed on the grid, for all trials at once in blocks of
+    cells.  Trial 0, the constant, is not evaluated: its quotient is the
+    energy E (Q(1) = E, see `rayleigh_quotient`)."""
     n_trials = _whole(n_trials, "n_trials", 1)
     seed = _whole(seed, "seed", 0)
     energy = einstein_hilbert(metric, scalar).energy
     q = np.full(n_trials, energy)
     if n_trials > 1:
-        r = _scalar_field(scalar, metric.grid.shape)
-        phi = _probe_span(metric.grid)
+        work = _QuotientWork(metric, scalar)
+        flat = _probe_span(metric.grid).reshape(7, -1)
         c = _probe_coefficients(n_trials - 1, seed)
-        numer = np.einsum("ka,ab,kb->k", c, _span_form(phi, metric, r), c)
-        flat = phi.reshape(len(phi), -1)
-        w = metric.weight.reshape(-1)
+        numer = np.einsum("ka,ab,kb->k", c, _span_form(flat, work), c)
         denom = np.zeros(len(c))
         step = max(1, _PROBE_BLOCK // len(c))
-        for lo in range(0, w.size, step):
-            u2 = np.square(c @ flat[:, lo:lo + step])
-            u6 = u2 * u2
-            u6 *= u2
-            denom += u6 @ w[lo:lo + step]
+        for lo in range(0, work.w.size, step):
+            # a named block lives until the next one is formed, so the
+            # allocator reuses its pages instead of returning them and
+            # faulting them in again on every block
+            block = c @ flat[:, lo:lo + step]
+            denom += _critical_sum(block, work.w[lo:lo + step])
         q[1:] = numer / denom ** _VOL_EXP
     best_k = int(np.argmin(q))
     return ProbeReport(

@@ -45,7 +45,13 @@ from relyamabe import (
 )
 from relyamabe.conformal_energy import CONFORMAL_COEFF
 from relyamabe.su2_chart import _axis_derivative, _axis_matrix, _axis_stencil, _level_second_form
-from relyamabe.yamabe_estimator import _probe_coefficients, _probe_span, _span_form, _stiffness
+from relyamabe.yamabe_estimator import (
+    _probe_coefficients,
+    _probe_span,
+    _QuotientWork,
+    _span_form,
+    _stiffness,
+)
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -119,13 +125,12 @@ def test_axis_tables_equal_coo_matrix_rows(periodic, width):
             assert not wts.flags.writeable and not idx.flags.writeable
 
 
-@pytest.mark.parametrize("width", [3, 5])
 @pytest.mark.parametrize("periodic", [False, True])
-def test_axis_matrix_equals_dense_coo_matrix(periodic, width):
+def test_axis_matrix_equals_dense_coo_matrix(periodic):
     for n in range(4, 41):
         for h in ((np.pi / 2) / n, np.pi / n, (2 * np.pi) / n):
-            m = _axis_matrix(n, h, periodic, width)
-            assert same_bits(m, coo_d1_matrix(n, h, periodic, width).toarray())
+            m = _axis_matrix(n, h, periodic)
+            assert same_bits(m, coo_d1_matrix(n, h, periodic, 3).toarray())
             assert not m.flags.writeable
 
 
@@ -190,12 +195,12 @@ def test_matrix_free_stiffness_equals_nine_blocks_of_undropped_operators(shape, 
     assert abs(g @ af - f @ ag) <= 1e-12 * (np.abs(g) @ scale)
 
 
-def gathered_derivatives(f: np.ndarray, grid: HopfGrid, width: int) -> np.ndarray:
+def gathered_derivatives(f: np.ndarray, grid: HopfGrid) -> np.ndarray:
     """out_i = sum_j w_ij (f_j - f_i) over the stored entries of each
-    diff_ops matrix, accumulated per row by np.bincount."""
+    width-3 diff_ops matrix, accumulated per row by np.bincount."""
     flat = f.reshape(-1)
     out = []
-    for op in grid.diff_ops(width):
+    for op in grid.diff_ops(3):
         rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
         contrib = op.data * (flat[op.indices] - flat[rows])
         out.append(np.bincount(rows, weights=contrib, minlength=op.shape[0]).reshape(grid.shape))
@@ -222,11 +227,11 @@ def stacked_derivatives(f: np.ndarray, grid: HopfGrid) -> np.ndarray:
     return np.stack(list(partial_derivatives(f, grid)), axis=-1)
 
 
-def full_window_derivative(f: np.ndarray, grid: HopfGrid, axis: int, width: int) -> np.ndarray:
+def full_window_derivative(f: np.ndarray, grid: HopfGrid, axis: int) -> np.ndarray:
     """out_i = sum_j w_ij (f_j - f_i) over all k entries of each window of
-    the axis tables, each point's own entry included."""
+    the width-3 axis tables, each point's own entry included."""
     n = grid.shape[axis]
-    wts, idx = _axis_stencil(n, grid.spacings[axis], axis == 2, width)
+    wts, idx = _axis_stencil(n, grid.spacings[axis], axis == 2, 3)
     bcast = [1, 1, 1]
     bcast[axis] = n
     out = np.zeros(f.shape)
@@ -236,40 +241,40 @@ def full_window_derivative(f: np.ndarray, grid: HopfGrid, axis: int, width: int)
 
 
 @settings(max_examples=40, **SETTINGS)
-@given(st.tuples(*(st.integers(4, 32),) * 3), SEED, WIDTH, st.sampled_from(["random", "constant"]))
-def test_axis_derivative_skips_own_entry_bit_for_bit(shape, seed, width, kind):
+@given(st.tuples(*(st.integers(4, 32),) * 3), SEED, st.sampled_from(["random", "constant"]))
+def test_axis_derivative_skips_own_entry_bit_for_bit(shape, seed, kind):
     # the own entry's term is a signed zero on finite fields, which a sum
     # starting at +0.0 absorbs without changing a bit
     grid = HopfGrid(*shape)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(shape) if kind == "random" else np.full(shape, rng.normal())
     for axis in range(3):
-        want = full_window_derivative(f, grid, axis, width)
-        assert same_bits(_axis_derivative(f, grid, axis, width), want)
+        want = full_window_derivative(f, grid, axis)
+        assert same_bits(_axis_derivative(f, grid, axis), want)
     # a non-finite cell still gives non-finite derivatives, where the
     # full sum has them (NaN there may read +/-inf here)
     f[tuple(rng.integers(0, shape))] = np.inf
     with np.errstate(invalid="ignore"):
         for axis in range(3):
-            got = _axis_derivative(f, grid, axis, width)
-            want = full_window_derivative(f, grid, axis, width)
+            got = _axis_derivative(f, grid, axis)
+            want = full_window_derivative(f, grid, axis)
             assert np.array_equal(np.isfinite(got), np.isfinite(want))
             assert same_bits(got[np.isfinite(want)], want[np.isfinite(want)])
 
 
 @settings(max_examples=40, **SETTINGS)
-@given(SHAPE, SEED, WIDTH)
-def test_axis_kernel_equals_gathered_difference_form(shape, seed, width):
+@given(SHAPE, SEED)
+def test_axis_kernel_equals_gathered_difference_form(shape, seed):
     grid = HopfGrid(*shape)
     f = np.random.default_rng(seed).standard_normal(shape)
-    assert same_bits(partial_derivatives(f, grid, width), gathered_derivatives(f, grid, width))
+    assert same_bits(partial_derivatives(f, grid), gathered_derivatives(f, grid))
 
 
 @settings(max_examples=30, **SETTINGS)
-@given(SHAPE, st.floats(-1e6, 1e6, allow_subnormal=False), WIDTH)
-def test_constants_have_exact_zero_derivatives(shape, c, width):
+@given(SHAPE, st.floats(-1e6, 1e6, allow_subnormal=False))
+def test_constants_have_exact_zero_derivatives(shape, c):
     grid = HopfGrid(*shape)
-    d = partial_derivatives(np.full(shape, c), grid, width)
+    d = partial_derivatives(np.full(shape, c), grid)
     # every axis, the periodic xi2 wrap included, and no -0.0
     assert same_bits(d, np.zeros((3,) + shape))
 
@@ -288,13 +293,15 @@ def test_grad_sq_equals_einsum(shape, seed, berger):
 
 def full_gamma_second_form(metric: MetricField):
     """Per face (mean curvature, |II|) on every cell layer, from all 27
-    Christoffel symbols on the whole grid."""
+    Christoffel symbols on the whole grid, with width-5 derivatives."""
     grid = metric.grid
     g, inv = cells_major(metric.g), cells_major(metric.inv)
     dg = np.empty(grid.shape + (3, 3, 3))
     for a in range(3):
         for b in range(3):
-            dg[..., :, a, b] = np.moveaxis(partial_derivatives(g[..., a, b], grid, width=5), 0, -1)
+            flat = g[..., a, b].reshape(-1)
+            for i, op in enumerate(grid.diff_ops(5)):
+                dg[..., i, a, b] = (op @ flat).reshape(grid.shape)
     gamma = 0.5 * (
         np.einsum("...im,...amb->...iab", inv, dg)
         + np.einsum("...im,...bma->...iab", inv, dg)
@@ -404,7 +411,7 @@ def test_probe_span_reproduces_each_mesh_trial(shape, seed, field_seed):
     metric = metric_field(grid, field_seed, field_seed % 2 == 1)
     scalar = np.random.default_rng(field_seed).uniform(0.5, 6.0, shape)
     phi = _probe_span(grid)
-    form = _span_form(phi, metric, scalar)
+    form = _span_form(phi.reshape(7, -1), _QuotientWork(metric, scalar))
     coeffs = np.vstack([np.eye(7)[:1], _probe_coefficients(11, seed)])
     for c, u in zip(coeffs, mesh_trials(grid, 12, seed)):
         assert np.abs(np.tensordot(c, phi, 1) - u).max() <= 1e-14

@@ -114,6 +114,20 @@ class CountingMatrix:
         return self.matrix @ x
 
 
+@pytest.fixture
+def counted_stiffness(monkeypatch):
+    """The stiffness operators built while the test runs, each wrapped in
+    a CountingMatrix."""
+    stiffness, counted = yamabe_estimator._stiffness, []
+
+    def counting_stiffness(metric):
+        counted.append(CountingMatrix(stiffness(metric)))
+        return counted[-1]
+
+    monkeypatch.setattr(yamabe_estimator, "_stiffness", counting_stiffness)
+    return counted
+
+
 @functools.cache
 def berger_work(n: int) -> _QuotientWork:
     return _QuotientWork(chart_metric(HopfGrid.cube(n), BergerParams(1.0, 3.5)), 1.0)
@@ -228,17 +242,19 @@ class TestDescentLoop:
         assert records[0].args[1] in ("tol", "stationary", "max_iters")
         assert records[0].args[0] == est.iterations_used
 
-    def test_one_descent_per_estimate(self, berger13_16, monkeypatch):
-        stiffness, counted = yamabe_estimator._stiffness, []
-
-        def counting_stiffness(metric):
-            counted.append(CountingMatrix(stiffness(metric)))
-            return counted[-1]
-
-        monkeypatch.setattr(yamabe_estimator, "_stiffness", counting_stiffness)
+    def test_one_descent_per_estimate(self, berger13_16, counted_stiffness):
         est = estimate(berger13_16, 2.0)
-        assert len(counted) == 1
-        assert counted[0].products == est.iterations_used + 1
+        assert len(counted_stiffness) == 1
+        assert counted_stiffness[0].products == est.iterations_used + 1
+
+    @pytest.mark.parametrize("name", ["est_round16", "est_round32", "est_berger135_32"])
+    def test_constant_start_stays_constant(self, request, name):
+        # for constant R the constant is an exact critical point of the
+        # discrete quotient: A 1 == 0 and the gradient is 2 R u, so every
+        # step keeps one value in every cell and the flux is exactly zero
+        est = request.getfixturevalue(name)
+        assert np.unique(est.minimizer).size == 1
+        assert est.neumann_residual_of_minimizer == 0.0
 
 
 class TestProbe:
@@ -285,3 +301,10 @@ class TestProbe:
     def test_serializable(self, berger13_16):
         report = yamabe_property_probe(berger13_16, 2.0, n_trials=3, seed=1)
         assert json.dumps(report.to_dict())
+
+    def test_span_form_from_the_descent_operator(self, berger13_16, counted_stiffness):
+        # the 7x7 form takes one product per span field with the
+        # stiffness operator the descent uses
+        yamabe_property_probe(berger13_16, 2.0, n_trials=12, seed=0)
+        assert len(counted_stiffness) == 1
+        assert counted_stiffness[0].products == 7
