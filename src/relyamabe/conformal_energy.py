@@ -28,7 +28,7 @@ from .errors import (
     InputFormatError,
     InvalidMetricError,
 )
-from .su2_chart import MetricField, _axis_derivative, _derivatives, grad_sq, integrate
+from .su2_chart import MetricField, _axis_derivative, _derivatives, _flux, grad_sq, integrate
 
 __all__ = [
     "DIM",
@@ -148,7 +148,10 @@ def rayleigh_quotient(qi: QuotientInput) -> float:
     the weights, which is the metric volume.
     """
     f, metric = qi.f, qi.metric
-    denom_int = float(_critical_sum(f.reshape(-1), metric.weight.reshape(-1)))
+    with np.errstate(over="ignore"):
+        denom_int = float(_critical_sum(f.reshape(-1), metric.weight.reshape(-1)))
+    if not np.isfinite(denom_int):
+        raise DegenerateTrialError("critical norm overflow")
     if denom_int ** (1.0 / _LP_EXP) < _UNDERFLOW:
         raise DegenerateTrialError(
             f"critical norm underflow: ||f||_{_LP_EXP} = {denom_int ** (1.0 / _LP_EXP):.3e}"
@@ -160,14 +163,9 @@ def rayleigh_quotient(qi: QuotientInput) -> float:
 def laplace_beltrami(f: np.ndarray, metric: MetricField) -> np.ndarray:
     """Laplace-Beltrami operator in divergence form:
     Delta f = det^{-1/2} d_i ( det^{1/2} g^{ij} d_j f )."""
-    df = _derivatives(f, metric.grid)
-    inv = metric.inv
-    out = np.zeros(metric.grid.shape)
-    for i in range(3):
-        # g^{ij} d_j f in einsum's order for three terms: (j = 0 + j = 2) + j = 1
-        flux = metric.sqrt_det * ((inv[i, 0] * df[0] + inv[i, 2] * df[2]) + inv[i, 1] * df[1])
-        out += _axis_derivative(flux, metric.grid, i)
-    return out / metric.sqrt_det
+    df, root = _derivatives(f, metric.grid), metric.sqrt_det
+    div = sum(_axis_derivative(root * _flux(metric.inv, df, i), metric.grid, i) for i in range(3))
+    return div / root
 
 
 def conformal_scalar(u: np.ndarray, metric: MetricField, scalar) -> np.ndarray:
@@ -187,15 +185,13 @@ def conformal_scalar(u: np.ndarray, metric: MetricField, scalar) -> np.ndarray:
 
 
 def neumann_residual(u: np.ndarray, metric: MetricField) -> float:
-    """Max |du(n)| over the two boundary faces, n the inward unit normal
-    n^i = +/- g^{i xi1} / sqrt(g^{xi1 xi1}), sampled at the cell layer
-    adjacent to each face.  u must be finite: a NaN cell would read as
-    a zero residual."""
+    """Max |du(n)| over the two boundary faces, sampled at the cell layer
+    adjacent to each face: n^i = +/- g^{i xi1} / sqrt(g^{xi1 xi1}) is the
+    inward unit normal, so |du(n)| = |g^{xi1 j} d_j u| / sqrt(g^{xi1 xi1}).
+    u must be finite: a NaN cell would read as a zero residual."""
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise InputFormatError("conformal factor has non-finite entries")
-    du = _derivatives(u, metric.grid)
-    n = metric.inv[:, 1] / np.sqrt(metric.inv[1, 1])
-    # n^i d_i u in einsum's order for three terms: (i = 0 + i = 2) + i = 1
-    flux = (n[0] * du[0] + n[2] * du[2]) + n[1] * du[1]
-    return float(np.abs(flux[:, [0, -1]]).max())
+    du = [d[:, [0, -1]] for d in _derivatives(u, metric.grid)]
+    inv = metric.inv[:, :, :, [0, -1]]
+    return float((np.abs(_flux(inv, du, 1)) / np.sqrt(inv[1, 1])).max())

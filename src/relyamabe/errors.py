@@ -43,8 +43,8 @@ class ChartConsistencyError(RelYamabeError):
 
 
 class DegenerateTrialError(RelYamabeError):
-    """A trial function is unusable (identically zero or with vanishing
-    critical norm)."""
+    """A trial function is unusable (identically zero, or with vanishing
+    or overflowing critical norm)."""
 
 
 class NumericalFailureError(RelYamabeError):

@@ -431,17 +431,58 @@ def integrate(f, metric: MetricField) -> float:
     return float(np.sum(np.asarray(f, dtype=float) * metric.weight))
 
 
+def _flux(c, df, i: int) -> np.ndarray:
+    """Row i of the per-cell coefficients c (g^{ij}, or w g^{ij})
+    contracted with the derivatives df: sum_j c[i][j] df[j], summed in
+    the order numpy's einsum sums three terms, (j = 0 + j = 2) + j = 1.
+    Every operator of the Dirichlet form contracts through here."""
+    return (c[i][0] * df[0] + c[i][2] * df[2]) + c[i][1] * df[1]
+
+
 def grad_sq(f: np.ndarray, metric: MetricField) -> np.ndarray:
-    """|df|^2_g = g^{ij} d_i f d_j f at every cell (clamped at zero:
-    the form is positive semidefinite, negatives are pure roundoff)."""
+    """|df|^2_g = d_i f g^{ij} d_j f at every cell, the three products
+    summed in `_flux`'s order (clamped at zero: the form is positive
+    semidefinite, negatives are pure roundoff)."""
     df = _derivatives(f, metric.grid)
-    # term by term, in the order and with the products of
-    # einsum("...ij,...i,...j->...", inv, df, df)
-    acc = np.zeros(metric.grid.shape)
-    for i in range(3):
-        for j in range(3):
-            acc += metric.inv[i, j] * df[i] * df[j]
-    return np.maximum(acc, 0.0)
+    flux = [_flux(metric.inv, df, i) for i in range(3)]
+    return np.maximum((df[0] * flux[0] + df[2] * flux[2]) + df[1] * flux[1], 0.0)
+
+
+@dataclass(frozen=True)
+class _Stiffness:
+    """The Dirichlet energy operator A, f^T A f = integral |df|^2 dV
+    under the grid quadrature, applied without assembly:
+    A f = sum_i D_i^T `_flux`(coef, D f, i).  D_j is the
+    difference-form derivative of `grad_sq`, so A 1 == 0 bit for bit;
+    D_i^T applies the transposed dense matrix `axes[i]` of the same
+    stencil along axis i.  The descent and the probe of
+    `yamabe_estimator` apply it through `_QuotientWork`."""
+
+    grid: HopfGrid
+    coef: tuple = field(repr=False)
+    axes: tuple = field(repr=False)
+
+    def __matmul__(self, f: np.ndarray) -> np.ndarray:
+        shape = self.grid.shape
+        d = _derivatives(f.reshape(shape), self.grid)
+        m0, m1, m2 = self.axes
+        out = (m0.T @ _flux(self.coef, d, 0).reshape(shape[0], -1)).reshape(shape)
+        out += np.matmul(m1.T, _flux(self.coef, d, 1))
+        out += _flux(self.coef, d, 2) @ m2
+        return out.reshape(-1)
+
+
+def _stiffness(metric: MetricField) -> _Stiffness:
+    """The stiffness operator of `metric`, with its six distinct
+    per-cell coefficients w g^{ij} (g is symmetric) formed once."""
+    grid = metric.grid
+    c = {(i, j): metric.weight * metric.inv[i, j] for i in range(3) for j in range(i, 3)}
+    coef = tuple(tuple(c[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
+    axes = tuple(
+        _axis_matrix(n, h, periodic)
+        for n, h, periodic in zip(grid.shape, grid.spacings, (False, False, True))
+    )
+    return _Stiffness(grid, coef, axes)
 
 
 # === boundary geometry of the faces xi1 = 0 and xi1 = pi ================

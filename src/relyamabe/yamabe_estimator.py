@@ -15,12 +15,12 @@ Each iteration makes one stiffness product, A g.  Along a trial
 x = f - s g the product A x is A f - s A g, so every backtracking trial
 forms its candidate's product by linearity, and the accepted
 candidate's product is carried forward as the next iteration's A f.
-A is never assembled: a product takes the three difference-form
-derivatives of its field, weights them with the six per-cell fields
-w g^{ij} formed once per estimate, and applies each transposed
-derivative as a dense n x n axis matrix.  At n = 32 (32,768 cells) on
-one thread of a 2-core x86 VM, the product takes about 1.1 ms, the
-gradient 0.08 ms and each trial 0.2 ms, 0.07 ms of it the
+A is `su2_chart._stiffness`, never assembled: a product takes the
+three difference-form derivatives of its field, contracts them with the
+six per-cell fields w g^{ij} formed once per estimate, and applies each
+transposed derivative as a dense n x n axis matrix.  At n = 32 (32,768
+cells) on one thread of a 2-core x86 VM, the product takes about 1.1 ms,
+the gradient 0.08 ms and each trial 0.2 ms, 0.07 ms of it the
 critical-norm sum.  An estimate makes 5 to 7 trials in its 5
 iterations on round and Berger backgrounds at n = 8 to 32 (26 once),
 and takes about 16 ms at n = 32.
@@ -58,7 +58,7 @@ from .conformal_energy import (
     rayleigh_quotient,
 )
 from .errors import NumericalFailureError, _whole
-from .su2_chart import HopfGrid, MetricField, _axis_matrix, _derivatives
+from .su2_chart import HopfGrid, MetricField, _stiffness
 
 __all__ = [
     "QuotientEstimate",
@@ -107,50 +107,13 @@ class QuotientEstimate:
         }
 
 
-@dataclass(frozen=True)
-class _Stiffness:
-    """The Dirichlet energy operator A, f^T A f = integral |df|^2 dV
-    under the grid quadrature, applied without assembly:
-    A f = sum_i D_i^T (sum_j coef[i][j] D_j f).  D_j is the
-    difference-form derivative of `grad_sq`, so A 1 == 0 bit for bit;
-    D_i^T applies the transposed dense matrix `axes[i]` of the same
-    stencil along axis i."""
-
-    grid: HopfGrid
-    coef: tuple = field(repr=False)
-    axes: tuple = field(repr=False)
-
-    def __matmul__(self, f: np.ndarray) -> np.ndarray:
-        shape = self.grid.shape
-        d = _derivatives(f.reshape(shape), self.grid)
-        flux = [c[0] * d[0] + c[1] * d[1] + c[2] * d[2] for c in self.coef]
-        m0, m1, m2 = self.axes
-        out = (m0.T @ flux[0].reshape(shape[0], -1)).reshape(shape)
-        out += np.matmul(m1.T, flux[1])
-        out += flux[2] @ m2
-        return out.reshape(-1)
-
-
-def _stiffness(metric: MetricField) -> _Stiffness:
-    """The stiffness operator of `metric`, with its six distinct
-    per-cell coefficients w g^{ij} (g is symmetric) formed once."""
-    grid = metric.grid
-    c = {(i, j): metric.weight * metric.inv[i, j] for i in range(3) for j in range(i, 3)}
-    coef = tuple(tuple(c[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
-    axes = tuple(
-        _axis_matrix(n, h, periodic)
-        for n, h, periodic in zip(grid.shape, grid.spacings, (False, False, True))
-    )
-    return _Stiffness(grid, coef, axes)
-
-
 class _QuotientWork:
     """Flattened-array quotient, search direction and trial steps used
     inside the descent loop, and by the probe for its span form; R is
     parsed as the public quotient parses it.  `stiffness` is the
-    matrix-free operator A, applied as `stiffness @ f`.  The methods
-    take stiffness products from the caller and form none; the loop
-    decides which ones it makes."""
+    matrix-free operator A of `su2_chart._stiffness`, applied as
+    `stiffness @ f`.  The methods take stiffness products from the
+    caller and form none; the loop decides which ones it makes."""
 
     def __init__(self, metric: MetricField, scalar):
         self.r = _scalar_field(scalar, metric.grid.shape).reshape(-1)

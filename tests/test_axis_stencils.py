@@ -2,8 +2,10 @@
 
 Each result must equal, bit for bit, a reference written here in the
 form the operators were first applied in: the difference form gathered
-over the flattened `HopfGrid.diff_ops` matrices with `np.bincount`, the
-three-operand `einsum` for |df|^2 and the nine-derivative divergence.
+over the flattened `HopfGrid.diff_ops` matrices with `np.bincount`, and
+the contraction g^{ij} d_j f formed by `einsum` (`einsum_flux`) for
+|df|^2, the Neumann residual and the nine-derivative divergence.  Every
+library operator contracts through `su2_chart._flux`, counted here.
 The `einsum` references take contiguous cells-major operands, the
 layout the library used when they were written: on a strided view
 `einsum` may sum its terms in another order.
@@ -43,6 +45,7 @@ from relyamabe import (
     rayleigh_quotient,
     yamabe_property_probe,
 )
+from relyamabe import conformal_energy, su2_chart
 from relyamabe.conformal_energy import CONFORMAL_COEFF
 from relyamabe.su2_chart import _axis_derivative, _axis_matrix, _axis_stencil, _level_second_form
 from relyamabe.yamabe_estimator import (
@@ -227,6 +230,12 @@ def stacked_derivatives(f: np.ndarray, grid: HopfGrid) -> np.ndarray:
     return np.stack(list(partial_derivatives(f, grid)), axis=-1)
 
 
+def einsum_flux(metric: MetricField, df: np.ndarray) -> np.ndarray:
+    """The contraction g^{ij} d_j f as einsum forms it, on the cells-major
+    stack df[..., j]: out[..., i]."""
+    return np.einsum("...ij,...j->...i", cells_major(metric.inv), df)
+
+
 def full_window_derivative(f: np.ndarray, grid: HopfGrid, axis: int) -> np.ndarray:
     """out_i = sum_j w_ij (f_j - f_i) over all k entries of each window of
     the width-3 axis tables, each point's own entry included."""
@@ -284,10 +293,9 @@ def test_constants_have_exact_zero_derivatives(shape, c):
 def test_grad_sq_equals_einsum(shape, seed, berger):
     grid = HopfGrid(*shape)
     metric = metric_field(grid, seed, berger)
-    inv = cells_major(metric.inv)
     for f in (np.random.default_rng(seed + 1).standard_normal(shape), np.full(shape, 2.0)):
         df = stacked_derivatives(f, grid)
-        want = np.maximum(np.einsum("...ij,...i,...j->...", inv, df, df), 0.0)
+        want = np.maximum(np.einsum("...i,...i->...", df, einsum_flux(metric, df)), 0.0)
         assert same_bits(grad_sq(f, metric), want)
 
 
@@ -351,7 +359,7 @@ def test_laplace_beltrami_equals_nine_derivative_divergence(shape, seed, berger)
     metric = metric_field(grid, seed, berger)
     f = 1.0 + 0.3 * np.random.default_rng(seed + 1).random(shape)
     df = stacked_derivatives(f, grid)
-    flux = metric.sqrt_det[..., None] * np.einsum("...ij,...j->...i", cells_major(metric.inv), df)
+    flux = metric.sqrt_det[..., None] * einsum_flux(metric, df)
     want = np.zeros(shape)
     for i in range(3):
         want += partial_derivatives(flux[..., i], grid)[i]
@@ -364,11 +372,30 @@ def test_neumann_residual_equals_einsum_form(shape, seed, berger):
     grid = HopfGrid(*shape)
     metric = metric_field(grid, seed, berger)
     u = 1.0 + 0.3 * np.random.default_rng(seed + 1).random(shape)
-    inv = cells_major(metric.inv)
-    normal = inv[..., :, 1] / np.sqrt(inv[..., 1, 1])[..., None]
-    flux = np.einsum("...i,...i->...", normal, stacked_derivatives(u, grid))
+    flux = einsum_flux(metric, stacked_derivatives(u, grid))[..., 1] / np.sqrt(metric.inv[1, 1])
     want = max(float(np.abs(flux[:, j, :]).max()) for j in (0, grid.n_xi1 - 1))
     assert same_bits(np.float64(neumann_residual(u, metric)), np.float64(want))
+
+
+def test_every_operator_contracts_through_one_flux(monkeypatch):
+    # grad_sq, laplace_beltrami, neumann_residual and the stiffness
+    # product form g^{ij} d_j f only through su2_chart._flux, row by row
+    flux, rows = su2_chart._flux, []
+
+    def counting_flux(c, df, i):
+        rows.append(i)
+        return flux(c, df, i)
+
+    monkeypatch.setattr(su2_chart, "_flux", counting_flux)
+    monkeypatch.setattr(conformal_energy, "_flux", counting_flux)
+    metric = metric_field(HopfGrid(5, 6, 7), 0, True)
+    f = 1.0 + 0.3 * np.random.default_rng(1).random(metric.grid.shape)
+    calls = []
+    for op in (grad_sq, laplace_beltrami, neumann_residual, lambda f, m: _stiffness(m) @ f.ravel()):
+        rows.clear()
+        op(f, metric)
+        calls.append(list(rows))
+    assert calls == [[0, 1, 2], [0, 1, 2], [1], [0, 1, 2]]
 
 
 def mesh_trials(grid: HopfGrid, n_trials: int, seed: int):

@@ -138,6 +138,14 @@ class TestRayleighQuotient:
         with pytest.raises(DegenerateTrialError):
             rayleigh_quotient(QuotientInput(tiny, round16, 6.0))
 
+    def test_overflowing_trial_rejected(self, round16):
+        # Q is scale invariant, but a finite trial whose sum of u^6
+        # overflows has no quotient to return: it is not read as 0.0
+        eta, _, _ = round16.grid.meshes()
+        huge = 1e60 * (1.0 + 0.1 * np.cos(eta))
+        with pytest.raises(DegenerateTrialError, match="overflow"):
+            rayleigh_quotient(QuotientInput(huge, round16, 6.0))
+
 
 class TestLaplaceBeltrami:
     def test_constant_maps_to_zero(self, round16):
