@@ -23,7 +23,9 @@ coordinate tangent vectors over this frame.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -121,71 +123,47 @@ class HopfGrid:
         return _stencils(self.shape, width)
 
 
+def _slopes(offsets: tuple[int, ...]) -> list[Fraction]:
+    """Exact first-derivative weights at 0 of the window of integer
+    `offsets` (0 among them) on unit spacing, the slopes at 0 of its
+    Lagrange basis: offset o != 0 weighs (1/o) prod l/(l - o) over the
+    other nonzero offsets l, and offset 0 weighs -sum 1/l."""
+    return [
+        Fraction(1, o) * math.prod(Fraction(l, l - o) for l in offsets if l not in (0, o))
+        if o else -sum(Fraction(1, l) for l in offsets if l)
+        for o in offsets
+    ]
+
+
 @functools.lru_cache(maxsize=16)
 def _axis_stencil(n: int, h: float, periodic: bool, width: int) -> tuple[np.ndarray, np.ndarray]:
     """First-derivative stencil on n points with spacing h as two
     read-only (k, n) tables: wts[j, i] is the weight of the j-th entry
-    of point i's window and idx[j, i] its point, each window's entries
-    in ascending point order (the order a CSR matrix stores a row in).
+    of point i's window and idx[j, i] its point.  Row 0 is each point's
+    own entry (idx[0] == arange(n)); the other rows follow in offset
+    order.
 
     Each window has k = width points (fewer on a short periodic axis),
     centered where possible and shifted at the ends of a non-periodic
-    axis; the weights come from solving the Vandermonde moment system,
-    so the rule is exact on polynomials of degree < k.  A centered
-    window of odd k has exactly antisymmetric weights, w == -w[::-1],
-    and a center weight of 0.0.
+    axis.  Each weight is the exact rational weight of `_slopes` divided
+    by h and rounded once, once per offset pattern, so a centered window
+    has exactly antisymmetric weights and a +0.0 center weight.
     """
     k = min(width, n if n % 2 == 1 or not periodic else n - 1)
     half = k // 2
-    rhs = np.eye(k)[1]
+    rounded = {}
     wts = np.empty((k, n))
     idx = np.empty((k, n), dtype=np.int32)
     for i in range(n):
         lo = i - half if periodic else min(max(i - half, 0), n - k)
-        cols = np.arange(lo, lo + k)
-        w = np.linalg.solve(np.vander((cols - i) * h, k, increasing=True).T, rhs)
-        if k % 2 == 1 and lo == i - half:
-            # the exact weights of a symmetric window are odd in the
-            # offset; the solve leaves roundoff in place of the zero
-            # center, which would be a stored entry of every operator
-            w = 0.5 * (w - w[::-1])
-        else:
-            # one-sided window: its weights sum to zero up to roundoff,
-            # and removing their mean shrinks that sum.  Constants have
-            # exact zero derivatives either way, from the difference
-            # form of _axis_derivative, not from these weights
-            w -= w.mean()
-        cols %= n
-        order = np.argsort(cols)
-        wts[:, i], idx[:, i] = w[order], cols[order]
+        offs = (0,) + tuple(o for o in range(lo - i, lo - i + k) if o)
+        if offs not in rounded:
+            rounded[offs] = [float(w / Fraction(h)) for w in _slopes(offs)]
+        wts[:, i] = rounded[offs]
+        idx[:, i] = [(i + o) % n for o in offs]
     wts.setflags(write=False)
     idx.setflags(write=False)
     return wts, idx
-
-
-@functools.lru_cache(maxsize=16)
-def _axis_matrix(n: int, h: float, periodic: bool) -> np.ndarray:
-    """The width-3 tables of `_axis_stencil` as a dense read-only (n, n)
-    matrix: m[i, idx[j, i]] = wts[j, i], so m @ f is the stencil
-    derivative of f along the axis and m.T applies its transpose."""
-    wts, idx = _axis_stencil(n, h, periodic, 3)
-    m = np.zeros((n, n))
-    m[np.broadcast_to(np.arange(n), idx.shape), idx] = wts
-    m.setflags(write=False)
-    return m
-
-
-@functools.lru_cache(maxsize=16)
-def _axis_neighbours(n: int, h: float, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The width-3 tables of `_axis_stencil` without each point's own
-    entry: read-only (k - 1, n) tables, each window's other entries in
-    ascending point order."""
-    wts, idx = _axis_stencil(n, h, periodic, 3)
-    others = (idx != np.arange(n)).T
-    out = tuple(np.ascontiguousarray(a.T[others].reshape(n, len(a) - 1).T) for a in (wts, idx))
-    for a in out:
-        a.setflags(write=False)
-    return out
 
 
 @functools.lru_cache(maxsize=4)
@@ -201,8 +179,8 @@ def _stencils(shape: tuple[int, int, int], width: int) -> tuple[sps.csr_matrix, 
     ops = []
     for n, h, periodic in zip(shape, grid.spacings, (False, False, True)):
         wts, idx = _axis_stencil(n, h, periodic, width)
-        indptr = np.arange(0, wts.size + 1, len(wts))
-        ops.append(sps.csr_matrix((wts.T.ravel(), idx.T.ravel(), indptr), shape=(n, n)))
+        rows = np.tile(idx[0], len(idx))  # row 0 of idx is each point itself
+        ops.append(sps.csr_matrix((wts.ravel(), (rows, idx.ravel())), shape=(n, n)))
     i1, i2, i3 = (sps.identity(n) for n in shape)
     out = (
         sps.kron(sps.kron(ops[0], i2), i3).tocsr(),
@@ -388,8 +366,9 @@ def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
 
 def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int) -> np.ndarray:
     """d f / d x_axis in difference form: out_i = sum_j w_ij (f_j - f_i)
-    over the width-3 windows, the window's entries summed in stored order
-    from 0.0, f a grid field.
+    over the width-3 windows of `_axis_stencil`, the window's other
+    entries (rows 1: of its tables) summed in offset order from 0.0, f a
+    grid field.
 
     Algebraically this equals the matvec with the axis operator of
     `HopfGrid.diff_ops` (the stencil weights sum to zero), but every
@@ -397,18 +376,18 @@ def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int) -> np.ndarray:
     derivatives of constants come out as 0.0 rather than accumulated
     roundoff — an identity downstream quadratures rely on.
 
-    The sum skips each point's own entry: on a finite field its term
+    The sum skips each point's own entry, row 0: on a finite field its term
     w_ii (f_i - f_i) is a signed zero, and adding a signed zero to a sum
     that starts at +0.0 changes no bit.  A non-finite cell still gives a
     non-finite derivative, but where the full sum reads NaN (inf - inf in
     the own term) this one may read +/-inf.
     """
     n = grid.shape[axis]
-    wts, idx = _axis_neighbours(n, grid.spacings[axis], axis == 2)
+    wts, idx = _axis_stencil(n, grid.spacings[axis], axis == 2, 3)
     bcast = [1, 1, 1]
     bcast[axis] = n
     out = np.zeros(f.shape)
-    for w, j in zip(wts, idx):
+    for w, j in zip(wts[1:], idx[1:]):
         out += w.reshape(bcast) * (np.take(f, j, axis=axis) - f)
     return out
 
@@ -454,8 +433,8 @@ class _Stiffness:
     under the grid quadrature, applied without assembly:
     A f = sum_i D_i^T `_flux`(coef, D f, i).  D_j is the
     difference-form derivative of `grad_sq`, so A 1 == 0 bit for bit;
-    D_i^T applies the transposed dense matrix `axes[i]` of the same
-    stencil along axis i.  The descent and the probe of
+    `axes[i]` is D_i^T for axis i, a dense n x n matrix filled from the
+    same width-3 `_axis_stencil` table.  The descent and the probe of
     `yamabe_estimator` apply it through `_QuotientWork`."""
 
     grid: HopfGrid
@@ -465,10 +444,10 @@ class _Stiffness:
     def __matmul__(self, f: np.ndarray) -> np.ndarray:
         shape = self.grid.shape
         d = _derivatives(f.reshape(shape), self.grid)
-        m0, m1, m2 = self.axes
-        out = (m0.T @ _flux(self.coef, d, 0).reshape(shape[0], -1)).reshape(shape)
-        out += np.matmul(m1.T, _flux(self.coef, d, 1))
-        out += _flux(self.coef, d, 2) @ m2
+        t0, t1, t2 = self.axes
+        out = (t0 @ _flux(self.coef, d, 0).reshape(shape[0], -1)).reshape(shape)
+        out += np.matmul(t1, _flux(self.coef, d, 1))
+        out += _flux(self.coef, d, 2) @ t2.T
         return out.reshape(-1)
 
 
@@ -478,11 +457,12 @@ def _stiffness(metric: MetricField) -> _Stiffness:
     grid = metric.grid
     c = {(i, j): metric.weight * metric.inv[i, j] for i in range(3) for j in range(i, 3)}
     coef = tuple(tuple(c[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
-    axes = tuple(
-        _axis_matrix(n, h, periodic)
-        for n, h, periodic in zip(grid.shape, grid.spacings, (False, False, True))
-    )
-    return _Stiffness(grid, coef, axes)
+    axes = []
+    for n, h, periodic in zip(grid.shape, grid.spacings, (False, False, True)):
+        wts, idx = _axis_stencil(n, h, periodic, 3)
+        axes.append(np.zeros((n, n)))
+        axes[-1][idx, idx[0]] = wts  # row 0 of idx is each point itself
+    return _Stiffness(grid, coef, tuple(axes))
 
 
 # === boundary geometry of the faces xi1 = 0 and xi1 = pi ================

@@ -151,6 +151,7 @@ class _QuotientWork:
         return x / nrm, (af - s * ag) / nrm
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _minimize_one(work: _QuotientWork, f0: np.ndarray):
     """Backtracking normalized descent from one start.
 
@@ -160,7 +161,8 @@ def _minimize_one(work: _QuotientWork, f0: np.ndarray):
     without a non-increasing step: the iterate is stationary to machine
     precision, which also counts as converged) or "max_iters".  The
     loop makes one stiffness product per iteration plus one at the
-    start.
+    start.  Overflow warns nowhere: a non-finite start quotient raises
+    NumericalFailureError and a non-finite trial is rejected.
     """
     f = f0 / work.norm(f0)
     af = work.stiffness @ f
@@ -176,17 +178,16 @@ def _minimize_one(work: _QuotientWork, f0: np.ndarray):
         g = work.gradient(f, af)
         ag = work.stiffness @ g
         accepted = False
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trial is rejected
-            for _ in range(_BACKTRACKS):
-                cand, acand = work.trial(f, af, g, ag, step)
-                qc = work.quotient(cand, acand)
-                if not np.isfinite(qc):
-                    step *= 0.5
-                    continue
-                if qc <= q:
-                    accepted = True
-                    break
+        for _ in range(_BACKTRACKS):
+            cand, acand = work.trial(f, af, g, ag, step)
+            qc = work.quotient(cand, acand)
+            if not np.isfinite(qc):
                 step *= 0.5
+                continue
+            if qc <= q:
+                accepted = True
+                break
+            step *= 0.5
         if not accepted:
             return f, q, trace, True, "stationary"
         rel = abs(q - qc) / max(abs(q), 1e-30)
@@ -214,10 +215,6 @@ def estimate(metric: MetricField, scalar) -> QuotientEstimate:
         "descent from the constant: %d iterations, stopped on %s, Q = %.17g, converged = %s",
         len(trace) - 1, reason, q, conv,
     )
-    if not np.isfinite(q):
-        raise NumericalFailureError(
-            f"minimization produced a non-finite quotient ({q})", trace=trace
-        )
     minimizer = f.reshape(metric.grid.shape)
     value = rayleigh_quotient(QuotientInput(f=minimizer, metric=metric, scalar_curvature=scalar))
     if not np.isfinite(value):

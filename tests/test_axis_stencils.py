@@ -9,12 +9,14 @@ library operator contracts through `su2_chart._flux`, counted here.
 The `einsum` references take contiguous cells-major operands, the
 layout the library used when they were written: on a strided view
 `einsum` may sum its terms in another order.
-The axis tables, the dense axis matrices and the diff_ops matrices share
-one source, so all three are first checked against a copy of the COO
-matrix construction they replaced, written with the same rules:
-centered windows exactly antisymmetric, and no stored zeros in the grid
-operators.  Both sides run in one process, so the checks hold with any
-libm.
+The axis tables, the stiffness operator's dense axis matrices and the
+diff_ops matrices share one source, so all three are first checked bit
+for bit against an exact reference: COO matrices whose weights solve
+each window's moment system by Gauss-Jordan elimination in `Fraction`,
+divided by the spacing and rounded once.  The library's closed-form
+rational weights (`_slopes`) are checked against the same moment system
+exactly.  Both sides use exact rationals and one correctly rounded
+division per weight, so these checks hold on every platform.
 
 Three checks are not bitwise.  The probe evaluates its trials as a
 quadratic form on their 7-field span, which sums in another order than
@@ -25,6 +27,9 @@ of |A| |f|; the product is still exactly zero on constants.  The face
 second form from all Christoffel symbols of the grid must converge, on
 the cells next to the faces, to the exact form on the same cell layers.
 Example counts are bounded and the search is derandomized."""
+
+import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,7 +52,12 @@ from relyamabe import (
 )
 from relyamabe import conformal_energy, su2_chart
 from relyamabe.conformal_energy import CONFORMAL_COEFF
-from relyamabe.su2_chart import _axis_derivative, _axis_matrix, _axis_stencil, _level_second_form
+from relyamabe.su2_chart import (
+    _axis_derivative,
+    _axis_stencil,
+    _level_second_form,
+    _slopes,
+)
 from relyamabe.yamabe_estimator import (
     _probe_coefficients,
     _probe_span,
@@ -68,10 +78,27 @@ def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@functools.cache
+def exact_slopes(offs: tuple[int, ...]) -> list[Fraction]:
+    """First-derivative weights at 0 of the integer window `offs`: the
+    solution of the moment system sum_j w_j o_j^p = [p == 1], p < k, by
+    Gauss-Jordan elimination in exact rationals."""
+    k = len(offs)
+    rows = [[Fraction(o) ** p for o in offs] + [Fraction(int(p == 1))] for p in range(k)]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(k):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[k] for row in rows]
+
+
 def coo_d1_matrix(n: int, h: float, periodic: bool, width: int) -> sps.csr_matrix:
     """First-derivative matrix on n points, assembled row by row as COO
-    triples and converted to CSR: the construction the axis tables
-    replaced."""
+    triples and converted to CSR, each weight the exact moment-system
+    solution of its window divided by h and rounded once."""
     width = min(width, n if n % 2 == 1 or not periodic else n - 1)
     half = width // 2
     rows, cols, vals = [], [], []
@@ -83,18 +110,9 @@ def coo_d1_matrix(n: int, h: float, periodic: bool, width: int) -> sps.csr_matri
             lo = min(max(i - half, 0), n - width)
             idx = np.arange(lo, lo + width)
             offs = idx - i
-        a = np.vander(offs * h, width, increasing=True).T
-        rhs = np.zeros(width)
-        rhs[1] = 1.0
-        wts = np.linalg.solve(a, rhs)
-        if np.array_equal(offs, -offs[::-1]):
-            # a centered window: exactly antisymmetric, 0.0 at the center
-            wts = 0.5 * (wts - wts[::-1])
-        else:
-            wts -= wts.mean()
         rows.extend([i] * width)
         cols.extend(idx.tolist())
-        vals.extend(wts.tolist())
+        vals.extend(float(w / Fraction(h)) for w in exact_slopes(tuple(offs.tolist())))
     return sps.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
@@ -118,23 +136,44 @@ def kron_operators(shape, width, drop_zeros=True):
 @pytest.mark.parametrize("periodic", [False, True])
 def test_axis_tables_equal_coo_matrix_rows(periodic, width):
     # every spacing a grid axis of n cells can have
-    for n in range(4, 41):
+    for n in range(4, 49):
         for h in ((np.pi / 2) / n, np.pi / n, (2 * np.pi) / n):
             d = coo_d1_matrix(n, h, periodic, width)
             k = d.indptr[1]
             wts, idx = _axis_stencil(n, h, periodic, width)
-            assert same_bits(wts, d.data.reshape(n, k).T)
-            assert same_bits(idx, d.indices.reshape(n, k).T)
+            # row 0 is each point's own entry, the others in offset order
+            assert np.array_equal(idx[0], np.arange(n))
+            offs = (idx[1:] - idx[0] + k // 2) % n - k // 2 if periodic else idx[1:] - idx[0]
+            assert np.all(np.diff(offs, axis=0) > 0)
+            order = np.argsort(idx, axis=0)
+            assert same_bits(np.take_along_axis(wts, order, 0), d.data.reshape(n, k).T)
+            assert same_bits(np.take_along_axis(idx, order, 0), d.indices.reshape(n, k).T)
             assert not wts.flags.writeable and not idx.flags.writeable
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_slopes_solve_the_moment_system_exactly(width):
+    # every window of k <= width consecutive offsets around 0, which
+    # covers the centered, shifted and short windows of the axis tables
+    for k in range(3, width + 1):
+        for lo in range(k):
+            offs = (0,) + tuple(o for o in range(-lo, k - lo) if o)
+            w = _slopes(offs)
+            assert w == exact_slopes(offs)
+            for p in range(k):
+                assert sum(wj * Fraction(o) ** p for wj, o in zip(w, offs)) == (p == 1)
 
 
 @pytest.mark.parametrize("periodic", [False, True])
 def test_axis_matrix_equals_dense_coo_matrix(periodic):
+    # the stiffness operator's dense transposed axis matrices: eta and
+    # xi1 are the non-periodic axes, xi2 the periodic one
     for n in range(4, 41):
-        for h in ((np.pi / 2) / n, np.pi / n, (2 * np.pi) / n):
-            m = _axis_matrix(n, h, periodic)
-            assert same_bits(m, coo_d1_matrix(n, h, periodic, 3).toarray())
-            assert not m.flags.writeable
+        grid = HopfGrid.cube(n)
+        axes = _stiffness(chart_metric(grid, BergerParams(1.0, 1.0))).axes
+        for axis in ((2,) if periodic else (0, 1)):
+            want = coo_d1_matrix(n, grid.spacings[axis], periodic, 3).toarray().T
+            assert same_bits(axes[axis], want)
 
 
 @settings(max_examples=30, **SETTINGS)

@@ -15,6 +15,7 @@ from relyamabe import (
     BergerParams,
     HopfGrid,
     InputFormatError,
+    NumericalFailureError,
     QuotientInput,
     berger_scalar_closed,
     chart_metric,
@@ -232,6 +233,14 @@ class TestDescentLoop:
             _, q, _, _, _ = _minimize_one(work, perturbed_start(metric.grid))
         assert any(non_finite)
         assert np.isfinite(q)
+
+    def test_overflowing_start_is_a_numerical_failure(self):
+        # R = 1e308 overflows the start quotient's reduction: a
+        # NumericalFailureError carrying the trace, not a RuntimeWarning
+        metric = chart_metric(HopfGrid.cube(8), BergerParams(1.0, 1.0))
+        with pytest.raises(NumericalFailureError) as info:
+            estimate(metric, 1e308)
+        assert info.value.trace == [np.inf]
 
     def test_one_debug_record_per_start(self, berger13_16, caplog):
         with caplog.at_level(logging.DEBUG, logger="relyamabe"):
