@@ -5,7 +5,6 @@ from .conformal_energy import (
     QuotientInput,
     conformal_scalar,
     einstein_hilbert,
-    laplace_beltrami,
     neumann_residual,
     rayleigh_quotient,
 )
@@ -45,11 +44,7 @@ from .su2_chart import (
     MetricField,
     boundary_second_form,
     chart_metric,
-    embedding,
-    frame_fields,
-    grad_sq,
     integrate,
-    partial_derivatives,
 )
 from .yamabe_estimator import estimate, yamabe_property_probe
 
@@ -80,18 +75,13 @@ __all__ = [
     # su2_chart
     "HopfGrid",
     "MetricField",
-    "frame_fields",
-    "embedding",
     "chart_metric",
-    "partial_derivatives",
     "integrate",
-    "grad_sq",
     "boundary_second_form",
     # conformal_energy
     "QuotientInput",
     "einstein_hilbert",
     "rayleigh_quotient",
-    "laplace_beltrami",
     "conformal_scalar",
     "neumann_residual",
     # criterion

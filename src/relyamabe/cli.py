@@ -253,21 +253,15 @@ def _rows_json(table: np.ndarray) -> str:
 def _render_json(payload: dict) -> str:
     """json.dumps(_pythonify(payload), indent=2, sort_keys=True) + "\n"
     of a dict payload, with each table entry rendered from its columns
-    by `_rows_json` as the list of its row objects.  A payload without
-    one is encoded whole: one call of the encoder costs less than one
-    call per entry."""
-    if not any(_is_table(v) for v in payload.values()):
-        return json.dumps(_pythonify(payload), indent=2, sort_keys=True) + "\n"
-    entries = []
-    for key in sorted(payload):
-        value = payload[key]
-        if _is_table(value):
-            text = _rows_json(value)
-        else:
-            # nesting only adds two spaces of indent to every inner line
-            text = json.dumps(_pythonify(value), indent=2, sort_keys=True).replace("\n", "\n  ")
-        entries.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(entries) + "\n}\n"
+    by `_rows_json` as the list of its row objects: the one encoder call
+    writes a placeholder string (NUL, then the key) in each table's slot,
+    and the placeholder's encoded text is replaced once by the rows."""
+    tables = {key: value for key, value in payload.items() if _is_table(value)}
+    slots = {key: "\0" + key for key in tables}
+    text = json.dumps(_pythonify({**payload, **slots}), indent=2, sort_keys=True)
+    for key, table in tables.items():
+        text = text.replace(json.dumps(slots[key]), _rows_json(table), 1)
+    return text + "\n"
 
 
 def render_payload(payload, fmt: str) -> str:

@@ -24,9 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DegenerateTrialError,
-    InputFormatError,
-    InvalidMetricError,
+    DegenerateTrialError, InputFormatError, InvalidMetricError, NumericalFailureError,
 )
 from .su2_chart import MetricField, _axis_derivative, _derivatives, _flux, grad_sq, integrate
 
@@ -90,17 +88,18 @@ def einstein_hilbert(metric: MetricField, scalar) -> EnergyReport:
     `scalar` may be a constant (homogeneous metrics) or a per-cell
     field.  E is invariant under g -> lam g: the integral scales by
     lam^{1/2} (R by 1/lam, dV by lam^{3/2}) and Vol^{1/3} matches it.
+    An integral or energy that overflows raises NumericalFailureError.
     """
     r = _scalar_field(scalar, metric.grid.shape)
     volume = metric.volume()
     if not np.isfinite(volume) or volume <= 0.0:
         raise InvalidMetricError(f"metric volume must be positive, got {volume}")
-    total = integrate(r, metric)
-    return EnergyReport(
-        total_scalar_integral=total,
-        volume=volume,
-        energy=total / volume ** _VOL_EXP,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = integrate(r, metric)
+        energy = total / volume ** _VOL_EXP
+    if not np.isfinite(energy):
+        raise NumericalFailureError(f"the normalized total scalar curvature overflows ({energy})")
+    return EnergyReport(total_scalar_integral=total, volume=volume, energy=energy)
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,8 @@ def laplace_beltrami(f: np.ndarray, metric: MetricField) -> np.ndarray:
 
 def conformal_scalar(u: np.ndarray, metric: MetricField, scalar) -> np.ndarray:
     """Scalar curvature of the conformal metric u^4 g:
-    R_u = u^{-5} ( -8 Laplace(u) + R u ).  u must be strictly positive."""
+    R_u = u^{-5} ( -8 Laplace(u) + R u ).  u must be strictly positive;
+    an R_u that overflows raises NumericalFailureError."""
     u = np.asarray(u, dtype=float)
     if u.shape != metric.grid.shape:
         raise InputFormatError(
@@ -179,9 +179,11 @@ def conformal_scalar(u: np.ndarray, metric: MetricField, scalar) -> np.ndarray:
     if not np.all(np.isfinite(u)) or u.min() <= 0.0:
         raise InputFormatError("conformal factor must be strictly positive")
     r = _scalar_field(scalar, metric.grid.shape)
-    return u ** (-float(_SCALAR_EXP)) * (
-        -CONFORMAL_COEFF * laplace_beltrami(u, metric) + r * u
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_u = u ** (-float(_SCALAR_EXP)) * (-CONFORMAL_COEFF * laplace_beltrami(u, metric) + r * u)
+    if not np.all(np.isfinite(r_u)):
+        raise NumericalFailureError("the conformal scalar curvature overflows to non-finite values")
+    return r_u
 
 
 def neumann_residual(u: np.ndarray, metric: MetricField) -> float:

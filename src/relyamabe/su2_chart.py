@@ -38,7 +38,7 @@ from .errors import (
     NumericalFailureError,
     _whole,
 )
-from .lie_curvature import BergerParams, _connection, su2_structure_constants
+from .lie_curvature import BergerParams, levi_civita, su2_structure_constants
 
 if TYPE_CHECKING:
     import scipy.sparse as sps
@@ -118,8 +118,12 @@ class HopfGrid:
 
     def diff_ops(self, width: int = 3) -> tuple[sps.csr_matrix, ...]:
         """Sparse d/d_eta, d/d_xi1, d/d_xi2 acting on flattened fields,
-        on windows of `width` points (every other derivative here uses
-        3), shared by every grid of the same shape."""
+        on windows of `width` points, an odd whole number >= 3 (every
+        other derivative here uses 3), shared by every grid of the same
+        shape.  Any other width raises InputFormatError."""
+        width = _whole(width, "width", 3)
+        if width % 2 == 0:
+            raise InputFormatError(f"width must be odd, got {width}")
         return _stencils(self.shape, width)
 
 
@@ -527,7 +531,7 @@ def _level_second_form(
     frame V_i / sqrt(w_i), II = sign P Hess(f) P / |df| with P the
     projection orthogonal to the unit normal."""
     w = np.array([1.0, params.s, params.t])
-    gamma = _connection(su2_structure_constants().c, np.diag(w)[None], np.diag(1.0 / w)[None])[0]
+    gamma = levi_civita(su2_structure_constants(), params.metric())
     a = np.array([-np.sin(c), np.cos(c), 0.0, 0.0])
     ell = a @ _FRAME_MAPS  # ell[k] @ x = V_k f
     hess = np.einsum("p,jpq,iqr->ijr", a, _FRAME_MAPS, _FRAME_MAPS)  # V_i (V_j f)

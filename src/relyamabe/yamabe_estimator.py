@@ -155,11 +155,11 @@ class _QuotientWork:
 def _minimize_one(work: _QuotientWork, f0: np.ndarray):
     """Backtracking normalized descent from one start.
 
-    Returns (f, q, trace, converged, reason), reason being why the loop
-    stopped: "tol" (`_CONSECUTIVE` accepted steps with relative decrease
-    below _TOL), "stationary" (a line search exhausted its halvings
-    without a non-increasing step: the iterate is stationary to machine
-    precision, which also counts as converged) or "max_iters".  The
+    Returns (f, q, trace, reason), reason being why the loop stopped:
+    "tol" (`_CONSECUTIVE` accepted steps with relative decrease below
+    _TOL), "stationary" (no finite non-increasing trial in `_BACKTRACKS`
+    halvings: the iterate is stationary to machine precision) or
+    "max_iters", the one reason that does not count as converged.  The
     loop makes one stiffness product per iteration plus one at the
     start.  Overflow warns nowhere: a non-finite start quotient raises
     NumericalFailureError and a non-finite trial is rejected.
@@ -177,27 +177,22 @@ def _minimize_one(work: _QuotientWork, f0: np.ndarray):
     for _ in range(_MAX_ITERS):
         g = work.gradient(f, af)
         ag = work.stiffness @ g
-        accepted = False
         for _ in range(_BACKTRACKS):
             cand, acand = work.trial(f, af, g, ag, step)
             qc = work.quotient(cand, acand)
-            if not np.isfinite(qc):
-                step *= 0.5
-                continue
-            if qc <= q:
-                accepted = True
+            if np.isfinite(qc) and qc <= q:
                 break
             step *= 0.5
-        if not accepted:
-            return f, q, trace, True, "stationary"
+        else:
+            return f, q, trace, "stationary"
         rel = abs(q - qc) / max(abs(q), 1e-30)
         f, af, q = cand, acand, qc
         trace.append(q)
         step *= _GROWTH
         n_small = n_small + 1 if rel < _TOL else 0
         if n_small >= _CONSECUTIVE:
-            return f, q, trace, True, "tol"
-    return f, q, trace, False, "max_iters"
+            return f, q, trace, "tol"
+    return f, q, trace, "max_iters"
 
 
 def estimate(metric: MetricField, scalar) -> QuotientEstimate:
@@ -210,10 +205,11 @@ def estimate(metric: MetricField, scalar) -> QuotientEstimate:
     quotient so the two are identical by construction.
     """
     work = _QuotientWork(metric, scalar)
-    f, q, trace, conv, reason = _minimize_one(work, np.ones(metric.grid.size))
+    f, q, trace, reason = _minimize_one(work, np.ones(metric.grid.size))
+    converged = reason != "max_iters"
     _log.debug(
         "descent from the constant: %d iterations, stopped on %s, Q = %.17g, converged = %s",
-        len(trace) - 1, reason, q, conv,
+        len(trace) - 1, reason, q, converged,
     )
     minimizer = f.reshape(metric.grid.shape)
     value = rayleigh_quotient(QuotientInput(f=minimizer, metric=metric, scalar_curvature=scalar))
@@ -225,7 +221,7 @@ def estimate(metric: MetricField, scalar) -> QuotientEstimate:
         value=value,
         minimizer=minimizer,
         iterations_used=len(trace) - 1,
-        converged=conv,
+        converged=converged,
         neumann_residual_of_minimizer=neumann_residual(minimizer, metric),
         trace=tuple(trace),
     )

@@ -26,9 +26,7 @@ from relyamabe import (
     einstein_hilbert,
     einstein_locus_check,
     estimate,
-    grad_sq,
     integrate,
-    laplace_beltrami,
     rayleigh_quotient,
     scalar_sign_curve,
     su2_structure_constants,
@@ -36,6 +34,8 @@ from relyamabe import (
     volume_ratio,
     yamabe_property_probe,
 )
+from relyamabe.conformal_energy import laplace_beltrami
+from relyamabe.su2_chart import grad_sq
 from conftest import ROUND_ENERGY, berger_energy
 
 

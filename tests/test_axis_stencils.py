@@ -43,20 +43,19 @@ from relyamabe import (
     MetricField,
     QuotientInput,
     chart_metric,
-    grad_sq,
-    laplace_beltrami,
     neumann_residual,
-    partial_derivatives,
     rayleigh_quotient,
     yamabe_property_probe,
 )
 from relyamabe import conformal_energy, su2_chart
-from relyamabe.conformal_energy import CONFORMAL_COEFF
+from relyamabe.conformal_energy import CONFORMAL_COEFF, laplace_beltrami
 from relyamabe.su2_chart import (
     _axis_derivative,
     _axis_stencil,
     _level_second_form,
     _slopes,
+    grad_sq,
+    partial_derivatives,
 )
 from relyamabe.yamabe_estimator import (
     _probe_coefficients,

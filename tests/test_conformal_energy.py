@@ -12,19 +12,19 @@ from relyamabe import (
     HopfGrid,
     InputFormatError,
     MetricField,
+    NumericalFailureError,
     QuotientInput,
     berger_scalar_closed,
     chart_metric,
     conformal_scalar,
     einstein_hilbert,
-    grad_sq,
     integrate,
-    laplace_beltrami,
     neumann_residual,
     rayleigh_quotient,
     volume_ratio,
 )
-from relyamabe.conformal_energy import _critical_sum
+from relyamabe.conformal_energy import _critical_sum, laplace_beltrami
+from relyamabe.su2_chart import grad_sq
 from relyamabe.yamabe_estimator import _QuotientWork
 from conftest import ROUND_ENERGY, berger_energy
 
@@ -49,6 +49,12 @@ class TestEinsteinHilbert:
     def test_field_scalar_accepted(self, round16):
         rep = einstein_hilbert(round16, np.full(round16.grid.shape, 6.0))
         assert rep.energy == pytest.approx(einstein_hilbert(round16, 6.0).energy)
+
+    def test_overflowing_total_is_a_numerical_failure(self, round16):
+        # the integral of R = 1e308 overflows its reduction: a
+        # NumericalFailureError, not a RuntimeWarning
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            einstein_hilbert(round16, 1e308)
 
 
 class TestRayleighQuotient:
@@ -178,7 +184,7 @@ class TestLaplaceBeltrami:
             _, xi1, _ = metric.grid.meshes()
             f = np.cos(2 * xi1)
             lhs = integrate(f * laplace_beltrami(f, metric), metric)
-            from relyamabe import grad_sq
+            from relyamabe.su2_chart import grad_sq
 
             rhs = integrate(grad_sq(f, metric), metric)
             return abs(lhs + rhs) / rhs
@@ -204,6 +210,14 @@ class TestConformalScalar:
         u[0, 0, 0] = 0.0
         with pytest.raises(InputFormatError):
             conformal_scalar(u, round16, 6.0)
+
+    def test_overflowing_factor_power_is_a_numerical_failure(self, round16):
+        # u^-5 of a factor near 1e-62 overflows: a NumericalFailureError,
+        # not a RuntimeWarning
+        eta, _, _ = round16.grid.meshes()
+        u = 1e-62 * (1.0 + 0.1 * np.cos(eta))
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            conformal_scalar(u, round16, 2.0)
 
     def test_two_way_consistency(self, round32):
         # energy of u^4 g computed from the transformed scalar curvature

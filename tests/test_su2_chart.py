@@ -16,14 +16,17 @@ from relyamabe import (
     NumericalFailureError,
     boundary_second_form,
     chart_metric,
+    integrate,
+    su2_structure_constants,
+)
+from relyamabe.su2_chart import (
+    _FRAME_MAPS,
+    _level_second_form,
     embedding,
     frame_fields,
     grad_sq,
-    integrate,
     partial_derivatives,
-    su2_structure_constants,
 )
-from relyamabe.su2_chart import _FRAME_MAPS, _level_second_form
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -113,6 +116,13 @@ class TestHopfGrid:
     def test_diff_ops_cached(self, grid16):
         assert grid16.diff_ops(3)[0] is grid16.diff_ops(3)[0]
         assert HopfGrid.cube(16).diff_ops(3) is grid16.diff_ops(3)  # keyed by shape
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 0, -1, 2.5])
+    def test_diff_ops_width_must_be_odd_and_at_least_three(self, grid16, width):
+        # width 1 gave all-zero operators and even widths off-centre
+        # windows, silently
+        with pytest.raises(InputFormatError, match="width must be"):
+            grid16.diff_ops(width)
 
     def test_partial_derivative_exactness_on_linear(self, grid16):
         eta, _, _ = grid16.meshes()

@@ -63,7 +63,7 @@ class TestEstimate:
         # gets below it to 27.7056 without converging; estimate reports the
         # constant's descent
         metric = chart_metric(HopfGrid.cube(8), BergerParams(1.0, 1.0))
-        _, q_perturbed, _, _, _ = _minimize_one(
+        _, q_perturbed, _, _ = _minimize_one(
             _QuotientWork(metric, 6.0), perturbed_start(metric.grid, 3)
         )
         est = estimate(metric, 6.0)
@@ -185,8 +185,8 @@ class TestDescentLoop:
             return last
 
         work.trial = recording_trial
-        f, _, trace, conv, reason = _minimize_one(work, f0)
-        assert (reason, conv, len(trace)) == ("max_iters", False, 401)
+        f, _, trace, reason = _minimize_one(work, f0)
+        assert (reason, len(trace)) == ("max_iters", 401)
         carried, direct = last[1], work.stiffness @ f
         assert last[0] is f
         assert np.abs(carried - direct).max() <= 1e-10 * np.abs(direct).max()
@@ -207,7 +207,7 @@ class TestDescentLoop:
         else:
             f0 = np.ones(metric.grid.size)
         work.stiffness = CountingMatrix(work.stiffness)
-        _, _, trace, _, reason = _minimize_one(work, f0)
+        _, _, trace, reason = _minimize_one(work, f0)
         if seeded:
             assert reason == "max_iters"
         else:
@@ -230,7 +230,7 @@ class TestDescentLoop:
         work.trial = recording_trial
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, q, _, _, _ = _minimize_one(work, perturbed_start(metric.grid))
+            _, q, _, _ = _minimize_one(work, perturbed_start(metric.grid))
         assert any(non_finite)
         assert np.isfinite(q)
 
@@ -282,6 +282,12 @@ class TestProbe:
         energy = einstein_hilbert(berger13_16, 2.0).energy
         assert report.min_over_trials <= energy
         assert report.argmin_trial == 0  # the constant opens the family
+
+    def test_overflowing_energy_is_a_numerical_failure(self, berger13_16):
+        # trial 0, the constant, reads the energy, whose integral of
+        # R = 1e308 overflows: a NumericalFailureError, not a RuntimeWarning
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            yamabe_property_probe(berger13_16, 1e308, n_trials=3)
 
     def test_bad_trial_count_rejected(self, berger13_16):
         with pytest.raises(InputFormatError):
