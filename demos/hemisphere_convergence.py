@@ -41,8 +41,7 @@ def boundary_minimality() -> None:
     for s, t in [(1.0, 1.0), (1.0, 3.0), (2.0, 4.0)]:
         for n in (16, 32):
             rep = boundary_second_form(chart_metric(HopfGrid.cube(n), BergerParams(s, t)))
-            max_h = max(f.max_abs_mean_curvature for f in rep.faces)
-            max_ii = max(f.max_ii_norm for f in rep.faces)
+            max_h, max_ii = rep.max_abs_mean_curvature, rep.max_ii_norm
             print(f"({s:3.1f},{t:3.1f}) {n:4d} {max_h:12.3e} {max_ii:12.4f}")
     print()
     print("For the round metric both quantities are zero (the equator is")

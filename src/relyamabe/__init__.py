@@ -34,8 +34,6 @@ from .lie_curvature import (
     berger_ricci_closed,
     berger_scalar_closed,
     curvature_report,
-    einstein_locus_check,
-    frame_from_matrices,
     levi_civita,
     su2_structure_constants,
 )
@@ -66,12 +64,10 @@ __all__ = [
     "FrameMetric",
     "BergerParams",
     "su2_structure_constants",
-    "frame_from_matrices",
     "levi_civita",
     "curvature_report",
     "berger_scalar_closed",
     "berger_ricci_closed",
-    "einstein_locus_check",
     # su2_chart
     "HopfGrid",
     "MetricField",

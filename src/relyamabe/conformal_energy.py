@@ -61,13 +61,6 @@ class EnergyReport:
     volume: float
     energy: float
 
-    def to_dict(self) -> dict:
-        return {
-            "total_scalar_integral": self.total_scalar_integral,
-            "volume": self.volume,
-            "energy": self.energy,
-        }
-
 
 def _scalar_field(scalar, grid_shape) -> np.ndarray:
     arr = np.asarray(scalar, dtype=float)
@@ -94,9 +87,8 @@ def einstein_hilbert(metric: MetricField, scalar) -> EnergyReport:
     volume = metric.volume()
     if not np.isfinite(volume) or volume <= 0.0:
         raise InvalidMetricError(f"metric volume must be positive, got {volume}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = integrate(r, metric)
-        energy = total / volume ** _VOL_EXP
+    total = integrate(r, metric)
+    energy = total / volume ** _VOL_EXP
     if not np.isfinite(energy):
         raise NumericalFailureError(f"the normalized total scalar curvature overflows ({energy})")
     return EnergyReport(total_scalar_integral=total, volume=volume, energy=energy)
@@ -194,6 +186,11 @@ def neumann_residual(u: np.ndarray, metric: MetricField) -> float:
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise InputFormatError("conformal factor has non-finite entries")
-    du = [d[:, [0, -1]] for d in _derivatives(u, metric.grid)]
+    grid = metric.grid
+    if u.shape != grid.shape:
+        raise InputFormatError(f"field shape {u.shape} does not match grid {grid.shape}")
+    faces = u[:, [0, -1]]
+    du = [_axis_derivative(faces, grid, 0), _axis_derivative(u, grid, 1)[:, [0, -1]],
+          _axis_derivative(faces, grid, 2)]
     inv = metric.inv[:, :, :, [0, -1]]
     return float((np.abs(_flux(inv, du, 1)) / np.sqrt(inv[1, 1])).max())

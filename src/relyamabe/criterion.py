@@ -271,16 +271,6 @@ class BergerClassification:
     einstein_deviation: float
     report: CriterionReport
 
-    def to_dict(self) -> dict:
-        return {
-            "s": self.params.s,
-            "t": self.params.t,
-            "verdict": self.verdict,
-            "scalar": self.scalar,
-            "einstein_deviation": self.einstein_deviation,
-            "report": self.report.to_dict(),
-        }
-
 
 def _berger_metrics(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The stacked metrics diag(1, s, t), shape (N, 3, 3)."""

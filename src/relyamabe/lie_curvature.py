@@ -43,7 +43,6 @@ __all__ = [
     "curvature_report",
     "berger_scalar_closed",
     "berger_ricci_closed",
-    "einstein_locus_check",
 ]
 
 # Basis of su(2): X1 = [[i,0],[0,-i]], X2 = [[0,1],[-1,0]], X3 = [[0,i],[i,0]].
@@ -368,13 +367,3 @@ def berger_ricci_closed(p: BergerParams) -> np.ndarray:
             -(1.0 / st) * (2.0 - 2.0 * t * t + 2.0 * s * s - 4.0 * s),
         ]
     )
-
-
-def einstein_locus_check(p: BergerParams) -> float:
-    """Einstein deviation of diag(1, s, t), computed by the engine.
-
-    Zero (to roundoff) exactly at s = t = 1, strictly positive
-    elsewhere in the normalized family; this is a computation, not an
-    assumption.
-    """
-    return curvature_report(su2_structure_constants(), p.metric()).einstein_deviation

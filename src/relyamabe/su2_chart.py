@@ -240,7 +240,7 @@ class MetricField:
     field of the chart component g_ab, (a, b) over (eta, xi1, xi2), at
     every cell center, plus the derived volume data; inv[i, j] holds
     g^{ij} the same way.  `params` records the Berger weights when the
-    field came from one (rescaled fields drop it).
+    field came from one (a hand-built field, a rescaled one say, has none).
 
     Every cell must be finite, symmetric to 1e-12 relative to its
     largest entry, and positive definite (all leading minors positive);
@@ -292,14 +292,6 @@ class MetricField:
 
     def volume(self) -> float:
         return float(np.sum(self.weight))
-
-    def scaled(self, lam: float) -> "MetricField":
-        """The homothetic metric lam * g on the same grid."""
-        if not np.isfinite(lam) or lam <= 0.0:
-            raise InvalidMetricError(f"scale factor must be positive, got {lam}")
-        return MetricField(
-            grid=self.grid, g=lam * self.g, params=None, chart_residual=self.chart_residual
-        )
 
 
 def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
@@ -372,7 +364,7 @@ def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int) -> np.ndarray:
     """d f / d x_axis in difference form: out_i = sum_j w_ij (f_j - f_i)
     over the width-3 windows of `_axis_stencil`, the window's other
     entries (rows 1: of its tables) summed in offset order from 0.0, f a
-    grid field.
+    grid field or a block of one that spans the whole `axis`.
 
     Algebraically this equals the matvec with the axis operator of
     `HopfGrid.diff_ops` (the stencil weights sum to zero), but every
@@ -410,8 +402,14 @@ def partial_derivatives(f: np.ndarray, grid: HopfGrid) -> np.ndarray:
 
 
 def integrate(f, metric: MetricField) -> float:
-    """Integral of f against the Riemannian volume element."""
-    return float(np.sum(np.asarray(f, dtype=float) * metric.weight))
+    """Integral of f against the Riemannian volume element; an integral
+    that is not finite (it overflows, or f is not finite) raises
+    NumericalFailureError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(np.asarray(f, dtype=float) * metric.weight))
+    if not np.isfinite(total):
+        raise NumericalFailureError(f"the integral overflows or is not finite ({total})")
+    return total
 
 
 def _flux(c, df, i: int) -> np.ndarray:
@@ -425,10 +423,15 @@ def _flux(c, df, i: int) -> np.ndarray:
 def grad_sq(f: np.ndarray, metric: MetricField) -> np.ndarray:
     """|df|^2_g = d_i f g^{ij} d_j f at every cell, the three products
     summed in `_flux`'s order (clamped at zero: the form is positive
-    semidefinite, negatives are pure roundoff)."""
-    df = _derivatives(f, metric.grid)
-    flux = [_flux(metric.inv, df, i) for i in range(3)]
-    return np.maximum((df[0] * flux[0] + df[2] * flux[2]) + df[1] * flux[1], 0.0)
+    semidefinite, negatives are pure roundoff).  A density that is not
+    finite (it overflows, or f is not finite) raises NumericalFailureError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        df = _derivatives(f, metric.grid)
+        flux = [_flux(metric.inv, df, i) for i in range(3)]
+        out = np.maximum((df[0] * flux[0] + df[2] * flux[2]) + df[1] * flux[1], 0.0)
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailureError("the gradient density |df|^2 overflows or f is not finite")
+    return out
 
 
 @dataclass(frozen=True)
@@ -481,18 +484,6 @@ class FaceSecondForm:
     mean_curvature: np.ndarray = field(repr=False)
     ii_norm: np.ndarray = field(repr=False)
 
-    @property
-    def max_abs_mean_curvature(self) -> float:
-        return float(np.abs(self.mean_curvature).max())
-
-    @property
-    def max_ii_norm(self) -> float:
-        return float(self.ii_norm.max())
-
-    @property
-    def min_ii_norm(self) -> float:
-        return float(self.ii_norm.min())
-
 
 @dataclass(frozen=True)
 class BoundaryReport:
@@ -500,24 +491,11 @@ class BoundaryReport:
 
     @property
     def max_abs_mean_curvature(self) -> float:
-        return max(f.max_abs_mean_curvature for f in self.faces)
+        return max(float(np.abs(f.mean_curvature).max()) for f in self.faces)
 
     @property
     def max_ii_norm(self) -> float:
-        return max(f.max_ii_norm for f in self.faces)
-
-    def to_dict(self) -> dict:
-        return {
-            "faces": [
-                {
-                    "name": f.name,
-                    "max_abs_mean_curvature": f.max_abs_mean_curvature,
-                    "max_ii_norm": f.max_ii_norm,
-                    "min_ii_norm": f.min_ii_norm,
-                }
-                for f in self.faces
-            ],
-        }
+        return max(float(f.ii_norm.max()) for f in self.faces)
 
 
 def _level_second_form(
@@ -553,8 +531,8 @@ def boundary_second_form(metric: MetricField) -> BoundaryReport:
     """Exact second fundamental form of the faces xi1 = 0 and xi1 = pi,
     halves of the great sphere {x2 = 0}, for the inward normals, at every
     (eta, xi2) point of the grid.  It is computed from the Berger weights
-    `metric.params`; a field without them (hand-built, or from
-    `MetricField.scaled`) raises InputFormatError.
+    `metric.params`; a field without them (hand-built, or rescaled)
+    raises InputFormatError.
 
     H = 0 for every (s, t).  For f = x2, ell = (V_i f) = (x1, -x4, -x3),
     N^2 = x1^2 + x4^2/s + x3^2/t and nu = sum_i ell_i V_i / (w_i N).  The

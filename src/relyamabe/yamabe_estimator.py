@@ -241,15 +241,6 @@ class ProbeReport:
     n_trials: int
     argmin_trial: int
 
-    def to_dict(self) -> dict:
-        return {
-            "min_over_trials": self.min_over_trials,
-            "energy": self.energy,
-            "gap_to_energy": self.gap_to_energy,
-            "n_trials": self.n_trials,
-            "argmin_trial": self.argmin_trial,
-        }
-
 
 #: entries of trial-by-cell values formed at once by the probe's denominator
 _PROBE_BLOCK = 1 << 18

@@ -24,7 +24,7 @@ from relyamabe import (
     volume_ratio,
 )
 from relyamabe.conformal_energy import _critical_sum, laplace_beltrami
-from relyamabe.su2_chart import grad_sq
+from relyamabe.su2_chart import _flux, grad_sq, partial_derivatives
 from relyamabe.yamabe_estimator import _QuotientWork
 from conftest import ROUND_ENERGY, berger_energy
 
@@ -43,7 +43,7 @@ class TestEinsteinHilbert:
     @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
     def test_scale_invariance(self, round32, lam):
         base = einstein_hilbert(round32, 6.0).energy
-        scaled = einstein_hilbert(round32.scaled(lam), 6.0 / lam).energy
+        scaled = einstein_hilbert(MetricField(round32.grid, lam * round32.g), 6.0 / lam).energy
         assert scaled == pytest.approx(base, rel=1e-10)
 
     def test_field_scalar_accepted(self, round16):
@@ -67,7 +67,8 @@ class TestRayleighQuotient:
     )
     def test_constant_reproduces_energy_exactly(self, n, s, dt, lam):
         params = BergerParams(s, s + dt)
-        metric = chart_metric(HopfGrid.cube(n), params).scaled(lam)
+        base = chart_metric(HopfGrid.cube(n), params)
+        metric = MetricField(base.grid, lam * base.g)
         scalar = berger_scalar_closed(params) / lam
         energy = einstein_hilbert(metric, scalar).energy
         q = rayleigh_quotient(QuotientInput(np.ones(metric.grid.shape), metric, scalar))
@@ -124,7 +125,7 @@ class TestRayleighQuotient:
         f = 1.0 + 0.15 * np.cos(eta)
         q = rayleigh_quotient(QuotientInput(f, round16, 6.0))
         q_scaled = rayleigh_quotient(
-            QuotientInput(f, round16.scaled(lam), 6.0 / lam)
+            QuotientInput(f, MetricField(round16.grid, lam * round16.g), 6.0 / lam)
         )
         assert q_scaled == pytest.approx(q, rel=1e-10)
 
@@ -268,6 +269,30 @@ class TestNeumannResidual:
             u[3, 0, 5] = bad
         with pytest.raises(InputFormatError, match="non-finite"):
             neumann_residual(u, round16)
+
+    def test_shape_mismatch_rejected(self, round16):
+        with pytest.raises(InputFormatError, match="does not match grid"):
+            neumann_residual(np.ones((16, 16, 15)), round16)
+
+    @pytest.mark.parametrize(
+        "shape", [(n, n + 1, n + 2) for n in (4, 5, 8, 16)] + [(32, 32, 32)]
+    )
+    @pytest.mark.parametrize("st_pair", [(1.0, 1.0), (1.0, 3.5), (1.7, 4.6), (3.0, 1e4)])
+    def test_face_layers_equal_all_layer_derivatives(self, shape, st_pair):
+        # the residual differentiates only the two face layers; it equals,
+        # bit for bit, the same flux read off derivatives on every layer
+        metric = chart_metric(HopfGrid(*shape), BergerParams(*st_pair))
+        eta, xi1, xi2 = metric.grid.meshes()
+        fields = (
+            np.random.default_rng(7).normal(size=shape),
+            1.0 + 0.2 * np.cos(xi1) + 0.1 * np.sin(eta) * np.cos(xi2) + 0.05 * np.sin(xi1 + xi2),
+            np.full(shape, 2.5),
+        )
+        for u in fields:
+            du = [d[:, [0, -1]] for d in partial_derivatives(u, metric.grid)]
+            inv = metric.inv[:, :, :, [0, -1]]
+            want = float((np.abs(_flux(inv, du, 1)) / np.sqrt(inv[1, 1])).max())
+            assert neumann_residual(u, metric) == want
 
 
 class TestAdmissibleTrialFamily:

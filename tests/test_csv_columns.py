@@ -9,6 +9,8 @@ Property tests draw structured tables with heavy repetition, signed
 zeros, NaN of either sign and payload, infinities, subnormals, float64,
 float32 and string fields; the search is derandomized."""
 
+import csv
+import io
 import json
 import math
 import sys
@@ -74,6 +76,34 @@ def run(tmp_path, *argv) -> str:
     out = tmp_path / "payload"
     assert main(list(argv) + ["--out", str(out), "--quiet"]) == 0
     return out.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curvature", "--s", "1", "--t", "3"),
+        ("criterion", "--g", "round", "--h", "berger:1.7,4.6"),
+        ("yamabe", "--geometry", "berger:1,3.5", "--resolution", "8"),
+    ],
+    ids=["curvature", "criterion", "yamabe"],
+)
+def test_cli_dict_payload_csv_equals_its_json(tmp_path, argv):
+    # a dict payload renders as key,value rows in key order: a dict or
+    # list cell is its quoted JSON, nan is JSON's null, a float its repr
+    header, *rows = csv.reader(io.StringIO(run(tmp_path, *argv, "--format", "csv")))
+    payload = json.loads(run(tmp_path, *argv, "--format", "json"))
+    assert header == ["key", "value"]
+    assert [key for key, _ in rows] == sorted(payload)
+    for key, text in rows:
+        value = payload[key]
+        if isinstance(value, (dict, list)):
+            assert json.loads(text) == value, key
+        elif text == "nan":
+            assert value is None, key
+        elif isinstance(value, float):
+            assert text == repr(value), key
+        else:
+            assert text == str(value), key
 
 
 def grid_rows(geometry: BergerParams, n: int) -> list[dict]:

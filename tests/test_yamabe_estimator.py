@@ -313,10 +313,6 @@ class TestProbe:
         assert report == yamabe_property_probe(berger13_16, 2.0, n_trials=5, seed=3)
         assert type(report.n_trials) is int
 
-    def test_serializable(self, berger13_16):
-        report = yamabe_property_probe(berger13_16, 2.0, n_trials=3, seed=1)
-        assert json.dumps(report.to_dict())
-
     def test_span_form_from_the_descent_operator(self, berger13_16, counted_stiffness):
         # the 7x7 form takes one product per span field with the
         # stiffness operator the descent uses
