@@ -430,6 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     (parsing does not modify it)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write the payload to PATH instead of stdout")
+    # the subparsers share this action, so set_defaults(format=...) on one would set all of them
     common.add_argument("--format", default=None, choices=("json", "csv"), help="payload format")
     common.add_argument("--quiet", action="store_true", help="suppress the stderr summary line")
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateTrialError, InputFormatError, InvalidMetricError, NumericalFailureError,
+from .errors import DegenerateTrialError, InputFormatError, InvalidMetricError
+from .su2_chart import (
+    MetricField, _axis_derivative, _derivatives, _finite, _flux, grad_sq, integrate,
 )
-from .su2_chart import MetricField, _axis_derivative, _derivatives, _flux, grad_sq, integrate
 
 __all__ = [
     "DIM",
@@ -88,9 +88,7 @@ def einstein_hilbert(metric: MetricField, scalar) -> EnergyReport:
     if not np.isfinite(volume) or volume <= 0.0:
         raise InvalidMetricError(f"metric volume must be positive, got {volume}")
     total = integrate(r, metric)
-    energy = total / volume ** _VOL_EXP
-    if not np.isfinite(energy):
-        raise NumericalFailureError(f"the normalized total scalar curvature overflows ({energy})")
+    energy = _finite(total / volume ** _VOL_EXP, "the normalized total scalar curvature")
     return EnergyReport(total_scalar_integral=total, volume=volume, energy=energy)
 
 
@@ -151,14 +149,17 @@ def rayleigh_quotient(qi: QuotientInput) -> float:
     return numer / denom_int ** _VOL_EXP
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def laplace_beltrami(f: np.ndarray, metric: MetricField) -> np.ndarray:
     """Laplace-Beltrami operator in divergence form:
-    Delta f = det^{-1/2} d_i ( det^{1/2} g^{ij} d_j f )."""
+    Delta f = det^{-1/2} d_i ( det^{1/2} g^{ij} d_j f ).  A Laplacian
+    that is not finite raises NumericalFailureError (`_finite`)."""
     df, root = _derivatives(f, metric.grid), metric.sqrt_det
     div = sum(_axis_derivative(root * _flux(metric.inv, df, i), metric.grid, i) for i in range(3))
-    return div / root
+    return _finite(div / root, "the Laplacian")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def conformal_scalar(u: np.ndarray, metric: MetricField, scalar) -> np.ndarray:
     """Scalar curvature of the conformal metric u^4 g:
     R_u = u^{-5} ( -8 Laplace(u) + R u ).  u must be strictly positive;
@@ -171,18 +172,17 @@ def conformal_scalar(u: np.ndarray, metric: MetricField, scalar) -> np.ndarray:
     if not np.all(np.isfinite(u)) or u.min() <= 0.0:
         raise InputFormatError("conformal factor must be strictly positive")
     r = _scalar_field(scalar, metric.grid.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r_u = u ** (-float(_SCALAR_EXP)) * (-CONFORMAL_COEFF * laplace_beltrami(u, metric) + r * u)
-    if not np.all(np.isfinite(r_u)):
-        raise NumericalFailureError("the conformal scalar curvature overflows to non-finite values")
-    return r_u
+    r_u = u ** (-float(_SCALAR_EXP)) * (-CONFORMAL_COEFF * laplace_beltrami(u, metric) + r * u)
+    return _finite(r_u, "the conformal scalar curvature")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def neumann_residual(u: np.ndarray, metric: MetricField) -> float:
     """Max |du(n)| over the two boundary faces, sampled at the cell layer
     adjacent to each face: n^i = +/- g^{i xi1} / sqrt(g^{xi1 xi1}) is the
     inward unit normal, so |du(n)| = |g^{xi1 j} d_j u| / sqrt(g^{xi1 xi1}).
-    u must be finite: a NaN cell would read as a zero residual."""
+    u must be finite: a NaN cell would read as a zero residual.  A
+    residual that overflows raises NumericalFailureError (`_finite`)."""
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise InputFormatError("conformal factor has non-finite entries")
@@ -193,4 +193,5 @@ def neumann_residual(u: np.ndarray, metric: MetricField) -> float:
     du = [_axis_derivative(faces, grid, 0), _axis_derivative(u, grid, 1)[:, [0, -1]],
           _axis_derivative(faces, grid, 2)]
     inv = metric.inv[:, :, :, [0, -1]]
-    return float((np.abs(_flux(inv, du, 1)) / np.sqrt(inv[1, 1])).max())
+    residual = (np.abs(_flux(inv, du, 1)) / np.sqrt(inv[1, 1])).max()
+    return float(_finite(residual, "the Neumann residual"))

@@ -50,7 +50,7 @@ from .lie_curvature import (
     curvature_report,  # not called here: benchmarks/selftest.py reads criterion.curvature_report
     su2_structure_constants,
 )
-from .su2_chart import MetricField
+from .su2_chart import MetricField, _finite
 
 __all__ = [
     "VERDICT_APPLIES_STRICT",
@@ -136,17 +136,19 @@ def volume_ratio(g, h) -> float:
 
     For frame metrics this is `_volume_ratio` of the pair, so a
     determinant or ratio that overflows raises NumericalFailureError.
-    For grid fields the pointwise ratio must be constant across cells to
-    within a relative 1e-8 (the two fields must be relatively
-    homogeneous); its mean is returned.
+    For grid fields the pointwise ratio is h.sqrt_det / g.sqrt_det; it
+    must be constant across cells to within a relative 1e-8 (the two
+    fields must be relatively homogeneous), and its mean is returned.  A
+    mean that overflows raises NumericalFailureError.
     """
     if isinstance(g, MetricField) or isinstance(h, MetricField):
         if not (isinstance(g, MetricField) and isinstance(h, MetricField)):
             raise InvalidMetricError("volume_ratio needs two frame metrics or two fields")
         if g.grid.shape != h.grid.shape:
             raise InvalidMetricError("volume_ratio fields live on different grids")
-        ratio = np.sqrt(h.det / g.det)
-        mean = float(ratio.mean())
+        with np.errstate(over="ignore"):
+            ratio = h.sqrt_det / g.sqrt_det
+            mean = float(_finite(ratio.mean(), "the volume ratio of the two fields"))
         spread = float(np.abs(ratio - mean).max())
         if spread > _RATIO_REL_TOL * abs(mean):
             raise HypothesisViolationError(

@@ -57,17 +57,13 @@ _IDENTITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LieAlgebraFrame:
-    """A 3-dimensional Lie algebra presented by structure constants.
-
-    c[k, i, j] is the X_k coefficient of [X_i, X_j].  `matrices` holds
-    the concrete 2x2 basis when the frame came from one (it is None
-    for frames loaded from bare structure constants).  Both arrays are
-    private read-only copies, so a frame shared between callers (the
-    cached su(2) frame) cannot be altered through them.
+    """A 3-dimensional Lie algebra presented by its structure constants:
+    c[k, i, j] is the X_k coefficient of [X_i, X_j].  The array is a
+    private read-only copy, so a frame shared between callers (the
+    cached su(2) frame) cannot be altered through it.
     """
 
     c: np.ndarray
-    matrices: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.array(self.c, dtype=float)
@@ -77,10 +73,6 @@ class LieAlgebraFrame:
             raise InputFormatError("structure constants have non-finite entries")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
-        if self.matrices is not None:
-            mats = np.array(self.matrices, dtype=complex)
-            mats.setflags(write=False)
-            object.__setattr__(self, "matrices", mats)
         anti = np.abs(c + np.swapaxes(c, 1, 2)).max()
         if anti > _IDENTITY_TOL:
             raise InputFormatError(
@@ -96,27 +88,15 @@ class LieAlgebraFrame:
                 f"structure constants violate the Jacobi identity (residual {jac:.3e})"
             )
 
-    def bracket_residual(self) -> float:
-        """Max norm of [X_i, X_j] - c^k_{ij} X_k over all pairs (requires
-        concrete matrices)."""
-        if self.matrices is None:
-            raise InputFormatError("frame has no matrix realization to check against")
-        worst = 0.0
-        for i in range(3):
-            for j in range(3):
-                comm = self.matrices[i] @ self.matrices[j] - self.matrices[j] @ self.matrices[i]
-                recon = np.einsum("k,kab->ab", self.c[:, i, j], self.matrices)
-                worst = max(worst, float(np.abs(comm - recon).max()))
-        return worst
-
 
 def frame_from_matrices(mats) -> LieAlgebraFrame:
     """Build a frame from three 2x2 complex matrices.
 
     The bracket [X_i, X_j] is expanded over the basis using the real
     Frobenius pairing <A, B> = Re tr(A B^H); the basis must be
-    orthogonal under it (true for anti-Hermitian su(2) bases).  The
-    expansion is verified to reproduce the commutators to 1e-12.
+    orthogonal under it (true for anti-Hermitian su(2) bases).  Each
+    expansion is checked, as it is made, to reproduce its commutator
+    to 1e-12; the frame keeps the constants, not the matrices.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.shape != (3, 2, 2):
@@ -125,19 +105,20 @@ def frame_from_matrices(mats) -> LieAlgebraFrame:
     if norms2.min() <= 0.0:
         raise InputFormatError("degenerate basis matrix")
     c = np.zeros((3, 3, 3))
+    resid = 0.0
     for i in range(3):
         for j in range(3):
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
             for k in range(3):
                 c[k, i, j] = np.real(np.trace(comm @ mats[k].conj().T)) / norms2[k]
-    frame = LieAlgebraFrame(c=c, matrices=mats)
-    resid = frame.bracket_residual()
+            recon = np.einsum("k,kab->ab", c[:, i, j], mats)
+            resid = max(resid, float(np.abs(comm - recon).max()))
     if resid > _IDENTITY_TOL:
         raise InputFormatError(
             f"bracket expansion residual {resid:.3e}: basis is not closed "
             "under commutators or not Frobenius-orthogonal"
         )
-    return frame
+    return LieAlgebraFrame(c)
 
 
 @functools.cache

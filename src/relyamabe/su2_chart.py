@@ -238,13 +238,14 @@ def embedding(grid: HopfGrid) -> tuple[np.ndarray, np.ndarray]:
 class MetricField:
     """A Berger metric evaluated on a grid: g[a, b] is the contiguous
     field of the chart component g_ab, (a, b) over (eta, xi1, xi2), at
-    every cell center, plus the derived volume data; inv[i, j] holds
-    g^{ij} the same way.  `params` records the Berger weights when the
+    every cell center; inv[i, j] holds g^{ij} the same way, sqrt_det the
+    volume density sqrt(det g) and weight the quadrature weights
+    sqrt_det * cell_volume.  `params` records the Berger weights when the
     field came from one (a hand-built field, a rescaled one say, has none).
 
     Every cell must be finite, symmetric to 1e-12 relative to its
     largest entry, and positive definite (all leading minors positive);
-    otherwise InvalidMetricError.  det and inv come from the 3x3
+    otherwise InvalidMetricError.  inv and sqrt_det come from the 3x3
     cofactors of the symmetrized cells."""
 
     grid: HopfGrid
@@ -285,7 +286,6 @@ class MetricField:
         if not (np.all(np.isfinite(det)) and np.all(np.isfinite(inv))):
             raise InvalidMetricError("metric field determinant or inverse is not finite")
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "det", det)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "sqrt_det", np.sqrt(det))
         object.__setattr__(self, "weight", self.sqrt_det * self.grid.cell_volume)
@@ -396,20 +396,31 @@ def _derivatives(f: np.ndarray, grid: HopfGrid) -> list[np.ndarray]:
     return [_axis_derivative(f, grid, i) for i in range(3)]
 
 
+def _finite(x, what: str):
+    """Return x when every entry is finite, else raise NumericalFailureError
+    saying `what` overflows: the one overflow rule of the grid quantities,
+    which compute under np.errstate(over="ignore") and return through here."""
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailureError(f"{what} overflows or is not finite")
+    return x
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def partial_derivatives(f: np.ndarray, grid: HopfGrid) -> np.ndarray:
-    """Stacked coordinate derivatives df[i] = d_i f at every cell."""
-    return np.stack(_derivatives(f, grid))
+    """Stacked coordinate derivatives df[i] = d_i f at every cell.  A
+    derivative that is not finite raises NumericalFailureError (`_finite`)."""
+    return _finite(np.stack(_derivatives(f, grid)), "a partial derivative")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(f, metric: MetricField) -> float:
-    """Integral of f against the Riemannian volume element; an integral
-    that is not finite (it overflows, or f is not finite) raises
-    NumericalFailureError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(np.asarray(f, dtype=float) * metric.weight))
-    if not np.isfinite(total):
-        raise NumericalFailureError(f"the integral overflows or is not finite ({total})")
-    return total
+    """Integral of the grid field f against the Riemannian volume
+    element.  An integral that is not finite raises NumericalFailureError
+    (`_finite`); a field of another shape, InputFormatError."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != metric.grid.shape:
+        raise InputFormatError(f"field shape {f.shape} does not match grid {metric.grid.shape}")
+    return float(_finite(np.sum(f * metric.weight), "the integral"))
 
 
 def _flux(c, df, i: int) -> np.ndarray:
@@ -420,18 +431,16 @@ def _flux(c, df, i: int) -> np.ndarray:
     return (c[i][0] * df[0] + c[i][2] * df[2]) + c[i][1] * df[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def grad_sq(f: np.ndarray, metric: MetricField) -> np.ndarray:
     """|df|^2_g = d_i f g^{ij} d_j f at every cell, the three products
     summed in `_flux`'s order (clamped at zero: the form is positive
     semidefinite, negatives are pure roundoff).  A density that is not
-    finite (it overflows, or f is not finite) raises NumericalFailureError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        df = _derivatives(f, metric.grid)
-        flux = [_flux(metric.inv, df, i) for i in range(3)]
-        out = np.maximum((df[0] * flux[0] + df[2] * flux[2]) + df[1] * flux[1], 0.0)
-    if not np.all(np.isfinite(out)):
-        raise NumericalFailureError("the gradient density |df|^2 overflows or f is not finite")
-    return out
+    finite raises NumericalFailureError (`_finite`)."""
+    df = _derivatives(f, metric.grid)
+    flux = [_flux(metric.inv, df, i) for i in range(3)]
+    out = np.maximum((df[0] * flux[0] + df[2] * flux[2]) + df[1] * flux[1], 0.0)
+    return _finite(out, "the gradient density |df|^2")
 
 
 @dataclass(frozen=True)

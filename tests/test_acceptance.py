@@ -142,7 +142,7 @@ def test_07_chart_validation(grid16, grid32, round32, berger13_32):
     assert round_dev <= 1e-10
 
     det_exact = 3.0 * np.cos(eta) ** 2 * np.sin(eta) ** 2
-    det_dev = (np.abs(berger13_32.det - det_exact) / det_exact).max()
+    det_dev = (np.abs(berger13_32.sqrt_det ** 2 - det_exact) / det_exact).max()
     assert det_dev <= 1e-8
 
     vol = berger13_32.volume()

@@ -3,7 +3,7 @@ inverse of `MetricField`.
 
 `chart_metric` builds g elementwise from the closed-form frame
 expansion and checks the expansion against the real frame maps
-`_FRAME_MAPS`; `MetricField` takes det and g^{-1} from 3x3 cofactors.
+`_FRAME_MAPS`; `MetricField` takes sqrt(det g) and g^{-1} from 3x3 cofactors.
 Each is checked against a reference kept here: the complex-array,
 three-operand `einsum` construction the closed form replaced, the
 closed form checked against the complex frame `frame_fields(embedding)`,
@@ -159,7 +159,7 @@ def assert_linalg_agrees(m: MetricField):
         assert field.shape == (3, 3) + m.grid.shape
         assert field.flags.c_contiguous
     det, inv = np.linalg.det(cells(m.g)), np.linalg.inv(cells(m.g))
-    assert np.all(np.abs(m.det - det) <= 1e-12 * np.abs(det))
+    assert np.all(np.abs(m.sqrt_det ** 2 - det) <= 1e-12 * np.abs(det))
     scale = np.abs(inv).max(axis=(-2, -1))[..., None, None]
     assert np.all(np.abs(cells(m.inv) - inv) <= 1e-12 * scale)
     assert np.array_equal(m.inv, np.swapaxes(m.inv, 0, 1))

@@ -237,6 +237,26 @@ class TestConformalScalar:
         assert energy_bar == pytest.approx(q, rel=1e-2)
 
 
+@pytest.mark.parametrize(
+    "helper",
+    [
+        lambda f, m: partial_derivatives(f, m.grid),
+        laplace_beltrami,
+        neumann_residual,
+    ],
+    ids=["partial_derivatives", "laplace_beltrami", "neumann_residual"],
+)
+def test_overflowing_strong_form_is_a_numerical_failure(grid8, helper):
+    # differences of a field near 1.5e308 leave the float range: a
+    # NumericalFailureError, not a RuntimeWarning; at 1e306 every helper
+    # still returns finite values
+    metric = chart_metric(grid8, BergerParams(1.0, 1.0))
+    eta, xi1, _ = grid8.meshes()
+    assert np.all(np.isfinite(helper(1e306 * np.cos(xi1), metric)))
+    with pytest.raises(NumericalFailureError, match="overflows"):
+        helper(1.5e308 * np.cos(xi1) * np.cos(2 * eta), metric)
+
+
 class TestNeumannResidual:
     def test_constant_flux_free(self, round32, berger13_32):
         u = np.ones(round32.grid.shape)

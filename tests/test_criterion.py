@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from relyamabe import (
     BergerParams,
     FrameMetric,
+    HopfGrid,
     HypothesisViolationError,
     InvalidMetricError,
     MetricField,
@@ -21,6 +22,7 @@ from relyamabe import (
     berger_classify,
     berger_sweep,
     boundary_curve,
+    chart_metric,
     corollary_path_check,
     scalar_sign_curve,
     theorem1_check,
@@ -86,6 +88,17 @@ class TestVolumeRatio:
         assert volume_ratio(round32, berger13_32) == pytest.approx(
             math.sqrt(3.0), rel=1e-10
         )
+
+    def test_field_inputs_far_apart_in_scale(self):
+        # the sqrt_det ratio of these scalings is 1e300, finite and
+        # constant; one more factor of about 1e13 overflows it
+        base = chart_metric(HopfGrid.cube(4), BergerParams(1.0, 1.0))
+        far = volume_ratio(MetricField(base.grid, 1e-100 * base.g),
+                           MetricField(base.grid, 1e100 * base.g))
+        assert far == pytest.approx(1e300, rel=1e-12)
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            volume_ratio(MetricField(base.grid, 1e-107 * base.g),
+                         MetricField(base.grid, 1e102 * base.g))
 
     def test_field_inputs_nonconstant_ratio_rejected(self, round32):
         eta, _, _ = round32.grid.meshes()

@@ -43,11 +43,30 @@ class TestStructureConstants:
         assert np.abs(frame.c - expected).max() <= 1e-12
 
     def test_bracket_residual_is_zero(self, frame):
-        assert frame.bracket_residual() <= 1e-12
+        basis = np.stack([X1, X2, X3])
+        for i in range(3):
+            for j in range(3):
+                recon = np.einsum("k,kab->ab", frame.c[:, i, j], basis)
+                assert np.abs(comm(basis[i], basis[j]) - recon).max() <= 1e-12
 
     def test_frame_from_matrices_recovers_constants(self, frame):
         rebuilt = frame_from_matrices(np.stack([X1, X2, X3]))
         assert np.abs(rebuilt.c - frame.c).max() <= 1e-12
+
+    def test_frame_from_matrices_rejects_a_wrong_shape(self):
+        with pytest.raises(InputFormatError, match="three 2x2 matrices"):
+            frame_from_matrices(np.zeros((2, 2, 2)))
+
+    def test_frame_from_matrices_rejects_a_zero_matrix(self):
+        with pytest.raises(InputFormatError, match="degenerate basis matrix"):
+            frame_from_matrices(np.stack([X1, X2, np.zeros((2, 2))]))
+
+    def test_frame_from_matrices_rejects_a_basis_not_closed_under_commutators(self):
+        # commutators of real symmetric matrices are antisymmetric, so
+        # they have no expansion over a symmetric basis
+        sym = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]], np.eye(2)])
+        with pytest.raises(InputFormatError, match="bracket expansion residual"):
+            frame_from_matrices(sym)
 
     def test_antisymmetry_violation_rejected(self):
         c = np.zeros((3, 3, 3))
@@ -83,8 +102,6 @@ class TestStructureConstants:
         assert su2_structure_constants() is frame
         with pytest.raises(ValueError):
             frame.c[2, 0, 1] = 0.0
-        with pytest.raises(ValueError):
-            frame.matrices[0, 0, 0] = 0.0
         assert frame.c[2, 0, 1] == 2.0
 
     def test_frame_copies_the_callers_array(self, frame):

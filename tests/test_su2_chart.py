@@ -146,7 +146,7 @@ class TestChartMetric:
         m = chart_metric(grid32, BergerParams(s, t))
         eta, _, _ = grid32.meshes()
         exact = s * t * np.cos(eta) ** 2 * np.sin(eta) ** 2
-        assert (np.abs(m.det - exact) / exact).max() <= 1e-8
+        assert (np.abs(m.sqrt_det ** 2 - exact) / exact).max() <= 1e-8
 
     def test_chart_residual_negligible(self, berger13_32):
         assert berger13_32.chart_residual <= 1e-10
@@ -163,7 +163,7 @@ class TestChartMetric:
 
     def test_scaled_metric(self, round16):
         doubled = MetricField(round16.grid, 2.0 * round16.g)
-        assert np.allclose(doubled.det, 8.0 * round16.det, rtol=1e-14)
+        assert np.allclose(doubled.sqrt_det ** 2, 8.0 * round16.sqrt_det ** 2, rtol=1e-14)
         assert doubled.volume() == pytest.approx(
             2.0**1.5 * round16.volume(), rel=1e-14
         )
@@ -190,6 +190,13 @@ class TestQuadrature:
         metric = chart_metric(grid8, BergerParams(1.0, 1.0))
         with pytest.raises(NumericalFailureError, match="overflows"):
             integrate(np.full(grid8.shape, value), metric)
+
+    @pytest.mark.parametrize("shape", [(8, 8, 1), (3,)])
+    def test_field_of_another_shape_rejected(self, grid8, shape):
+        # neither broadcast against the weights nor a bare numpy error
+        metric = chart_metric(grid8, BergerParams(1.0, 1.0))
+        with pytest.raises(InputFormatError, match="does not match grid"):
+            integrate(np.ones(shape), metric)
 
     def test_volume_ratio_exact_scaling(self, grid16, round16):
         for s, t in [(1.0, 3.0), (2.0, 4.0)]:
