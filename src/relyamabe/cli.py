@@ -94,11 +94,17 @@ def parse_berger_token(token: str) -> BergerParams:
 
 def _spec_numbers(path: str, key: str, value, ndim: int) -> np.ndarray:
     """A metric-file entry as a float array of `ndim` dimensions; an
-    entry that is not that many nested lists of finite numbers raises
-    InputFormatError naming the file and key."""
+    entry that is not that many nested lists of finite JSON numbers
+    raises InputFormatError naming the file and key.  Every leaf is
+    checked to be an int or a float: a bool or a numeric string is not
+    a number here, though numpy would cast it to one."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        leaves = np.asarray(value, dtype=object)
+        bad = [x for x in leaves.flat if type(x) not in (int, float)]
+        if bad:
+            raise TypeError(f"{bad[0]!r} is not a JSON number")
+        arr = leaves.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"metric file {path!r}: {key!r} is not numeric ({exc})") from exc
     if arr.ndim != ndim or not np.all(np.isfinite(arr)):
         kind = "a finite number" if ndim == 0 else f"a {ndim}-d array of finite numbers"

@@ -1,11 +1,13 @@
 """Curvature of left invariant metrics on SU(2).
 
 A left invariant metric is a symmetric positive definite 3x3 matrix G
-expressed in a fixed basis X1, X2, X3 of su(2).  Everything downstream
-(Levi-Civita connection, Riemann tensor, Ricci, scalar curvature) is
-finite dimensional linear algebra driven by the structure constants
-[X_i, X_j] = c^k_{ij} X_k, which are computed from actual matrix
-commutators rather than hard coded.
+expressed in a fixed frame X1, X2, X3 of su(2).  The frame is realized
+once, as the invariant vector fields V1, V2, V3 on S^3 in R^4 = C^2,
+each a linear map `_FRAME_MAPS[k]`; the hemisphere chart uses the same
+maps.  Everything downstream (Levi-Civita connection, Riemann tensor,
+Ricci, scalar curvature) is finite dimensional linear algebra driven by
+the structure constants [X_i, X_j] = c^k_{ij} X_k, which are computed
+from the brackets of those fields rather than hard coded.
 
 The stacked kernels work on N metrics at once.  `_ricci` contracts the
 Ricci tensor straight from the connection, forming only the diagonal
@@ -38,19 +40,20 @@ __all__ = [
     "BergerParams",
     "CurvatureReport",
     "su2_structure_constants",
-    "frame_from_matrices",
     "levi_civita",
     "curvature_report",
     "berger_scalar_closed",
     "berger_ricci_closed",
 ]
 
-# Basis of su(2): X1 = [[i,0],[0,-i]], X2 = [[0,1],[-1,0]], X3 = [[0,i],[i,0]].
-# They satisfy [X1,X2] = 2 X3 cyclically; the factor 2 falls out of the
-# commutators computed below, it is never assumed.
-_X1 = np.array([[1j, 0.0], [0.0, -1j]])
-_X2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-_X3 = np.array([[0.0, 1j], [1j, 0.0]])
+# The su(2) frame as linear fields on R^4: the invariant field V_k at
+# x = (Re z, Im z, Re w, Im w) is _FRAME_MAPS[k] @ x.
+_FRAME_MAPS = np.array([
+    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # V1 x = (-x2, x1, -x4, x3)
+    [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]],  # V2 x = (x3, -x4, -x1, x2)
+    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],  # V3 x = (-x4, -x3, x2, x1)
+], dtype=float)
+_FRAME_MAPS.setflags(write=False)
 
 _IDENTITY_TOL = 1e-12
 
@@ -89,45 +92,26 @@ class LieAlgebraFrame:
             )
 
 
-def frame_from_matrices(mats) -> LieAlgebraFrame:
-    """Build a frame from three 2x2 complex matrices.
-
-    The bracket [X_i, X_j] is expanded over the basis using the real
-    Frobenius pairing <A, B> = Re tr(A B^H); the basis must be
-    orthogonal under it (true for anti-Hermitian su(2) bases).  Each
-    expansion is checked, as it is made, to reproduce its commutator
-    to 1e-12; the frame keeps the constants, not the matrices.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    if mats.shape != (3, 2, 2):
-        raise InputFormatError(f"expected three 2x2 matrices, got shape {mats.shape}")
-    norms2 = np.real(np.einsum("kab,kab->k", mats, mats.conj()))
-    if norms2.min() <= 0.0:
-        raise InputFormatError("degenerate basis matrix")
-    c = np.zeros((3, 3, 3))
-    resid = 0.0
-    for i in range(3):
-        for j in range(3):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            for k in range(3):
-                c[k, i, j] = np.real(np.trace(comm @ mats[k].conj().T)) / norms2[k]
-            recon = np.einsum("k,kab->ab", c[:, i, j], mats)
-            resid = max(resid, float(np.abs(comm - recon).max()))
-    if resid > _IDENTITY_TOL:
-        raise InputFormatError(
-            f"bracket expansion residual {resid:.3e}: basis is not closed "
-            "under commutators or not Frobenius-orthogonal"
-        )
-    return LieAlgebraFrame(c)
-
-
 @functools.cache
 def su2_structure_constants() -> LieAlgebraFrame:
-    """The su(2) frame, with structure constants computed from the 2x2
-    matrix commutators (the cyclic factor-2 table is an output here,
-    never an input).  Built on the first call and shared by every later
-    one; the frame is immutable."""
-    return frame_from_matrices(np.stack([_X1, _X2, _X3]))
+    """The su(2) frame, with structure constants computed from the
+    brackets of the frame fields (the cyclic factor-2 table is an output
+    here, never an input).  For the linear fields V_i x = M_i x the
+    bracket is [V_i, V_j] x = (M_j M_i - M_i M_j) x; it is expanded over
+    the maps with the pairing <A, B> = tr(A B^T), under which they are
+    orthogonal, and the expansion is checked to reproduce every bracket
+    to 1e-12.  Built on the first call and shared by every later one;
+    the frame is immutable."""
+    m = _FRAME_MAPS
+    brackets = np.einsum("jab,ibc->ijac", m, m) - np.einsum("iab,jbc->ijac", m, m)
+    c = np.einsum("ijab,kab->kij", brackets, m) / np.einsum("kab,kab->k", m, m)[:, None, None]
+    resid = np.abs(brackets - np.einsum("kij,kab->ijab", c, m)).max()
+    if resid > _IDENTITY_TOL:
+        raise InputFormatError(
+            f"bracket expansion residual {resid:.3e}: the frame maps are not "
+            "closed under brackets or not orthogonal"
+        )
+    return LieAlgebraFrame(c)
 
 
 @dataclass(frozen=True)

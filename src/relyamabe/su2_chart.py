@@ -15,9 +15,11 @@ The invariant frame is realized as the tangent fields
 
     V1 = (iz, iw),  V2 = (conj(w), -conj(z)),  V3 = (-i conj(w), i conj(z)),
 
-orthonormal for the round metric.  A Berger metric with weights
-(1, s, t) is evaluated in chart coordinates by expanding the
-coordinate tangent vectors over this frame.
+orthonormal for the round metric.  The frame is defined in
+`lie_curvature` (`_FRAME_MAPS`, the fields as linear maps on R^4), whose
+structure constants are the brackets of these same fields.  A Berger
+metric with weights (1, s, t) is evaluated in chart coordinates by
+expanding the coordinate tangent vectors over this frame.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     NumericalFailureError,
     _whole,
 )
-from .lie_curvature import BergerParams, levi_civita, su2_structure_constants
+from .lie_curvature import _FRAME_MAPS, BergerParams, levi_civita, su2_structure_constants
 
 if TYPE_CHECKING:
     import scipy.sparse as sps
@@ -194,15 +196,6 @@ def _stencils(shape: tuple[int, int, int], width: int) -> tuple[sps.csr_matrix, 
     for op in out:
         op.eliminate_zeros()
     return out
-
-
-# The frame fields as linear maps: V_k at x = (Re z, Im z, Re w, Im w) is _FRAME_MAPS[k] @ x.
-_FRAME_MAPS = np.array([
-    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # V1 x = (-x2, x1, -x4, x3)
-    [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]],  # V2 x = (x3, -x4, -x1, x2)
-    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],  # V3 x = (-x4, -x3, x2, x1)
-], dtype=float)
-_FRAME_MAPS.setflags(write=False)
 
 
 def frame_fields(z, w) -> np.ndarray:

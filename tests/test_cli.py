@@ -35,6 +35,12 @@ NON_NUMERIC_SPECS = [
     ({"metric": [[1, 0, 0], [0, None, 0], [0, 0, 1]]}, "metric"),
     ({"metric": np.eye(3).tolist(), "structure_constants": [[["q"] * 3] * 3] * 3},
      "structure_constants"),
+    # numpy casts these to numbers; a metric file takes only JSON numbers
+    ({"berger": {"s": True, "t": 2}}, "berger.s"),
+    ({"berger": {"s": "2", "t": 3}}, "berger.s"),
+    ({"metric": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}, "metric"),
+    # an integer too large for a float
+    ({"berger": {"s": 10 ** 400, "t": 2}}, "berger.s"),
 ]
 
 

@@ -15,7 +15,8 @@ from relyamabe import (
     levi_civita,
     su2_structure_constants,
 )
-from relyamabe.lie_curvature import frame_from_matrices
+from relyamabe import lie_curvature
+from relyamabe.lie_curvature import _FRAME_MAPS
 
 # Independent oracle: the three 2x2 anti-Hermitian generators, written out
 # here from scratch so the bracket table is cross-checked against direct
@@ -49,24 +50,27 @@ class TestStructureConstants:
                 recon = np.einsum("k,kab->ab", frame.c[:, i, j], basis)
                 assert np.abs(comm(basis[i], basis[j]) - recon).max() <= 1e-12
 
-    def test_frame_from_matrices_recovers_constants(self, frame):
-        rebuilt = frame_from_matrices(np.stack([X1, X2, X3]))
-        assert np.abs(rebuilt.c - frame.c).max() <= 1e-12
+    def test_frame_maps_are_unit_quaternion_multiplications(self):
+        # M_i^2 = -I, M_i M_j = -M_j M_i (i != j) and M_i^T = -M_i, exactly
+        m = _FRAME_MAPS
+        for i in range(3):
+            assert np.array_equal(m[i] @ m[i], -np.eye(4))
+            assert np.array_equal(m[i].T, -m[i])
+            for j in range(3):
+                if i != j:
+                    assert np.array_equal(m[i] @ m[j], -(m[j] @ m[i]))
 
-    def test_frame_from_matrices_rejects_a_wrong_shape(self):
-        with pytest.raises(InputFormatError, match="three 2x2 matrices"):
-            frame_from_matrices(np.zeros((2, 2, 2)))
-
-    def test_frame_from_matrices_rejects_a_zero_matrix(self):
-        with pytest.raises(InputFormatError, match="degenerate basis matrix"):
-            frame_from_matrices(np.stack([X1, X2, np.zeros((2, 2))]))
-
-    def test_frame_from_matrices_rejects_a_basis_not_closed_under_commutators(self):
-        # commutators of real symmetric matrices are antisymmetric, so
-        # they have no expansion over a symmetric basis
-        sym = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]], np.eye(2)])
-        with pytest.raises(InputFormatError, match="bracket expansion residual"):
-            frame_from_matrices(sym)
+    @pytest.mark.parametrize("entry", [tuple(ix) for ix in np.argwhere(_FRAME_MAPS)])
+    def test_frame_map_with_one_wrong_sign_fails_the_bracket_check(self, monkeypatch, entry):
+        maps = _FRAME_MAPS.copy()
+        maps[entry] = -maps[entry]
+        monkeypatch.setattr(lie_curvature, "_FRAME_MAPS", maps)
+        su2_structure_constants.cache_clear()
+        try:
+            with pytest.raises(InputFormatError, match="bracket expansion residual"):
+                su2_structure_constants()
+        finally:
+            su2_structure_constants.cache_clear()
 
     def test_antisymmetry_violation_rejected(self):
         c = np.zeros((3, 3, 3))
