@@ -1,13 +1,10 @@
 """Curvature, comparison criterion, and conformal quotient estimation
-for left invariant metrics on the 3-sphere."""
+for left invariant metrics on the 3-sphere.
 
-from .conformal_energy import (
-    QuotientInput,
-    conformal_scalar,
-    einstein_hilbert,
-    neumann_residual,
-    rayleigh_quotient,
-)
+Importing the package loads the curvature and criterion layers.  The
+hemisphere grid layers (`su2_chart`, `conformal_energy`,
+`yamabe_estimator`) load on first use of one of their names here."""
+
 from .criterion import (
     berger_classify,
     berger_sweep,
@@ -37,14 +34,6 @@ from .lie_curvature import (
     levi_civita,
     su2_structure_constants,
 )
-from .su2_chart import (
-    HopfGrid,
-    MetricField,
-    boundary_second_form,
-    chart_metric,
-    integrate,
-)
-from .yamabe_estimator import estimate, yamabe_property_probe
 
 __version__ = "0.1.0"
 
@@ -92,3 +81,35 @@ __all__ = [
     "estimate",
     "yamabe_property_probe",
 ]
+
+#: package-root names of the grid layers -> the module defining each
+_GRID_NAMES = {
+    "HopfGrid": "su2_chart",
+    "MetricField": "su2_chart",
+    "chart_metric": "su2_chart",
+    "integrate": "su2_chart",
+    "boundary_second_form": "su2_chart",
+    "QuotientInput": "conformal_energy",
+    "einstein_hilbert": "conformal_energy",
+    "rayleigh_quotient": "conformal_energy",
+    "conformal_scalar": "conformal_energy",
+    "neumann_residual": "conformal_energy",
+    "estimate": "yamabe_estimator",
+    "yamabe_property_probe": "yamabe_estimator",
+}
+
+
+def __getattr__(name: str):
+    """Load a grid name from its module on first use (PEP 562) and keep
+    it in the package namespace, so later lookups find it directly."""
+    if name not in _GRID_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_GRID_NAMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_GRID_NAMES})

@@ -39,8 +39,6 @@ from .lie_curvature import (
     curvature_report,
     su2_structure_constants,
 )
-from .su2_chart import HopfGrid, chart_metric
-from .yamabe_estimator import estimate
 
 __all__ = ["main"]
 
@@ -98,6 +96,7 @@ def _spec_numbers(path: str, key: str, value, ndim: int) -> np.ndarray:
     raises InputFormatError naming the file and key.  Every leaf is
     checked to be an int or a float: a bool or a numeric string is not
     a number here, though numpy would cast it to one."""
+    kind = "a finite number" if ndim == 0 else f"a {ndim}-d array of finite numbers"
     try:
         leaves = np.asarray(value, dtype=object)
         bad = [x for x in leaves.flat if type(x) not in (int, float)]
@@ -106,8 +105,11 @@ def _spec_numbers(path: str, key: str, value, ndim: int) -> np.ndarray:
         arr = leaves.astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"metric file {path!r}: {key!r} is not numeric ({exc})") from exc
+    except RuntimeError as exc:  # lists nested past the dimensions numpy supports
+        raise InputFormatError(
+            f"metric file {path!r}: {key!r} must be {kind}, but its lists nest too deeply ({exc})"
+        ) from exc
     if arr.ndim != ndim or not np.all(np.isfinite(arr)):
-        kind = "a finite number" if ndim == 0 else f"a {ndim}-d array of finite numbers"
         raise InputFormatError(f"metric file {path!r}: {key!r} must be {kind}, got {value!r}")
     return arr
 
@@ -126,7 +128,7 @@ def load_metric_spec(path: str) -> tuple[LieAlgebraFrame, FrameMetric, BergerPar
         raise InputFormatError(f"cannot read metric file {path!r}: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested past the decoder's depth
         raise InputFormatError(f"metric file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputFormatError(f"metric file {path!r} must hold a JSON object")
@@ -389,6 +391,11 @@ def cmd_criterion(args: argparse.Namespace) -> None:
 
 
 def cmd_yamabe(args: argparse.Namespace) -> None:
+    # the grid layers load here and in cmd_dump_grid, not with the module:
+    # no other subcommand uses them
+    from .su2_chart import HopfGrid, chart_metric
+    from .yamabe_estimator import estimate
+
     params = resolve_geometry(args.geometry)
     metric = chart_metric(HopfGrid.cube(args.resolution), params)
     (scalar,) = _ricci(su2_structure_constants().c, params.metric().matrix[None])[2].tolist()
@@ -413,6 +420,8 @@ def cmd_pathcheck(args: argparse.Namespace) -> None:
 
 
 def cmd_dump_grid(args: argparse.Namespace) -> None:
+    from .su2_chart import HopfGrid, chart_metric
+
     params = resolve_geometry(args.geometry)
     grid = HopfGrid.cube(args.resolution)
     metric = chart_metric(grid, params)

@@ -50,7 +50,6 @@ from .lie_curvature import (
     curvature_report,  # not called here: benchmarks/selftest.py reads criterion.curvature_report
     su2_structure_constants,
 )
-from .su2_chart import MetricField, _finite
 
 __all__ = [
     "VERDICT_APPLIES_STRICT",
@@ -141,7 +140,10 @@ def volume_ratio(g, h) -> float:
     fields must be relatively homogeneous), and its mean is returned.  A
     mean that overflows raises NumericalFailureError.
     """
-    if isinstance(g, MetricField) or isinstance(h, MetricField):
+    if hasattr(g, "sqrt_det") or hasattr(h, "sqrt_det"):
+        # a grid field: a frame metric has no sqrt_det and never loads the grid layer
+        from .su2_chart import MetricField, _finite
+
         if not (isinstance(g, MetricField) and isinstance(h, MetricField)):
             raise InvalidMetricError("volume_ratio needs two frame metrics or two fields")
         if g.grid.shape != h.grid.shape:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import relyamabe
+import relyamabe.su2_chart
 from relyamabe import su2_structure_constants
 from relyamabe.cli import main, parse_range
 
@@ -41,6 +41,9 @@ NON_NUMERIC_SPECS = [
     ({"metric": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}, "metric"),
     # an integer too large for a float
     ({"berger": {"s": 10 ** 400, "t": 2}}, "berger.s"),
+    # lists nested past the 32 dimensions numpy supports
+    ({"metric": json.loads("[" * 40 + "1" + "]" * 40)}, "metric"),
+    ({"berger": {"s": json.loads("[" * 40 + "1" + "]" * 40), "t": 2}}, "berger.s"),
 ]
 
 
@@ -142,6 +145,18 @@ class TestCurvature:
         spec.write_text(json.dumps(doc))
         assert main(["curvature", "--spec", str(spec)]) == 2
         assert_names_bad_entry(capsys, spec, key)
+
+    @pytest.mark.parametrize(
+        "doc", ['{"metric": %s}', '{"berger": {"s": %s, "t": 2}}'], ids=["metric", "berger"]
+    )
+    def test_file_nested_past_the_decoder_depth_exits_2(self, tmp_path, capsys, doc):
+        # written by hand: json.dumps cannot recurse this deep either
+        spec = tmp_path / "deep.json"
+        spec.write_text(doc % ("[" * 100_000 + "1" + "]" * 100_000))
+        assert main(["curvature", "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: metric file {str(spec)!r} is not valid JSON: ")
+        assert err.count("\n") == 1
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["curvature", "--spec", str(tmp_path / "nope.json")]) == 2
@@ -491,7 +506,7 @@ def test_out_of_memory_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch
     def chart_metric(grid, params):
         raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
-    monkeypatch.setattr(relyamabe.cli, "chart_metric", chart_metric)
+    monkeypatch.setattr(relyamabe.su2_chart, "chart_metric", chart_metric)
     code, data = run(tmp_path, command, "--resolution", "100000")
     err = capsys.readouterr().err
     assert (code, data) == (1, b"")
