@@ -120,12 +120,12 @@ def _as_frame_metric(m) -> FrameMetric:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _volume_ratio(G: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """sqrt(det H / det G) of stacked (N, 3, 3) metrics.  A determinant
-    det G or a ratio that overflows raises NumericalFailureError naming
-    its metric."""
+    """sqrt(det H / det G) of stacked metrics H (N, 3, 3) against one
+    reference G (3, 3).  A determinant det G or a ratio that overflows
+    raises NumericalFailureError naming its metric."""
     det_g = np.linalg.det(G)
+    _require_finite(G[None], det_g[None])
     gamma = np.sqrt(np.linalg.det(H) / det_g)
-    _require_finite(G, det_g)
     _require_finite(H, gamma)
     return gamma
 
@@ -159,7 +159,7 @@ def volume_ratio(g, h) -> float:
                 "the two fields are not relatively homogeneous"
             )
         return mean
-    return float(_volume_ratio(*(_as_frame_metric(m).matrix[None] for m in (g, h)))[0])
+    return float(_volume_ratio(_as_frame_metric(g).matrix, _as_frame_metric(h).matrix[None])[0])
 
 
 @dataclass(frozen=True)
@@ -186,27 +186,20 @@ class CriterionReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pencil(G: np.ndarray, r_g: np.ndarray, H: np.ndarray, r_h: np.ndarray) -> np.ndarray:
-    """The pencil eigenvalues (N, 3), ascending, of R_g G - R_h H in a
-    G-orthonormal frame, for stacked metrics G, H (N, 3, 3) and scalar
-    curvatures r_g, r_h (N,).  A pencil that overflows raises
-    NumericalFailureError naming its metric H."""
-    pencil = r_g[:, None, None] * np.eye(3) - r_h[:, None, None] * _orthonormal(G, H)
+def _compare(G: np.ndarray, r_g: float, H: np.ndarray, r_h: np.ndarray) -> dict:
+    """The comparison of stacked metrics H (N, 3, 3) with scalar
+    curvatures r_h (N,) against one reference G (3, 3) with scalar
+    curvature r_g, decided as `theorem1_check` describes.  Returns
+    columns: "eigs" (the pencil eigenvalues of R_g G - R_h H in a
+    G-orthonormal frame, (N, 3), ascending), "scale" (||R_g G||_F),
+    "check" (the verdicts) and "gamma" (the volume ratios).  A pencil,
+    scale, determinant or ratio that overflows raises
+    NumericalFailureError naming its metric."""
+    pencil = r_g * np.eye(3) - r_h[:, None, None] * _orthonormal(G, H)
     _require_finite(H, pencil)
-    return np.linalg.eigvalsh(pencil)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _compare(G: np.ndarray, r_g: np.ndarray, H: np.ndarray, r_h: np.ndarray) -> dict:
-    """The comparison of stacked metrics G, H (N, 3, 3) with scalar
-    curvatures r_g, r_h (N,), decided as `theorem1_check` describes.
-    Returns columns: "eigs" (the pencil eigenvalues, (N, 3)), "scale"
-    (||R_g G||_F), "check" (the verdicts) and "gamma" (the volume
-    ratios).  A pencil, scale, determinant or ratio that overflows
-    raises NumericalFailureError naming its metric."""
-    eigs = _pencil(G, r_g, H, r_h)
-    scale = _frobenius(r_g[:, None, None] * G)
-    _require_finite(G, scale)
+    eigs = np.linalg.eigvalsh(pencil)
+    (scale,) = _frobenius(r_g * G[None])
+    _require_finite(G[None], scale[None])
     min_eig = eigs[:, 0]
     check = np.select(
         [
@@ -230,7 +223,7 @@ def _criterion_report(col: dict, r_g: float, r_h: float) -> CriterionReport:
     """Row 0 of `_compare` columns as a report."""
     eigs = col["eigs"][0]
     min_eig = float(eigs[0])
-    scale = float(col["scale"][0])
+    scale = float(col["scale"])
     return CriterionReport(
         gamma=float(col["gamma"][0]),
         min_eig=min_eig,
@@ -257,12 +250,12 @@ def theorem1_check(g, r_g: float, h, r_h: float) -> CriterionReport:
     against tolerances scaled by ||R_g G||_F separates strict / boundary
     / failing cases.
     """
-    G, H = (_as_frame_metric(m).matrix[None] for m in (g, h))
+    G, H = (_as_frame_metric(m).matrix for m in (g, h))
     r_g = float(r_g)
     r_h = float(r_h)
     if not (np.isfinite(r_g) and np.isfinite(r_h)):
         raise InvalidMetricError(f"scalar curvatures must be finite, got {r_g}, {r_h}")
-    return _criterion_report(_compare(G, np.array([r_g]), H, np.array([r_h])), r_g, r_h)
+    return _criterion_report(_compare(G, r_g, H[None], np.array([r_h])), r_g, r_h)
 
 
 @dataclass(frozen=True)
@@ -293,10 +286,8 @@ def _classify_berger(s: np.ndarray, t: np.ndarray) -> dict:
     whose curvature data overflow raise NumericalFailureError."""
     H = _berger_metrics(s, t)
     _, ricci, scalar = _ricci(su2_structure_constants().c, H)
-    with np.errstate(over="ignore", invalid="ignore"):
-        deviation = _einstein_deviation(_orthonormal(H, ricci), scalar)
-    _require_finite(H, deviation)
-    col = _compare(np.broadcast_to(np.eye(3), H.shape), np.full(len(s), _ROUND_SCALAR), H, scalar)
+    _, deviation = _einstein_deviation(H, ricci, scalar)
+    col = _compare(np.eye(3), _ROUND_SCALAR, H, scalar)
     check = col["check"]
     col["verdict"] = np.select(
         [
@@ -447,7 +438,7 @@ def corollary_path_check(s: float, t_start: float, t_end: float, steps: int) -> 
     H = _berger_metrics(np.full(len(ts), start.s), ts)
     scalar = _ricci(su2_structure_constants().c, H)[2]
     # ts[0] == t_start, so the first sample is the reference metric
-    col = _compare(np.broadcast_to(H[0], H.shape), np.full(len(ts), scalar[0]), H, scalar)
+    col = _compare(H[0], scalar[0], H, scalar)
     verdict = col["check"]
     samples = np.empty(len(ts), _PATH_SAMPLE)
     samples["t"], samples["scalar"], samples["min_eig"] = ts, scalar, col["eigs"][:, 0]

@@ -14,7 +14,10 @@ Ricci tensor straight from the connection, forming only the diagonal
 of the Riemann tensor that the trace reads; the sweep, the root
 searches, the path check and the CLI comparison need nothing more.
 The whole Riemann tensor and the Ricci eigenvalues are formed only by
-`curvature_report`, whose fields they are.
+`curvature_report`, whose fields they are.  The Einstein deviation (the
+trace-free part of the Ricci tensor in a G-orthonormal frame) has one
+step, `_einstein_deviation`, which forms and guards it for
+`curvature_report` and the Berger classification alike.
 
 The Berger family is G = diag(1, s, t) with 1 <= s <= t.  Its scalar
 and Ricci curvature admit closed forms, provided here as independent
@@ -63,7 +66,9 @@ class LieAlgebraFrame:
     """A 3-dimensional Lie algebra presented by its structure constants:
     c[k, i, j] is the X_k coefficient of [X_i, X_j].  The array is a
     private read-only copy, so a frame shared between callers (the
-    cached su(2) frame) cannot be altered through it.
+    cached su(2) frame) cannot be altered through it.  The constants must
+    be finite, and antisymmetric and satisfy the Jacobi identity to
+    1e-12 once divided by their largest magnitude (at any scale).
     """
 
     c: np.ndarray
@@ -76,17 +81,21 @@ class LieAlgebraFrame:
             raise InputFormatError("structure constants have non-finite entries")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
-        anti = np.abs(c + np.swapaxes(c, 1, 2)).max()
-        if anti > _IDENTITY_TOL:
+        # both identities are checked on c / max|c|, so no product
+        # overflows and the tolerance is relative at every scale; a
+        # residual that is not <= the tolerance (NaN included) fails
+        u = c / (np.abs(c).max() or 1.0)
+        anti = np.abs(u + np.swapaxes(u, 1, 2)).max()
+        if not anti <= _IDENTITY_TOL:
             raise InputFormatError(
                 f"structure constants not antisymmetric (residual {anti:.3e})"
             )
         # Jacobi: cyclic sum of [[X_i, X_j], X_k] vanishes.
-        t1 = np.einsum("mij,lmk->lijk", c, c)
-        t2 = np.einsum("mjk,lmi->lijk", c, c)
-        t3 = np.einsum("mki,lmj->lijk", c, c)
+        t1 = np.einsum("mij,lmk->lijk", u, u)
+        t2 = np.einsum("mjk,lmi->lijk", u, u)
+        t3 = np.einsum("mki,lmj->lijk", u, u)
         jac = np.abs(t1 + t2 + t3).max()
-        if jac > _IDENTITY_TOL:
+        if not jac <= _IDENTITY_TOL:
             raise InputFormatError(
                 f"structure constants violate the Jacobi identity (residual {jac:.3e})"
             )
@@ -129,9 +138,11 @@ class FrameMetric:
             raise InvalidMetricError(f"frame metric must be 3x3, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InvalidMetricError("frame metric has non-finite entries")
-        if np.abs(m - m.T).max() > 1e-12 * np.abs(m).max():
+        # halved first: the sum or difference of two entries near 1e308 overflows
+        h = 0.5 * m
+        if np.abs(h - h.T).max() > 1e-12 * np.abs(h).max():
             raise InvalidMetricError("frame metric must be symmetric")
-        m = 0.5 * m + 0.5 * m.T  # halved first: the sum of two entries near 1e308 overflows
+        m = h + h.T
         if np.linalg.eigvalsh(m).min() <= 0.0:
             raise InvalidMetricError("frame metric must be positive definite")
         object.__setattr__(self, "matrix", m)
@@ -237,10 +248,18 @@ def _orthonormal(G: np.ndarray, x: np.ndarray) -> np.ndarray:
     return 0.5 * (x_on + np.swapaxes(x_on, 1, 2))
 
 
-def _einstein_deviation(ric_on: np.ndarray, scalar: np.ndarray) -> np.ndarray:
-    """Frobenius norms of the trace-free parts of stacked orthonormal
-    Ricci tensors with scalar curvatures `scalar`."""
-    return _frobenius(ric_on - (scalar / 3.0)[:, None, None] * np.eye(3))
+@np.errstate(over="ignore", invalid="ignore")
+def _einstein_deviation(G: np.ndarray, ricci: np.ndarray, scalar: np.ndarray):
+    """The Ricci tensors `ricci` of stacked metrics G (N, 3, 3) in
+    G-orthonormal frames, and the Frobenius norms of their trace-free
+    parts given the scalar curvatures `scalar`: shapes (N, 3, 3) and
+    (N,).  A metric for which either overflows raises
+    NumericalFailureError naming it: the deviation sums the squares of
+    every entry, so it is finite only where the tensor is."""
+    ric_on = _orthonormal(G, ricci)
+    deviation = _frobenius(ric_on - (scalar / 3.0)[:, None, None] * np.eye(3))
+    _require_finite(G, deviation)
+    return ric_on, deviation
 
 
 def levi_civita(frame: LieAlgebraFrame, metric: FrameMetric) -> np.ndarray:
@@ -286,6 +305,7 @@ class CurvatureReport:
         }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def curvature_report(frame: LieAlgebraFrame, metric: FrameMetric) -> CurvatureReport:
     """Full curvature computation for one left invariant metric: the
     single-metric case of the stacked kernels, and the one place the
@@ -293,13 +313,11 @@ def curvature_report(frame: LieAlgebraFrame, metric: FrameMetric) -> CurvatureRe
     NumericalFailureError."""
     c, G = frame.c, metric.matrix[None]
     gamma, ricci, scalar = _ricci(c, G)
-    with np.errstate(over="ignore", invalid="ignore"):
-        riemann = np.einsum("nmjk,nlim->nlkij", gamma, gamma)
-        riemann -= np.einsum("nmik,nljm->nlkij", gamma, gamma)
-        riemann -= np.einsum("mij,nlmk->nlkij", c, gamma)
-        ric_on = _orthonormal(G, ricci)
-        deviation = _einstein_deviation(ric_on, scalar)
-    _require_finite(G, riemann, deviation)
+    ric_on, deviation = _einstein_deviation(G, ricci, scalar)
+    riemann = np.einsum("nmjk,nlim->nlkij", gamma, gamma)
+    riemann -= np.einsum("nmik,nljm->nlkij", gamma, gamma)
+    riemann -= np.einsum("mij,nlmk->nlkij", c, gamma)
+    _require_finite(G, riemann)
     return CurvatureReport(
         metric=metric,
         gamma_coeffs=gamma[0],

@@ -255,8 +255,6 @@ class MetricField:
         if not np.all(np.isfinite(g)):
             raise InvalidMetricError("metric field has non-finite entries")
         gt = g.swapaxes(0, 1)
-        if np.any(np.abs(g - gt).max(axis=(0, 1)) > _SYMMETRY_TOL * np.abs(g).max(axis=(0, 1))):
-            raise InvalidMetricError("metric field is not symmetric at every cell")
         # inv first holds the cofactors of the symmetric 3x3 cells; det
         # and the leading minors g_00 and c_22 decide positive
         # definiteness (Sylvester).  Entries far from 1 can overflow det
@@ -264,6 +262,10 @@ class MetricField:
         # warned about.
         inv = np.empty(g.shape)
         with np.errstate(over="ignore", invalid="ignore"):
+            # a difference that overflows is inf, and fails the test
+            asym = np.abs(g - gt).max(axis=(0, 1))
+            if np.any(asym > _SYMMETRY_TOL * np.abs(g).max(axis=(0, 1))):
+                raise InvalidMetricError("metric field is not symmetric at every cell")
             g = 0.5 * (g + gt)
             (g00, g01, g02), (_, g11, g12), (_, _, g22) = g
             inv[0, 0] = g11 * g22 - g12 * g12

@@ -139,6 +139,24 @@ class TestCurvature:
             assert main(["curvature", "--spec", str(spec)]) == 2
             assert "antisymmetric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        # antisymmetric constants near 1e160 whose Jacobi residual is 1:
+        # unnormalized, the cyclic sum is inf - inf
+        ({"metric": np.eye(3).tolist(), "structure_constants": (1e160 * np.array([
+            [[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+            [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]],
+            [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+        ])).tolist()}, "violate the Jacobi identity"),
+        # m - m^T overflows
+        ({"metric": [[1e308, 1e308, 0], [-1e308, 1e308, 0], [0, 0, 1]]}, "must be symmetric"),
+    ], ids=["jacobi", "symmetry"])
+    def test_identity_violations_near_overflow_exit_2(self, tmp_path, capsys, doc, message):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["curvature", "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("doc, key", NON_NUMERIC_SPECS)
     def test_non_numeric_entry_exits_2(self, tmp_path, capsys, doc, key):
         spec = tmp_path / "bad.json"

@@ -26,6 +26,15 @@ X2 = np.array([[0, 1], [-1, 0]], dtype=complex)
 X3 = np.array([[0, 1j], [1j, 0]])
 
 
+# c[k, i, j] of [X0, X1] = X1 + X2, [X1, X2] = X0, [X0, X2] = X1:
+# antisymmetric, with a Jacobi residual of 1
+JACOBI_VIOLATING = np.array([
+    [[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+    [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]],
+    [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+], dtype=float)
+
+
 def comm(a, b):
     return a @ b - b @ a
 
@@ -87,6 +96,12 @@ class TestStructureConstants:
         with pytest.raises(InputFormatError):
             LieAlgebraFrame(c)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e200])
+    def test_jacobi_violation_rejected_at_any_scale(self, scale):
+        # unnormalized, the Jacobi sum of constants near 1e160 is inf - inf
+        with pytest.raises(InputFormatError, match="violate the Jacobi identity"):
+            LieAlgebraFrame(scale * JACOBI_VIOLATING)
+
     def test_bad_shape_rejected(self):
         with pytest.raises(InputFormatError):
             LieAlgebraFrame(np.zeros((3, 3)))
@@ -139,6 +154,17 @@ class TestMetricTypes:
         m[0, 1] = scale * 1e-13
         sym = FrameMetric(m).matrix
         assert np.array_equal(sym, sym.T) and sym[0, 1] == 0.5 * scale * 1e-13
+
+    def test_asymmetry_near_overflow_rejected(self):
+        # m - m^T of +-1e308 entries overflows: still "must be symmetric",
+        # and no RuntimeWarning
+        m = np.array([[1e308, 1e308, 0.0], [-1e308, 1e308, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(InvalidMetricError, match="must be symmetric"):
+            FrameMetric(m)
+        # a relative asymmetry of 1e-15 is roundoff, and is stored as the
+        # sum of the halves
+        m[0, 1], m[1, 0] = 5e307, 5e307 * (1.0 + 1e-15)
+        assert np.array_equal(FrameMetric(m).matrix, 0.5 * m + 0.5 * m.T)
 
     def test_positive_definite_required(self):
         with pytest.raises(InvalidMetricError):

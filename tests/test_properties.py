@@ -1,6 +1,7 @@
 """Property tests of the stacked curvature engine: batched sweep rows
 against the single-point queries, frame-change invariance of the scalar
 curvature, scale covariance of the comparison, the Berger closed form,
+rotated frames passing the structure-constant checks at every scale,
 and the Ricci tensor contracted from the connection against the trace
 of the full Riemann tensor and against single-metric calls, bit for
 bit.  Example counts are bounded and the search is derandomized, so
@@ -24,6 +25,7 @@ from relyamabe import (
     lie_curvature,
     su2_structure_constants,
     theorem1_check,
+    volume_ratio,
 )
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
@@ -88,6 +90,12 @@ def test_sweep_rows_equal_single_point_queries(s_values, t_values):
         assert close(row["einstein_dev"], rep.einstein_deviation)
         assert close(row["min_eig"], cls.report.min_eig)
         assert close(row["gamma"], cls.report.gamma)
+        # the sweep compares against the one round reference, as a single
+        # query does, bit for bit
+        round_metric = FrameMetric.round()
+        check = theorem1_check(round_metric, 6.0, p.metric(), row["R"])
+        assert same_bits(row["min_eig"], check.min_eig)
+        assert same_bits(row["gamma"], volume_ratio(round_metric, p.metric()))
 
 
 @settings(max_examples=40, **SETTINGS)
@@ -157,6 +165,17 @@ def rotated_frame(q) -> LieAlgebraFrame:
     return LieAlgebraFrame(np.einsum("mk,mab,ai,bj->kij", o, su2_structure_constants().c, o, o))
 
 
+@settings(max_examples=40, **SETTINGS)
+@given(QUATERNION, st.floats(-6.0, 6.0))
+def test_rotated_frame_accepted_at_any_scale(q, log_scale):
+    """The antisymmetry and Jacobi residuals of a rotated su(2) frame grow
+    like its constants and their square; the checks, made on the
+    constants divided by their largest magnitude, accept it at every
+    scale."""
+    c = 10.0**log_scale * rotated_frame(q).c
+    assert np.array_equal(LieAlgebraFrame(c).c, c)
+
+
 @settings(max_examples=60, **SETTINGS)
 @given(EIGS, QUATERNION, LOG_SCALE, QUATERNION)
 def test_ricci_is_the_riemann_trace(eigs, q_metric, log_scale, q_frame):
@@ -184,7 +203,7 @@ def test_stacked_rows_equal_single_metric_calls(n, seed, q_frame):
         for _ in range(n)
     ])
     gamma, ricci, scalar = lie_curvature._ricci(frame.c, G)
-    deviation = lie_curvature._einstein_deviation(lie_curvature._orthonormal(G, ricci), scalar)
+    _, deviation = lie_curvature._einstein_deviation(G, ricci, scalar)
     for k in range(n):
         rep = curvature_report(frame, FrameMetric(G[k]))
         assert same_bits(gamma[k], rep.gamma_coeffs)

@@ -161,6 +161,16 @@ class TestChartMetric:
         with pytest.raises(InvalidMetricError, match="does not match grid"):
             MetricField(grid=round16.grid, g=np.moveaxis(round16.g, (0, 1), (-2, -1)))
 
+    def test_asymmetric_cells_near_overflow_rejected(self):
+        # g - g^T of +-1e308 off-diagonals overflows: still "not symmetric",
+        # and no RuntimeWarning
+        grid = HopfGrid.cube(4)
+        g = np.zeros((3, 3) + grid.shape)
+        g[0, 0] = g[1, 1] = g[2, 2] = 1e308
+        g[0, 1], g[1, 0] = 1e308, -1e308
+        with pytest.raises(InvalidMetricError, match="not symmetric at every cell"):
+            MetricField(grid, g)
+
     def test_scaled_metric(self, round16):
         doubled = MetricField(round16.grid, 2.0 * round16.g)
         assert np.allclose(doubled.sqrt_det ** 2, 8.0 * round16.sqrt_det ** 2, rtol=1e-14)
