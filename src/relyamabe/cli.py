@@ -191,21 +191,18 @@ def resolve_geometry(token: str) -> BergerParams:
 
 
 def _pythonify(value):
-    """Convert numpy scalars/arrays to builtins and map non-finite floats
-    to None so the JSON stays standard."""
+    """A payload value as builtins, non-finite floats as None so the JSON
+    stays standard.  Payloads hold dicts, lists, tuples, arrays, floats
+    (np.float64 is one) and builtin ints, bools and strings."""
     if isinstance(value, dict):
         return {k: _pythonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_pythonify(v) for v in value]
     if isinstance(value, np.ndarray):
         return _pythonify(value.tolist())
-    if isinstance(value, (np.floating, float)):
+    if isinstance(value, float):
         f = float(value)
         return f if math.isfinite(f) else None
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
     return value
 
 
@@ -292,8 +289,6 @@ def render_payload(payload, fmt: str) -> str:
                 val = '"' + val.replace('"', '""') + '"'
             elif val is None:
                 val = "nan"
-            elif isinstance(val, float):
-                val = repr(val)
             lines.append(f"{key},{val}")
         return "\n".join(lines) + "\n"
     return _render_json(payload)
@@ -342,16 +337,19 @@ def cmd_curvature(args: argparse.Namespace) -> None:
         frame, metric = su2_structure_constants(), params.metric()
 
     rep = curvature_report(frame, metric)
-    payload = rep.to_dict()
+    payload = {
+        "metric": rep.metric.matrix,
+        "ricci": rep.ricci,
+        "scalar": rep.scalar,
+        "ricci_eigenvalues": rep.ricci_eigenvalues,
+        "einstein_deviation": rep.einstein_deviation,
+    }
     summary = f"scalar curvature R = {rep.scalar:.12g}"
     if params is not None:
-        closed_r = berger_scalar_closed(params)
         closed_eigs = np.sort(berger_ricci_closed(params))
-        payload["closed_form_delta"] = {
-            "scalar": abs(rep.scalar - closed_r),
-            "ricci_eigenvalues": float(
-                np.abs(np.sort(rep.ricci_eigenvalues) - closed_eigs).max()
-            ),
+        payload["closed_form_delta"] = {  # the report's eigenvalues ascend
+            "scalar": abs(rep.scalar - berger_scalar_closed(params)),
+            "ricci_eigenvalues": np.abs(rep.ricci_eigenvalues - closed_eigs).max(),
         }
         payload["s"], payload["t"] = params.s, params.t
         summary += (
@@ -382,12 +380,11 @@ def cmd_criterion(args: argparse.Namespace) -> None:
         )
     r_g, r_h = _ricci(frame_g.c, np.stack([metric_g.matrix, metric_h.matrix]))[2].tolist()
     report = crit.theorem1_check(metric_g, r_g, metric_h, r_h)
-    payload = report.to_dict()
     summary = (
         f"verdict {report.verdict}: min_eig = {report.min_eig:.12g}, "
         f"gamma = {report.gamma:.12g}"
     )
-    emit(args, payload, summary)
+    emit(args, vars(report), summary)
 
 
 def cmd_yamabe(args: argparse.Namespace) -> None:
@@ -404,7 +401,14 @@ def cmd_yamabe(args: argparse.Namespace) -> None:
         f"quotient estimate {result.value:.8f} "
         f"(converged={result.converged}, iterations={result.iterations_used})"
     )
-    emit(args, result.to_dict(), summary)
+    payload = {
+        "value": result.value,
+        "converged": result.converged,
+        "iterations": result.iterations_used,
+        "neumann_residual": result.neumann_residual_of_minimizer,
+        "trace": result.trace,
+    }
+    emit(args, payload, summary)
 
 
 def cmd_pathcheck(args: argparse.Namespace) -> None:
@@ -413,8 +417,8 @@ def cmd_pathcheck(args: argparse.Namespace) -> None:
         f"delta = {report.delta:.12g}, endpoint scalar = {report.endpoint_scalar:.3e} "
         f"over [{report.t_start:g}, {report.t_end:g}]"
     )
-    # the JSON payload holds the report's fields, the keys of to_dict(),
-    # with the samples left a table that renders from its columns
+    # the JSON payload holds the report's fields, with the samples left
+    # a table that renders from its columns
     payload = report.samples if args.format == "csv" else vars(report)
     emit(args, payload, summary)
 

@@ -175,15 +175,6 @@ class CriterionReport:
     verdict: str
     notes: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "min_eig": self.min_eig,
-            "strict_margin": self.strict_margin,
-            "verdict": self.verdict,
-            "notes": dict(self.notes),
-        }
-
 
 @np.errstate(over="ignore", invalid="ignore")
 def _compare(G: np.ndarray, r_g: float, H: np.ndarray, r_h: np.ndarray) -> dict:
@@ -201,10 +192,11 @@ def _compare(G: np.ndarray, r_g: float, H: np.ndarray, r_h: np.ndarray) -> dict:
     (scale,) = _frobenius(r_g * G[None])
     _require_finite(G[None], scale[None])
     min_eig = eigs[:, 0]
+    # row arrays all: a scalar condition sends np.select down np.broadcast_arrays' slow path
     check = np.select(
         [
             r_h <= 0.0,
-            r_g <= 0.0,
+            np.full(len(r_h), r_g <= 0.0),
             min_eig > _STRICT_REL_TOL * scale,
             min_eig >= -(_PSD_REL_TOL * scale),
         ],
@@ -385,16 +377,6 @@ class PathReport:
 
     def __post_init__(self):
         self.samples.flags.writeable = False
-
-    def to_dict(self) -> dict:
-        return {
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "steps": self.steps,
-            "delta": self.delta,
-            "endpoint_scalar": self.endpoint_scalar,
-            "samples": [dict(zip(self.samples.dtype.names, r)) for r in self.samples.tolist()],
-        }
 
 
 def corollary_path_check(s: float, t_start: float, t_end: float, steps: int) -> PathReport:

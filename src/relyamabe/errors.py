@@ -8,6 +8,8 @@ driver in particular — can map them to distinct exit codes.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = [
     "RelYamabeError",
     "InvalidMetricError",
@@ -63,9 +65,9 @@ class HypothesisViolationError(RelYamabeError):
 
 def _whole(x, name: str, least: int, error: type[RelYamabeError] = InputFormatError) -> int:
     """x as an int, when it is a whole number >= least (8.0 passes as 8);
-    anything else, nan and inf included, raises `error` naming `name`."""
+    anything else, nan, inf and bools included, raises `error` naming `name`."""
     try:
-        n = int(x)
+        n = None if isinstance(x, (bool, np.bool_)) else int(x)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != x or n < least:

@@ -295,15 +295,6 @@ class CurvatureReport:
     ricci_eigenvalues: np.ndarray
     einstein_deviation: float
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric.matrix.tolist(),
-            "ricci": self.ricci.tolist(),
-            "scalar": self.scalar,
-            "ricci_eigenvalues": self.ricci_eigenvalues.tolist(),
-            "einstein_deviation": self.einstein_deviation,
-        }
-
 
 @np.errstate(over="ignore", invalid="ignore")
 def curvature_report(frame: LieAlgebraFrame, metric: FrameMetric) -> CurvatureReport:

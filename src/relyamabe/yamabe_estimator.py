@@ -97,15 +97,6 @@ class QuotientEstimate:
     neumann_residual_of_minimizer: float
     trace: tuple[float, ...] = field(repr=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "converged": self.converged,
-            "iterations": self.iterations_used,
-            "neumann_residual": self.neumann_residual_of_minimizer,
-            "trace": list(self.trace),
-        }
-
 
 class _QuotientWork:
     """Flattened-array quotient, search direction and trial steps used

@@ -96,6 +96,10 @@ class TestCurvature:
         code, data = run(tmp_path, "curvature", "--s", "1", "--t", "3")
         assert code == 0
         payload = json.loads(data)
+        assert set(payload) == {
+            "metric", "ricci", "scalar", "ricci_eigenvalues", "einstein_deviation",
+            "closed_form_delta", "s", "t",
+        }
         assert payload["scalar"] == pytest.approx(2.0, abs=1e-12)
         deltas = payload["closed_form_delta"]
         assert all(abs(v) < 1e-10 for v in deltas.values())
@@ -121,6 +125,10 @@ class TestCurvature:
         )
         code, data = run(tmp_path, "curvature", "--spec", str(spec))
         assert code == 0
+        # a metric given as a matrix has no closed form to compare against
+        assert set(json.loads(data)) == {
+            "metric", "ricci", "scalar", "ricci_eigenvalues", "einstein_deviation",
+        }
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"
@@ -257,6 +265,7 @@ class TestCriterion:
         code, data = run(tmp_path, "criterion", "--g", "round", "--h", "berger:1,3")
         assert code == 0
         payload = json.loads(data)
+        assert set(payload) == {"gamma", "min_eig", "strict_margin", "verdict", "notes"}
         assert payload["verdict"] == "AppliesBoundary"
         assert payload["gamma"] == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
@@ -321,6 +330,9 @@ class TestYamabe:
             "neumann_residual",
             "trace",
         }
+        assert isinstance(payload["converged"], bool)
+        assert isinstance(payload["iterations"], int)
+        assert isinstance(payload["trace"], list)
         target = 6.0 * np.pi ** (4.0 / 3.0)
         assert abs(payload["value"] - target) / target <= 0.05
         assert payload["value"] == est_round16.value
@@ -397,6 +409,7 @@ class TestPathcheck:
         )
         assert code == 0
         payload = json.loads(data)
+        assert set(payload) == {"t_start", "t_end", "steps", "samples", "delta", "endpoint_scalar"}
         assert payload["delta"] == pytest.approx(1.0, abs=1e-12)
         assert abs(payload["endpoint_scalar"]) <= 1e-10
         assert len(payload["samples"]) == 101

@@ -29,6 +29,7 @@ from relyamabe import (
     volume_ratio,
 )
 from relyamabe import criterion
+from relyamabe.cli import render_payload
 
 EYE = FrameMetric.round()
 
@@ -191,7 +192,7 @@ class TestTheorem1Check:
 
     def test_report_serializable(self):
         rep = theorem1_check(EYE, 6.0, FrameMetric.berger(1.0, 3.0), 2.0)
-        payload = json.loads(json.dumps(rep.to_dict()))
+        payload = json.loads(render_payload(vars(rep), "json"))
         assert payload["verdict"] == "AppliesBoundary"
         assert "r_g" in payload["notes"] and "r_h" in payload["notes"]
 
@@ -328,7 +329,9 @@ class TestPathCheck:
         assert np.all(np.diff(rep.samples["t"]) > 0.0)
         assert set(rep.samples["verdict"][:-1]) <= {"AppliesStrict", "AppliesBoundary"}
 
-    @pytest.mark.parametrize("steps", [0, 2.5, 1.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "steps", [0, 2.5, 1.5, float("nan"), float("inf"), True, False, np.True_]
+    )
     def test_bad_step_count_rejected(self, steps):
         with pytest.raises(InvalidMetricError, match="steps must be a positive integer"):
             corollary_path_check(1.0, 3.0, 4.0, steps)
@@ -338,7 +341,9 @@ class TestPathCheck:
     )
     def test_whole_step_count_behaves_like_the_int(self, steps):
         rep = corollary_path_check(1.0, 3.0, 4.0, steps)
-        assert rep.to_dict() == corollary_path_check(1.0, 3.0, 4.0, 10).to_dict()
+        got, ref = dict(vars(rep)), dict(vars(corollary_path_check(1.0, 3.0, 4.0, 10)))
+        assert np.array_equal(got.pop("samples"), ref.pop("samples"))
+        assert got == ref
         assert type(rep.steps) is int
 
     def test_degenerate_path(self):
@@ -374,7 +379,7 @@ class TestPathCheck:
 
     def test_report_serializable(self):
         rep = corollary_path_check(1.0, 3.0, 4.0, 4)
-        payload = json.loads(json.dumps(rep.to_dict()))
+        payload = json.loads(render_payload(vars(rep), "json"))
         assert payload["delta"] == pytest.approx(1.0)
         assert len(payload["samples"]) == 5
 

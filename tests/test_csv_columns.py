@@ -181,7 +181,8 @@ def test_cli_pathcheck_json(tmp_path, s, t_start, t_end, steps):
         tmp_path, "pathcheck", "--s", str(s), "--t-start", str(t_start), "--t-end", str(t_end),
         "--steps", str(steps),
     )
-    assert text == payload_json(corollary_path_check(s, t_start, t_end, steps).to_dict())
+    report = corollary_path_check(s, t_start, t_end, steps)
+    assert text == payload_json({**vars(report), "samples": row_dicts(report.samples)})
 
 
 SPECIAL = [

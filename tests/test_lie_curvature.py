@@ -252,12 +252,24 @@ class TestCurvatureReport:
             bianchi = r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2)
             assert np.abs(bianchi).max() <= 1e-12 * scale
 
-    def test_report_dict_serializable(self, frame):
+    def test_report_dict_serializable(self, frame, tmp_path):
+        # the CLI lays the report out as a payload of its five data fields
         import json
 
+        from relyamabe.cli import main
+
         rep = curvature_report(frame, FrameMetric.berger(1.0, 3.0))
-        payload = json.dumps(rep.to_dict())
-        assert "scalar" in payload
+        spec, out = tmp_path / "m.json", tmp_path / "payload.json"
+        spec.write_text(json.dumps({"metric": rep.metric.matrix.tolist(),
+                                    "structure_constants": frame.c.tolist()}))
+        assert main(["curvature", "--spec", str(spec), "--out", str(out), "--quiet"]) == 0
+        assert json.loads(out.read_text()) == {
+            "metric": rep.metric.matrix.tolist(),
+            "ricci": rep.ricci.tolist(),
+            "scalar": rep.scalar,
+            "ricci_eigenvalues": rep.ricci_eigenvalues.tolist(),
+            "einstein_deviation": rep.einstein_deviation,
+        }
 
 
 class TestClosedForms:
