@@ -300,20 +300,20 @@ def emit(args: argparse.Namespace, payload, summary: str) -> None:
     file that cannot be opened raises InputFormatError and a failed write
     (a full disk) RelYamabeError; BrokenPipeError propagates."""
     text = render_payload(payload, args.format)
-    if args.out:
+    if args.out is not None:  # an empty path is a file that cannot be opened
         try:
             out = open(args.out, "w")
         except OSError as exc:
             raise InputFormatError(f"cannot write --out file {args.out!r}: {exc}") from exc
     try:
-        if args.out:
+        if args.out is not None:
             with out:
                 out.write(text)
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        if not args.out:  # stdout keeps the unwritten bytes: shutdown must not flush them
+        if args.out is None:  # stdout keeps the unwritten bytes: shutdown must not flush them
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             raise
@@ -443,10 +443,16 @@ def cmd_dump_grid(args: argparse.Namespace) -> None:
 # === argument wiring =====================================================
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls
     (parsing does not modify it)."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and the map from each subcommand's name to
+    the parser of its own arguments."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write the payload to PATH instead of stdout")
     # the subparsers share this action, so set_defaults(format=...) on one would set all of them
@@ -493,11 +499,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=16)
     p.set_defaults(fn=cmd_dump_grid, default_format="csv")
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace build_parser().parse_args(argv) gives.  A request
+    that names a subcommand is read by that subcommand's parser alone,
+    which the top-level parser would hand the same arguments to after
+    scanning them once more; an unknown flag then prints the
+    subcommand's usage line."""
+    parser, subcommands = _parsers()
+    if argv and argv[0] in subcommands:
+        return subcommands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     if args.format is None:
         args.format = args.default_format
     try:

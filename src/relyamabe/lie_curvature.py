@@ -14,10 +14,14 @@ Ricci tensor straight from the connection, forming only the diagonal
 of the Riemann tensor that the trace reads; the sweep, the root
 searches, the path check and the CLI comparison need nothing more.
 The whole Riemann tensor and the Ricci eigenvalues are formed only by
-`curvature_report`, whose fields they are.  The Einstein deviation (the
-trace-free part of the Ricci tensor in a G-orthonormal frame) has one
-step, `_einstein_deviation`, which forms and guards it for
-`curvature_report` and the Berger classification alike.
+`curvature_report`, whose fields they are; it traces its Ricci tensor
+from its own Riemann tensor, and `_ricci`, whose diagonal sums its
+terms in the same order, has the same bits.  Both end in one tail,
+`_contract`: symmetrize the trace, contract the scalar curvature,
+guard.  The Einstein deviation (the trace-free part of the Ricci
+tensor in a G-orthonormal frame) has one step, `_einstein_deviation`,
+which forms and guards it for `curvature_report` and the Berger
+classification alike.
 
 The Berger family is G = diag(1, s, t) with 1 <= s <= t.  Its scalar
 and Ricci curvature admit closed forms, provided here as independent
@@ -205,12 +209,13 @@ def _ricci(c: np.ndarray, G: np.ndarray):
     Ric(X_j, X_k) is the trace over i of R(X_i, X_j) X_k along X_i, with
     R(X_i, X_j) X_k = nabla_i nabla_j X_k - nabla_j nabla_i X_k
     - nabla_{[X_i, X_j]} X_k.  Only that diagonal of the Riemann tensor
-    is formed, term by term in the order `curvature_report` sums the
-    whole tensor, so the Ricci tensor has the bits of the Riemann trace at
-    1/9 of its products.  No closed form is assumed anywhere.  A metric
-    whose Ricci tensor overflows raises NumericalFailureError naming it:
-    its scalar curvature, which contracts every entry (0 * inf is nan),
-    is then not finite either.
+    is formed, term by term in the order `curvature_report` forms the
+    whole tensor before tracing it, so the Ricci tensor and the scalar
+    curvature have the bits of the report's at 1/9 of its products.  No
+    closed form is assumed anywhere.  A metric whose Ricci tensor
+    overflows raises NumericalFailureError naming it: its scalar
+    curvature, which contracts every entry (0 * inf is nan), is then not
+    finite either.
     """
     G_inv = np.linalg.inv(G)
     gamma = _connection(c, G, G_inv)
@@ -218,11 +223,19 @@ def _ricci(c: np.ndarray, G: np.ndarray):
     r = np.einsum("nmjk,nim->nikj", gamma, np.einsum("niim->nim", gamma))
     r -= np.einsum("nmik,nijm->nikj", gamma, gamma)
     r -= np.einsum("mij,nimk->nikj", c, gamma)
-    ricci = np.einsum("nikj->njk", r)
+    ricci, scalar = _contract(G, G_inv, np.einsum("nikj->njk", r))
+    return gamma, ricci, scalar
+
+
+def _contract(G: np.ndarray, G_inv: np.ndarray, ricci: np.ndarray, *guarded: np.ndarray):
+    """The tail shared by `_ricci` and `curvature_report`: the traced
+    Ricci tensors `ricci` (N, 3, 3) of stacked metrics G with inverses
+    G_inv, symmetrized, and their scalar curvatures (N,).  The scalars
+    and the further curvature data in `guarded` must be finite."""
     ricci = 0.5 * (ricci + np.swapaxes(ricci, 1, 2))
     scalar = np.einsum("njk,njk->n", G_inv, ricci)
-    _require_finite(G, scalar)
-    return gamma, ricci, scalar
+    _require_finite(G, scalar, *guarded)
+    return ricci, scalar
 
 
 def _require_finite(G: np.ndarray, *arrays: np.ndarray) -> None:
@@ -300,15 +313,17 @@ class CurvatureReport:
 def curvature_report(frame: LieAlgebraFrame, metric: FrameMetric) -> CurvatureReport:
     """Full curvature computation for one left invariant metric: the
     single-metric case of the stacked kernels, and the one place the
-    whole Riemann tensor is formed.  Curvature data that overflow raise
+    whole Riemann tensor is formed.  The Ricci tensor is its trace, with
+    the bits of `_ricci`'s.  Curvature data that overflow raise
     NumericalFailureError."""
     c, G = frame.c, metric.matrix[None]
-    gamma, ricci, scalar = _ricci(c, G)
-    ric_on, deviation = _einstein_deviation(G, ricci, scalar)
+    G_inv = np.linalg.inv(G)
+    gamma = _connection(c, G, G_inv)
     riemann = np.einsum("nmjk,nlim->nlkij", gamma, gamma)
     riemann -= np.einsum("nmik,nljm->nlkij", gamma, gamma)
     riemann -= np.einsum("mij,nlmk->nlkij", c, gamma)
-    _require_finite(G, riemann)
+    ricci, scalar = _contract(G, G_inv, np.einsum("nikij->njk", riemann), riemann)
+    ric_on, deviation = _einstein_deviation(G, ricci, scalar)
     return CurvatureReport(
         metric=metric,
         gamma_coeffs=gamma[0],

@@ -14,7 +14,7 @@ import pytest
 
 import relyamabe.su2_chart
 from relyamabe import su2_structure_constants
-from relyamabe.cli import main, parse_range
+from relyamabe.cli import _parse_args, build_parser, main, parse_range
 
 
 def run(tmp_path, *argv):
@@ -564,6 +564,14 @@ class TestOutputPlumbing:
         assert captured.err.startswith(f"error: cannot write --out file {str(path)!r}")
         assert captured.err.count("\n") == 1
 
+    def test_empty_out_path_exits_2_with_one_error_line(self, capsys):
+        # an empty path names no file: the payload does not go to stdout
+        assert main(["curvature", "--s", "1", "--t", "2", "--out", "", "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write --out file ''")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize(
         "out, unbuffered",
@@ -594,3 +602,51 @@ class TestOutputPlumbing:
 
 def captured_nonempty(text):
     return bool(text.strip())
+
+
+class TestArgumentParsing:
+    """A request that names a subcommand is parsed by that subcommand's
+    parser alone, into the namespace the top-level parser gives."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curvature"],
+            ["curvature", "--s=1.7", "--t", "4.6"],
+            ["curvature", "--spec", "m.json", "--qui", "--format", "csv"],
+            ["curvature", "--s", "1", "--t", "2", "--out", "", "--quiet"],
+            ["sweep", "--s", "1:4:61", "--t", "1:4:61"],
+            ["sweep", "--t=1:2:3", "--s=1:2:3", "--format", "json", "--out", "x.json"],
+            ["criterion", "--g", "round", "--h", "berger:1.7,4.6"],
+            ["criterion", "--h", "berger:1,2", "--g", "m.json", "--format", "csv", "--qui"],
+            ["yamabe"],
+            ["yamabe", "--geometry", "berger:1,3.5", "--resolution", "8", "--format", "csv"],
+            ["pathcheck", "--s", "1", "--t-start", "3", "--t-end", "4"],
+            ["pathcheck", "--s=1", "--t-start=3", "--t-end=4", "--steps", "7", "--format", "csv"],
+            ["dump-grid"],
+            ["dump-grid", "--geometry", "round", "--resolution", "4", "--qui", "--out", "g.csv"],
+        ],
+    )
+    def test_subcommand_namespace_equals_the_top_level_one(self, argv):
+        assert _parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--quiet", "curvature"]])
+    def test_requests_naming_no_subcommand_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: relyamabe [-h]")
+
+    def test_help_prints_the_top_level_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: relyamabe [-h]")
+
+    def test_unknown_flag_prints_the_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["curvature", "--s", "1", "--t", "2", "--bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: relyamabe curvature [-h]")
+        assert err.endswith("relyamabe curvature: error: unrecognized arguments: --bogus\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relyamabe import (
     BergerParams,
@@ -270,6 +272,41 @@ class TestCurvatureReport:
             "ricci_eigenvalues": rep.ricci_eigenvalues.tolist(),
             "einstein_deviation": rep.einstein_deviation,
         }
+
+
+#: an orthogonal matrix, the Q factor of a 3x3 matrix with entries in [-1, 1]
+ROTATION = st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9).map(
+    lambda a: np.linalg.qr(np.reshape(a, (3, 3)))[0]
+)
+#: eigenvalues of a metric, log-uniform over [1e-3, 1e3]
+EIGENVALUES = st.tuples(*(st.floats(-3.0, 3.0).map(lambda e: 10.0**e),) * 3)
+
+
+class TestReportTracesItsTensor:
+    """curvature_report traces its own Riemann tensor; the stacked
+    `_ricci`, which forms only the diagonal that trace reads, has the
+    same bits."""
+
+    def assert_same_bits(self, frame, metric):
+        rep = curvature_report(frame, metric)
+        _, ricci, scalar = lie_curvature._ricci(frame.c, metric.matrix[None])
+        assert np.array_equal(rep.ricci, ricci[0])
+        assert rep.scalar == scalar[0]
+        trace = np.einsum("ikij->jk", rep.riemann)
+        assert np.array_equal(0.5 * (trace + trace.T), rep.ricci)
+
+    def test_berger_band(self, frame):
+        values = 1.0 + 3.0 * np.arange(61) / 60
+        points = [(s, t) for s in values for t in values if s <= t]
+        assert len(points) == 1891
+        for s, t in points:
+            self.assert_same_bits(frame, FrameMetric.berger(s, t))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(EIGENVALUES, ROTATION)
+    def test_rotated_metrics(self, frame, eigs, o):
+        m = o @ np.diag(eigs) @ o.T
+        self.assert_same_bits(frame, FrameMetric(0.5 * (m + m.T)))
 
 
 class TestClosedForms:
