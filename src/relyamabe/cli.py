@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -123,7 +122,8 @@ def load_metric_spec(path: str) -> tuple[LieAlgebraFrame, FrameMetric, BergerPar
     Unknown keys are rejected.
     """
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read metric file {path!r}: {exc}") from exc
     try:
@@ -191,9 +191,9 @@ def resolve_geometry(token: str) -> BergerParams:
 
 
 def _pythonify(value):
-    """A payload value as builtins, non-finite floats as None so the JSON
-    stays standard.  Payloads hold dicts, lists, tuples, arrays, floats
-    (np.float64 is one) and builtin ints, bools and strings."""
+    """A payload value as builtins, non-finite floats as None, for the
+    CSV key,value lines.  Payloads hold dicts, lists, tuples, arrays,
+    floats (np.float64 is one) and builtin ints, bools and strings."""
     if isinstance(value, dict):
         return {k: _pythonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -241,32 +241,55 @@ def render_rows_csv(table: np.ndarray) -> str:
     return "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
 
 
-def _rows_json(table: np.ndarray) -> str:
-    """The list of row objects, with sorted keys, of a table that is the
-    value of a top-level payload entry: the text json.dumps(indent=2,
+def _rows_json(table: np.ndarray, indent: str) -> str:
+    """The list of row objects, with sorted keys, of a table whose text
+    starts on a line indented by `indent`: the text json.dumps(indent=2,
     sort_keys=True) gives that list there, assembled from column cells."""
+    row = indent + "  "
     cells = [
-        _column_cells(table[c], csv=False, prefix=f"      {json.dumps(c)}: ")
+        _column_cells(table[c], csv=False, prefix=f"{row}  {json.dumps(c)}: ")
         for c in sorted(table.dtype.names)
     ]
     objects = list(map(",\n".join, zip(*cells)))
     if not objects:
         return "[]"
-    return "[\n    {\n" + "\n    },\n    {\n".join(objects) + "\n    }\n  ]"
+    return f"[\n{row}{{\n" + f"\n{row}}},\n{row}{{\n".join(objects) + f"\n{row}}}\n{indent}]"
 
 
-def _render_json(payload: dict) -> str:
-    """json.dumps(_pythonify(payload), indent=2, sort_keys=True) + "\n"
-    of a dict payload, with each table entry rendered from its columns
-    by `_rows_json` as the list of its row objects: the one encoder call
-    writes a placeholder string (NUL, then the key) in each table's slot,
-    and the placeholder's encoded text is replaced once by the rows."""
-    tables = {key: value for key, value in payload.items() if _is_table(value)}
-    slots = {key: "\0" + key for key in tables}
-    text = json.dumps(_pythonify({**payload, **slots}), indent=2, sort_keys=True)
-    for key, table in tables.items():
-        text = text.replace(json.dumps(slots[key]), _rows_json(table), 1)
-    return text + "\n"
+_quote = json.encoder.encode_basestring_ascii  # the string escaper json.dumps runs
+
+
+def _json(value, indent: str = "") -> str:
+    """The text json.dumps(_pythonify(value), indent=2, sort_keys=True)
+    gives a payload value whose text starts on a line indented by
+    `indent`, with every table rendered from its columns by `_rows_json`
+    as the list of its row objects.  Dict keys must be strings (any
+    other key raises TypeError)."""
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = f",\n{inner}".join([_json(v, inner) for v in value])
+        return f"[\n{inner}{items}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = f",\n{inner}".join([f"{_quote(k)}: {_json(value[k], inner)}" for k in sorted(value)])
+        return f"{{\n{inner}{items}\n{indent}}}"
+    if isinstance(value, np.ndarray):
+        return _rows_json(value, indent) if _is_table(value) else _json(value.tolist(), indent)
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render_payload(payload, fmt: str) -> str:
@@ -291,7 +314,7 @@ def render_payload(payload, fmt: str) -> str:
                 val = "nan"
             lines.append(f"{key},{val}")
         return "\n".join(lines) + "\n"
-    return _render_json(payload)
+    return _json(payload) + "\n"
 
 
 def emit(args: argparse.Namespace, payload, summary: str) -> None:

@@ -88,6 +88,19 @@ CLASS_BOUNDARY = "Theorem1Boundary"
 CLASS_UNRESOLVED = "PositiveScalarUnresolved"
 CLASS_AUTO_NONPOSITIVE = "AutoYamabeNonpositive"
 
+#: the labels of the verdict and classification cascades, in order,
+#: each with its default last
+_VERDICTS = np.array([
+    VERDICT_AUTO_NONPOSITIVE,
+    VERDICT_NOT_APPLICABLE,
+    VERDICT_APPLIES_STRICT,
+    VERDICT_APPLIES_BOUNDARY,
+    VERDICT_FAILS,
+])
+_CLASSES = np.array(
+    [CLASS_EINSTEIN, CLASS_AUTO_NONPOSITIVE, CLASS_STRICT, CLASS_BOUNDARY, CLASS_UNRESOLVED]
+)
+
 #: strict positivity threshold, relative to ||R_g G||_F
 _STRICT_REL_TOL = 1e-10
 #: semidefiniteness slack, relative to ||R_g G||_F
@@ -191,24 +204,34 @@ def _compare(G: np.ndarray, r_g: float, H: np.ndarray, r_h: np.ndarray) -> dict:
     eigs = np.linalg.eigvalsh(pencil)
     (scale,) = _frobenius(r_g * G[None])
     _require_finite(G[None], scale[None])
-    min_eig = eigs[:, 0]
-    # row arrays all: a scalar condition sends np.select down np.broadcast_arrays' slow path
-    check = np.select(
-        [
-            r_h <= 0.0,
-            np.full(len(r_h), r_g <= 0.0),
-            min_eig > _STRICT_REL_TOL * scale,
-            min_eig >= -(_PSD_REL_TOL * scale),
-        ],
-        [
-            VERDICT_AUTO_NONPOSITIVE,
-            VERDICT_NOT_APPLICABLE,
-            VERDICT_APPLIES_STRICT,
-            VERDICT_APPLIES_BOUNDARY,
-        ],
-        default=VERDICT_FAILS,
-    )
+    check = _verdicts(r_g, r_h, eigs[:, 0], scale)
     return {"eigs": eigs, "scale": scale, "check": check, "gamma": _volume_ratio(G, H)}
+
+
+def _first_true(labels: np.ndarray, *conditions) -> np.ndarray:
+    """Per row, the label of the first true condition, or labels[-1]
+    where none holds: np.select(conditions, labels[:-1], labels[-1]) as
+    one lookup, with its dtype.  The first condition is a row array, the
+    others row arrays or scalars."""
+    table = np.empty((len(labels), len(conditions[0])), bool)
+    for row, condition in zip(table, conditions):
+        row[...] = condition
+    table[-1] = True
+    return labels[table.argmax(axis=0)]
+
+
+def _verdicts(r_g: float, r_h: np.ndarray, min_eig: np.ndarray, scale: float) -> np.ndarray:
+    """The comparison verdicts of candidates with scalar curvatures r_h
+    and smallest pencil eigenvalues min_eig (N,) against a reference
+    with scalar curvature r_g and scale ||R_g G||_F, by the cascade
+    `theorem1_check` describes; a NaN min_eig fails."""
+    return _first_true(
+        _VERDICTS,
+        r_h <= 0.0,
+        r_g <= 0.0,
+        min_eig > _STRICT_REL_TOL * scale,
+        min_eig >= -(_PSD_REL_TOL * scale),
+    )
 
 
 def _criterion_report(col: dict, r_g: float, r_h: float) -> CriterionReport:
@@ -281,15 +304,12 @@ def _classify_berger(s: np.ndarray, t: np.ndarray) -> dict:
     _, deviation = _einstein_deviation(H, ricci, scalar)
     col = _compare(np.eye(3), _ROUND_SCALAR, H, scalar)
     check = col["check"]
-    col["verdict"] = np.select(
-        [
-            deviation <= _EINSTEIN_TOL,
-            check == VERDICT_AUTO_NONPOSITIVE,
-            check == VERDICT_APPLIES_STRICT,
-            check == VERDICT_APPLIES_BOUNDARY,
-        ],
-        [CLASS_EINSTEIN, CLASS_AUTO_NONPOSITIVE, CLASS_STRICT, CLASS_BOUNDARY],
-        default=CLASS_UNRESOLVED,
+    col["verdict"] = _first_true(
+        _CLASSES,
+        deviation <= _EINSTEIN_TOL,
+        check == VERDICT_AUTO_NONPOSITIVE,
+        check == VERDICT_APPLIES_STRICT,
+        check == VERDICT_APPLIES_BOUNDARY,
     )
     return {"R": scalar, "einstein_dev": deviation, **col}
 

@@ -35,6 +35,7 @@ Sign conventions: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,7 +133,9 @@ class FrameMetric:
     """A left invariant metric: symmetric positive definite 3x3 matrix
     of inner products g(X_i, X_j) in the frame.  The matrix must be
     symmetric to 1e-12 relative to its largest entry (at any scale) and
-    is stored symmetrized."""
+    is stored symmetrized, as a read-only array of its own, so a metric
+    shared between callers (the round metric) cannot be altered through
+    it."""
 
     matrix: np.ndarray
 
@@ -140,20 +143,32 @@ class FrameMetric:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise InvalidMetricError(f"frame metric must be 3x3, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        # the nine entries are checked as Python floats, which costs less
+        # than a numpy call each; the stored matrix and its positivity
+        # test stay in numpy
+        entries = m.tolist()
+        flat = entries[0] + entries[1] + entries[2]
+        if not all(map(math.isfinite, flat)):
             raise InvalidMetricError("frame metric has non-finite entries")
         # halved first: the sum or difference of two entries near 1e308 overflows
-        h = 0.5 * m
-        if np.abs(h - h.T).max() > 1e-12 * np.abs(h).max():
+        _, m01, m02, m10, _, m12, m20, m21, _ = flat
+        asymmetry = max(abs(0.5 * m01 - 0.5 * m10), abs(0.5 * m02 - 0.5 * m20),
+                        abs(0.5 * m12 - 0.5 * m21))
+        if asymmetry > 1e-12 * (0.5 * max(map(abs, flat))):
             raise InvalidMetricError("frame metric must be symmetric")
+        h = 0.5 * m
         m = h + h.T
         if np.linalg.eigvalsh(m).min() <= 0.0:
             raise InvalidMetricError("frame metric must be positive definite")
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
+    @functools.cache
     def round(cls) -> "FrameMetric":
-        """The round metric of the unit 3-sphere (identity in this frame)."""
+        """The round metric of the unit 3-sphere (identity in this frame).
+        Built on the first call and shared by every later one; the metric
+        is immutable."""
         return cls(np.eye(3))
 
     @classmethod

@@ -425,3 +425,97 @@ class TestSweep:
         assert abs(changes[2][0] - 3.0) <= step
         assert abs(changes[3][0] - 4.0) <= step
         assert changes[3][2] == "AutoYamabeNonpositive"
+
+
+def select_verdicts(r_g, r_h, min_eig, scale):
+    """The comparison verdicts as the np.select cascade that `_compare`
+    ran before its first-true lookup."""
+    return np.select(
+        [r_h <= 0.0, np.full(len(r_h), r_g <= 0.0), min_eig > 1e-10 * scale,
+         min_eig >= -(1e-12 * scale)],
+        ["AutoYamabeNonpositive", "NotApplicable", "AppliesStrict", "AppliesBoundary"],
+        default="Fails",
+    )
+
+
+def select_classes(deviation, check):
+    """The Berger classifications as the np.select cascade that
+    `_classify_berger` ran before its first-true lookup."""
+    return np.select(
+        [deviation <= 1e-10, check == "AutoYamabeNonpositive", check == "AppliesStrict",
+         check == "AppliesBoundary"],
+        ["Einstein", "AutoYamabeNonpositive", "Theorem1Strict", "Theorem1Boundary"],
+        default="PositiveScalarUnresolved",
+    )
+
+
+def assert_same_labels(got, want):
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@st.composite
+def verdict_inputs(draw):
+    """A reference scalar curvature and scale, and rows of candidate
+    scalar curvatures and smallest pencil eigenvalues, many of them on
+    a tolerance, one ulp either side of it, signed zeros or NaN."""
+    scale = draw(st.sampled_from([0.0, 6.0 * math.sqrt(3.0), 1e-300, 1e300])
+                 | st.floats(0.0, 1e12))
+    strict, psd = 1e-10 * scale, -(1e-12 * scale)
+    edges = [x for tol in (strict, psd) for x in (tol, math.nextafter(tol, math.inf),
+                                                    math.nextafter(tol, -math.inf))]
+    edges += [math.nan, 0.0, -0.0]
+    n = draw(st.integers(0, 12))
+    min_eig = draw(st.lists(st.sampled_from(edges) | st.floats(), min_size=n, max_size=n))
+    r_h = draw(st.lists(st.sampled_from([0.0, -0.0, -1.0, 5e-324, 6.0])
+                        | st.floats(allow_nan=False), min_size=n, max_size=n))
+    r_g = draw(st.sampled_from([-1.0, -0.0, 0.0, 6.0]) | st.floats(allow_nan=False))
+    return r_g, np.array(r_h, dtype=float), np.array(min_eig, dtype=float), scale
+
+
+class TestFirstTrueVerdicts:
+    """The verdicts and classifications are one first-true lookup each,
+    with the labels, order and dtype of the np.select cascades they
+    replace."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(verdict_inputs())
+    def test_verdicts_equal_the_select_cascade(self, inputs):
+        assert_same_labels(criterion._verdicts(*inputs), select_verdicts(*inputs))
+
+    def test_cascade_edges(self):
+        scale = 6.0 * math.sqrt(3.0)
+        strict, psd = 1e-10 * scale, -(1e-12 * scale)
+        r_h = np.array([-1.0, 0.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+        min_eig = np.array([1.0, 1.0, math.nan, strict, math.nextafter(strict, math.inf), psd,
+                            math.nextafter(psd, -math.inf), 0.0])
+        want = ["AutoYamabeNonpositive", "AutoYamabeNonpositive", "Fails", "AppliesBoundary",
+                "AppliesStrict", "AppliesBoundary", "Fails", "AppliesBoundary"]
+        assert criterion._verdicts(6.0, r_h, min_eig, scale).tolist() == want
+        # a nonpositive reference: a nonpositive candidate still wins
+        want = ["AutoYamabeNonpositive"] * 2 + ["NotApplicable"] * 6
+        for r_g in (0.0, -6.0):
+            assert criterion._verdicts(r_g, r_h, min_eig, scale).tolist() == want
+
+    @pytest.mark.parametrize("r_g", [6.0, 0.0, -2.0])
+    def test_compare_equals_the_select_cascade(self, r_g):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((3, 3))
+        G = a @ a.T + np.eye(3)
+        H = criterion._berger_metrics(1.0 + 3.0 * rng.random(200), 1.0 + 8.0 * rng.random(200))
+        H[0] = G  # a self-comparison lands on the boundary
+        r_h = np.where(rng.random(200) < 0.3, -rng.random(200), 6.0 * rng.random(200))
+        r_h[1] = 0.0
+        col = criterion._compare(G, r_g, H, r_h)
+        assert_same_labels(col["check"], select_verdicts(r_g, r_h, col["eigs"][:, 0], col["scale"]))
+        assert col["check"][1] == "AutoYamabeNonpositive"
+
+    def test_classify_berger_equals_the_select_cascade(self):
+        s, t = (a.ravel() for a in np.meshgrid(np.linspace(1.0, 4.0, 31), np.linspace(1.0, 9.0, 41)))
+        keep = s <= t
+        s, t = np.append(s[keep], [1.0, 1.0]), np.append(t[keep], [1.0, 3.0])
+        col = criterion._classify_berger(s, t)
+        assert_same_labels(col["verdict"], select_classes(col["einstein_dev"], col["check"]))
+        assert set(col["verdict"].tolist()) == {
+            "Einstein", "AutoYamabeNonpositive", "Theorem1Strict", "Theorem1Boundary",
+            "PositiveScalarUnresolved",
+        }

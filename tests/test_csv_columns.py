@@ -7,7 +7,10 @@ a structured array from the criterion engine to the payload: the CLI
 renders the tables the public engine functions return, one call each.
 Property tests draw structured tables with heavy repetition, signed
 zeros, NaN of either sign and payload, infinities, subnormals, float64,
-float32 and string fields; the search is derandomized."""
+float32 and string fields, and dict payloads of every kind of value a
+payload holds, which the CLI's own JSON encoder must render as
+json.dumps(indent=2, sort_keys=True) renders their builtins; the search
+is derandomized."""
 
 import csv
 import io
@@ -17,8 +20,9 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from relyamabe import (
     BergerParams,
@@ -28,12 +32,7 @@ from relyamabe import (
     corollary_path_check,
     criterion,
 )
-from relyamabe.cli import (
-    _pythonify,
-    main,
-    render_payload,
-    render_rows_csv,
-)
+from relyamabe.cli import main, render_payload, render_rows_csv
 
 SWEEP_COLUMNS = ("s", "t", "R", "einstein_dev", "min_eig", "gamma", "verdict")
 PATH_COLUMNS = ("t", "scalar", "min_eig", "gamma", "verdict")
@@ -64,12 +63,27 @@ def row_dicts(table) -> list[dict]:
     return [dict(zip(table.dtype.names, row)) for row in table.tolist()]
 
 
+def plain(value):
+    """A payload value as the builtins json.dumps takes: a table as the
+    list of its row dicts, any other array as its nested lists, a tuple
+    as a list, and a float that is not finite as None."""
+    if isinstance(value, np.ndarray):
+        return plain(row_dicts(value) if value.dtype.names else value.tolist())
+    if isinstance(value, dict):
+        return {key: plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, float):
+        return float(value) if math.isfinite(value) else None
+    return value
+
+
 def rows_json(rows) -> str:
-    return json.dumps({"rows": _pythonify(list(rows))}, indent=2, sort_keys=True) + "\n"
+    return json.dumps({"rows": plain(list(rows))}, indent=2, sort_keys=True) + "\n"
 
 
 def payload_json(payload) -> str:
-    return json.dumps(_pythonify(payload), indent=2, sort_keys=True) + "\n"
+    return json.dumps(plain(payload), indent=2, sort_keys=True) + "\n"
 
 
 def run(tmp_path, *argv) -> str:
@@ -274,3 +288,65 @@ def test_cli_renders_the_public_engine_table(tmp_path, monkeypatch, fn, argv):
     table = results[0] if fn == "berger_sweep" else results[0].samples
     assert header.split(",") == list(table.dtype.names)
     assert len(table) == len(lines) == (72 if fn == "berger_sweep" else 101)
+
+
+#: floats a payload array or entry may hold: both zeros, both infinities,
+#: NaN, subnormals and the largest magnitudes
+EDGE_FLOATS = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2.5e-310,
+               1e308, -1e308, 1.7976931348623157e308, 0.1]
+float_values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+float_arrays = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+    elements=float_values,
+)
+#: strings with non-ASCII and control characters
+texts = st.text(st.characters(codec="utf-8"), max_size=6)
+leaves = st.one_of(
+    float_values,
+    float_values.map(np.float64),  # a float whose repr is not its JSON text
+    float_arrays,
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(2**200), 10**300]),
+    texts,
+    st.none(),
+)
+values = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(texts, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@st.composite
+def dict_payloads(draw):
+    """A dict payload, with a table entry or none."""
+    payload = draw(st.dictionaries(texts, values, max_size=6))
+    if draw(st.booleans()):
+        payload[draw(texts)] = draw(tables())
+    return payload
+
+
+def small_table(n: int) -> np.ndarray:
+    table = np.empty(n, [("t", "f8"), ("verdict", "O")])
+    table["t"] = [1.5, float("nan"), -0.0][:n] + [2.0] * max(0, n - 3)
+    table["verdict"] = ["AppliesStrict", "Fails", "\u00e9\n"][:n] + ["x"] * max(0, n - 3)
+    return table
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dict_payloads())
+@example({})
+@example({"a": [], "b": {}, "c": (), "d": np.empty((0, 3)), "e": [[], {}]})
+@example({"t": True, "f": False, "n": None, "big": 10**400 // 10**100, "s": "\x00\u2603\t\"\\"})
+@example({"samples": small_table(0), "z": 1.0})
+@example({"samples": small_table(5), "a": {"b": [np.array([-0.0, 5e-324, 1e308])]}})
+def test_dict_payload_json_equals_json_dumps(payload):
+    # the CLI encodes a dict payload itself: its text is the standard
+    # library's, indented by 2 with sorted keys, for every kind of value
+    assert render_payload(payload, "json") == payload_json(payload)

@@ -192,6 +192,141 @@ class TestMetricTypes:
         assert np.array_equal(p.metric().matrix, np.diag([1.0, 1.0, 3.0]))
 
 
+def numpy_checked_metric(matrix) -> np.ndarray:
+    """The FrameMetric checks written with numpy calls throughout, as
+    they stood before they moved to Python floats: the stored matrix,
+    or the exception."""
+    m = np.asarray(matrix, dtype=float)
+    if m.shape != (3, 3):
+        raise InvalidMetricError(f"frame metric must be 3x3, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidMetricError("frame metric has non-finite entries")
+    h = 0.5 * m
+    if np.abs(h - h.T).max() > 1e-12 * np.abs(h).max():
+        raise InvalidMetricError("frame metric must be symmetric")
+    m = h + h.T
+    if np.linalg.eigvalsh(m).min() <= 0.0:
+        raise InvalidMetricError("frame metric must be positive definite")
+    return m
+
+
+def outcome(build, matrix):
+    """The bits of the matrix `build` stores, or its exception's type
+    and message."""
+    try:
+        stored = build(matrix)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "stored", np.asarray(stored, dtype=float).view(np.uint64).tolist()
+
+
+def with_entries(base, entries) -> np.ndarray:
+    m = np.array(base, dtype=float)
+    for (i, j), value in entries.items():
+        m[i, j] = value
+    return m
+
+
+def metric_edge_corpus() -> list:
+    """Matrices on each side of every FrameMetric check."""
+    corpus = []
+    # asymmetry at the relative bound 1e-12 max|h| and one and two ulps
+    # either side, for each off-diagonal pair in both orientations, with
+    # the largest entry on or off the diagonal, at several scales
+    for scale in (1e-300, 1e-3, 1.0, 1e200, 1e307):
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            for big in (1.0, 4.0):
+                base = scale * np.diag([1.0, 2.0, big])
+                bound = 1e-12 * (0.5 * scale * big)  # the bound on the halves
+                for offset in (0.0, 0.375 * scale):
+                    at = offset + 2.0 * bound  # |h_ij - h_ji| lands on the bound
+                    for steps in range(-2, 3):
+                        x = at
+                        for _ in range(abs(steps)):
+                            x = np.nextafter(x, np.inf if steps > 0 else -np.inf)
+                        corpus.append(with_entries(base, {(i, j): x, (j, i): offset}))
+                        corpus.append(with_entries(base, {(j, i): x, (i, j): offset}))
+    # entries near +-1e308, where the halving first matters
+    top = np.finfo(float).max
+    for a, b in ((1e308, 1e308), (1e308, -1e308), (top, top), (top, -top), (top, np.nextafter(top, 0.0)),
+                 (-top, -top), (1.7e308, 1.7e308 * (1.0 - 1e-15)), (5e307, 5e307 * (1.0 + 1e-15))):
+        corpus.append(with_entries(np.diag([top, top, 1.0]), {(0, 1): a, (1, 0): b}))
+        corpus.append(with_entries(np.diag([1e308, 1e308, 1e308]), {(0, 2): a, (2, 0): b}))
+    corpus.append(np.diag([top, top, top]))
+    corpus.append(-np.diag([top, top, top]))
+    # NaN and infinities anywhere, and signed zeros
+    for bad in (np.nan, -np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (0, 1), (2, 1), (2, 2)):
+            corpus.append(with_entries(np.eye(3), {(i, j): bad}))
+    corpus.append(with_entries(np.eye(3), {(0, 1): -0.0, (1, 0): 0.0, (2, 1): -0.0}))
+    corpus.append(with_entries(np.eye(3), {(0, 1): -0.0, (1, 0): -0.0}))
+    corpus.append(np.zeros((3, 3)))
+    corpus.append(-np.zeros((3, 3)))
+    corpus.append(np.diag([-0.0, 1.0, 1.0]))
+    # shapes other than 3x3, and ragged lists
+    corpus += [np.eye(2), np.eye(4), np.ones((3, 4)), np.ones(9), np.float64(1.0), np.ones((1, 3, 3))]
+    corpus += [[[1, 0, 0], [0, 1], [0, 0, 1]], [[1, 0, 0], [0, 1, 0, 0], [0, 0, 1]], [[1, 0], [0, 1]]]
+    # singular, indefinite and negative definite
+    corpus += [np.diag([1.0, 1.0, 0.0]), np.ones((3, 3)), np.diag([1.0, -1.0, 1.0]),
+               -np.eye(3), np.diag([1.0, 1.0, -1e-300]), np.diag([1.0, 1.0, 5e-324]),
+               np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])]
+    # random symmetric, nearly symmetric and asymmetric matrices
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        a = rng.standard_normal((3, 3))
+        spd = a @ a.T + 1e-3 * np.eye(3)
+        corpus += [spd, spd + 1e-13 * rng.standard_normal((3, 3)), a, 0.5 * (a + a.T)]
+    return corpus
+
+
+class TestMetricChecks:
+    """FrameMetric runs its finiteness and symmetry checks on Python
+    floats: each accepts and rejects what the numpy checks did."""
+
+    def test_accepts_and_rejects_as_numpy_checks(self):
+        outcomes = set()
+        for matrix in metric_edge_corpus():
+            want = outcome(numpy_checked_metric, matrix)
+            assert outcome(lambda m: FrameMetric(m).matrix, matrix) == want, matrix
+            kind, detail = want
+            outcomes.add(kind if kind in ("stored", ValueError) else detail.split(",")[0])
+        # the corpus reaches every outcome (ragged lists fail in numpy)
+        assert outcomes == {
+            "stored",
+            ValueError,
+            "frame metric has non-finite entries",
+            "frame metric must be symmetric",
+            "frame metric must be positive definite",
+            "frame metric must be 3x3",
+        }
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e307])
+    def test_asymmetry_bound_is_inclusive(self, scale):
+        # |h_01 - h_10| equal to 1e-12 max|h| is accepted, one ulp more is not
+        bound = 1e-12 * (0.5 * scale * 4.0)
+        m = with_entries(scale * np.diag([1.0, 2.0, 4.0]), {(0, 1): 2.0 * bound})
+        assert FrameMetric(m).matrix[0, 1] == bound
+        m[0, 1] = np.nextafter(m[0, 1], np.inf)
+        with pytest.raises(InvalidMetricError, match="must be symmetric"):
+            FrameMetric(m)
+
+    def test_matrix_is_read_only_and_the_callers_array_is_not(self):
+        m = np.diag([1.0, 2.0, 3.0])
+        metric = FrameMetric(m)
+        with pytest.raises(ValueError):
+            metric.matrix[0, 0] = 5.0
+        assert metric.matrix[0, 0] == 1.0
+        m[0, 0] = 5.0  # the caller's array stays writable ...
+        assert metric.matrix[0, 0] == 1.0  # ... and the metric keeps its own copy
+
+    def test_round_metric_is_shared_and_read_only(self):
+        metric = FrameMetric.round()
+        assert FrameMetric.round() is metric
+        with pytest.raises(ValueError):
+            metric.matrix[1, 1] = 0.0
+        assert np.array_equal(metric.matrix, np.eye(3))
+
+
 class TestConnection:
     def test_round_connection_is_half_bracket(self, frame):
         gamma = levi_civita(frame, FrameMetric.round())
