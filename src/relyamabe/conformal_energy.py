@@ -19,13 +19,14 @@ and provides an independent consistency check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateTrialError, InputFormatError, InvalidMetricError
 from .su2_chart import (
-    MetricField, _axis_derivative, _derivatives, _finite, _flux, grad_sq, integrate,
+    MetricField, _axis_derivative, _derivatives, _end_layers, _finite, _flux, grad_sq, integrate,
 )
 
 __all__ = [
@@ -65,7 +66,10 @@ class EnergyReport:
 def _scalar_field(scalar, grid_shape) -> np.ndarray:
     arr = np.asarray(scalar, dtype=float)
     if arr.ndim == 0:
-        arr = np.full(grid_shape, float(arr))
+        value = float(arr)
+        if not math.isfinite(value):
+            raise InputFormatError("scalar curvature has non-finite entries")
+        return np.full(grid_shape, value)
     if arr.shape != grid_shape:
         raise InputFormatError(
             f"scalar curvature shape {arr.shape} does not match grid {grid_shape}"
@@ -109,7 +113,7 @@ class QuotientInput:
             )
         if not np.all(np.isfinite(f)):
             raise InputFormatError("trial function has non-finite entries")
-        if np.abs(f).max() <= 0.0:
+        if not f.any():
             raise DegenerateTrialError("trial function is identically zero")
         object.__setattr__(self, "f", f)
         object.__setattr__(
@@ -145,8 +149,12 @@ def rayleigh_quotient(qi: QuotientInput) -> float:
         raise DegenerateTrialError(
             f"critical norm underflow: ||f||_{_LP_EXP} = {denom_int ** (1.0 / _LP_EXP):.3e}"
         )
-    numer = integrate(CONFORMAL_COEFF * grad_sq(f, metric) + qi.scalar_curvature * f * f, metric)
-    return numer / denom_int ** _VOL_EXP
+    density = grad_sq(f, metric)
+    density *= CONFORMAL_COEFF
+    r_f2 = qi.scalar_curvature * f
+    r_f2 *= f
+    density += r_f2
+    return integrate(density, metric) / denom_int ** _VOL_EXP
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -190,8 +198,8 @@ def neumann_residual(u: np.ndarray, metric: MetricField) -> float:
     if u.shape != grid.shape:
         raise InputFormatError(f"field shape {u.shape} does not match grid {grid.shape}")
     faces = u[:, [0, -1]]
-    du = [_axis_derivative(faces, grid, 0), _axis_derivative(u, grid, 1)[:, [0, -1]],
-          _axis_derivative(faces, grid, 2)]
+    du = [_axis_derivative(faces, grid, 0), np.empty(faces.shape), _axis_derivative(faces, grid, 2)]
+    _end_layers(u, grid, 1, du[1])  # the face windows read layers 0-2 and n-3..n-1 alone
     inv = metric.inv[:, :, :, [0, -1]]
     residual = (np.abs(_flux(inv, du, 1)) / np.sqrt(inv[1, 1])).max()
     return float(_finite(residual, "the Neumann residual"))

@@ -270,9 +270,18 @@ def _require_finite(G: np.ndarray, *arrays: np.ndarray) -> None:
 
 def _orthonormal(G: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Stacked symmetric tensors x (N, 3, 3) in G-orthonormal frames:
-    L^-1 x L^-T with the Cholesky factor G = L L^T, symmetrized."""
+    L^-1 x L^-T with the Cholesky factor G = L L^T, symmetrized.  G is
+    one 3x3 metric, or a stack (N, 3, 3) of them, one per tensor; one
+    metric's factor solves for every tensor at once, its 3N right-hand
+    sides side by side as one 3 x 3N matrix."""
     L = np.linalg.cholesky(G)
-    x_on = np.swapaxes(np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, x), 1, 2)), 1, 2)
+    if G.ndim == 2:
+        n = len(x)
+        y = np.linalg.solve(L, x.transpose(1, 0, 2).reshape(3, 3 * n))  # [L^-1 x_k]_k
+        y = y.reshape(3, n, 3).transpose(2, 1, 0).reshape(3, 3 * n)  # [(L^-1 x_k)^T]_k
+        x_on = np.linalg.solve(L, y).reshape(3, n, 3).transpose(1, 2, 0)
+    else:
+        x_on = np.swapaxes(np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, x), 1, 2)), 1, 2)
     return 0.5 * (x_on + np.swapaxes(x_on, 1, 2))
 
 

@@ -254,7 +254,6 @@ class MetricField:
             )
         if not np.all(np.isfinite(g)):
             raise InvalidMetricError("metric field has non-finite entries")
-        gt = g.swapaxes(0, 1)
         # inv first holds the cofactors of the symmetric 3x3 cells; det
         # and the leading minors g_00 and c_22 decide positive
         # definiteness (Sylvester).  Entries far from 1 can overflow det
@@ -262,11 +261,15 @@ class MetricField:
         # warned about.
         inv = np.empty(g.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            # a difference that overflows is inf, and fails the test
-            asym = np.abs(g - gt).max(axis=(0, 1))
+            # a difference that overflows is inf, and fails the test; the
+            # diagonal differences of a finite field are 0 and decide nothing
+            asym = np.abs(g[0, 1] - g[1, 0])
+            for a, b in ((0, 2), (1, 2)):
+                np.maximum(asym, np.abs(g[a, b] - g[b, a]), out=asym)
             if np.any(asym > _SYMMETRY_TOL * np.abs(g).max(axis=(0, 1))):
                 raise InvalidMetricError("metric field is not symmetric at every cell")
-            g = 0.5 * (g + gt)
+            g = g + g.swapaxes(0, 1)
+            g *= 0.5
             (g00, g01, g02), (_, g11, g12), (_, _, g22) = g
             inv[0, 0] = g11 * g22 - g12 * g12
             inv[0, 1] = inv[1, 0] = g02 * g12 - g01 * g22
@@ -329,12 +332,17 @@ def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
     # each frame component _FRAME_MAPS[k, c] @ x is one signed coordinate of x
     frame = [[x[d] if m[c, d] > 0 else -x[d] for c, d in enumerate(np.abs(m).argmax(axis=1))]
              for m in _FRAME_MAPS]
-    resid = max(
-        float(np.abs(de[a][c] - em[a][0] * frame[0][c] - em[a][1] * frame[1][c]
-                     - em[a][2] * frame[2][c]).max())
-        for a in range(3)
-        for c in range(4)
-    )
+    # each residual de - em_0 frame_0 - em_1 frame_1 - em_2 frame_2, in
+    # that order, formed in two grid buffers
+    diff, term = np.empty(grid.shape), np.empty(grid.shape)
+    resids = []
+    for a in range(3):
+        for c in range(4):
+            np.subtract(de[a][c], np.multiply(em[a][0], frame[0][c], out=term), out=diff)
+            for k in (1, 2):
+                diff -= np.multiply(em[a][k], frame[k][c], out=term)
+            resids.append(float(np.abs(diff, out=diff).max()))
+    resid = max(resids)
     if resid > _CHART_TOL:
         raise ChartConsistencyError(
             f"coordinate vectors are not spanned by the frame (residual {resid:.3e})"
@@ -355,6 +363,7 @@ def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
         ) from exc
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int) -> np.ndarray:
     """d f / d x_axis in difference form: out_i = sum_j w_ij (f_j - f_i)
     over the width-3 windows of `_axis_stencil`, the window's other
@@ -372,15 +381,59 @@ def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int) -> np.ndarray:
     that starts at +0.0 changes no bit.  A non-finite cell still gives a
     non-finite derivative, but where the full sum reads NaN (inf - inf in
     the own term) this one may read +/-inf.
+
+    Nothing is gathered.  The centered windows (the interior of eta and
+    xi1, all of the periodic xi2) weigh their neighbours by the same two
+    floats -w, +w, so their terms are w d_{i-1} and w d_i of one forward
+    difference d_i = f_{i+1} - f_i, taken over the flattened field with
+    the neighbour one axis stride away (xi2 writes its wrap
+    d_{n-1} = f_0 - f_{n-1} apart): f_{i-1} - f_i is exactly -d_{i-1} but
+    for the sign of a zero, which the 0.0 the sum starts from removes.
+    Differences across two rows or eta slabs are overwritten by that wrap
+    or by the one-sided end layers (`_end_layers`); they may overflow, so
+    the kernel runs with overflow ignored, as its callers do.
     """
-    n = grid.shape[axis]
-    wts, idx = _axis_stencil(n, grid.spacings[axis], axis == 2, 3)
-    bcast = [1, 1, 1]
-    bcast[axis] = n
-    out = np.zeros(f.shape)
-    for w, j in zip(wts[1:], idx[1:]):
-        out += w.reshape(bcast) * (np.take(f, j, axis=axis) - f)
+    shape = f.shape
+    n, step = shape[axis], math.prod(shape[axis + 1:])
+    w = float(_axis_stencil(n, grid.spacings[axis], axis == 2, 3)[0][2, 1])
+    flat = np.ravel(f)
+    d = np.empty(flat.size)
+    np.subtract(flat[step:], flat[:-step], out=d[:-step])
+    out = np.empty(shape)
+    if axis == 2:
+        dv = d.reshape(shape)
+        np.subtract(f[..., :1], f[..., -1:], out=dv[..., -1:])
+        d *= w
+        np.add(d[:-1], 0.0, out=out.reshape(-1)[1:])
+        np.add(dv[..., -1:], 0.0, out=out[..., :1])
+        out += dv
+        return out
+    d[:-step] *= w
+    mid = out.reshape(-1)[step:-step]
+    np.add(d[:-2 * step], 0.0, out=mid)
+    mid += d[step:-step]
+    _end_layers(f, grid, axis, out[(slice(None),) * axis + (slice(None, None, n - 1),)])
     return out
+
+
+def _end_layers(f: np.ndarray, grid: HopfGrid, axis: int, out: np.ndarray) -> None:
+    """Write into `out` (two layers along `axis`) the derivative of f on
+    the end layers 0 and n-1 of the non-periodic `axis` (0 or 1):
+    (0.0 + w_a (f_a - f_end)) + w_b (f_b - f_end), summed as
+    `_axis_derivative` sums, over the one-sided windows' other layers a,
+    b in offset order, 1, 2 and n-3, n-2.  On n = 4 both windows read
+    layers 1 and 2, which then broadcast."""
+    n = f.shape[axis]
+    wts = _axis_stencil(n, grid.spacings[axis], False, 3)[0]
+    lay = (slice(None),) * axis
+    own = f[lay + (slice(None, None, n - 1),)]
+    w_a, w_b = wts[1:, ::n - 1].reshape((2, 2) + (1,) * (f.ndim - 1 - axis))
+    t = f[lay + (slice(1, n - 2, n - 4 or None),)] - own
+    t *= w_a
+    t += 0.0
+    u = f[lay + (slice(2, n - 1, n - 4 or None),)] - own
+    u *= w_b
+    np.add(t, u, out=out)
 
 
 def _derivatives(f: np.ndarray, grid: HopfGrid) -> list[np.ndarray]:
@@ -418,12 +471,17 @@ def integrate(f, metric: MetricField) -> float:
     return float(_finite(np.sum(f * metric.weight), "the integral"))
 
 
-def _flux(c, df, i: int) -> np.ndarray:
+def _flux(c, df, i: int, out: np.ndarray | None = None) -> np.ndarray:
     """Row i of the per-cell coefficients c (g^{ij}, or w g^{ij})
     contracted with the derivatives df: sum_j c[i][j] df[j], summed in
-    the order numpy's einsum sums three terms, (j = 0 + j = 2) + j = 1.
-    Every operator of the Dirichlet form contracts through here."""
-    return (c[i][0] * df[0] + c[i][2] * df[2]) + c[i][1] * df[1]
+    the order numpy's einsum sums three terms, (j = 0 + j = 2) + j = 1,
+    into `out` when given.  Every operator of the Dirichlet form
+    contracts through here."""
+    out = np.multiply(c[i][0], df[0], out=out)
+    t = c[i][2] * df[2]
+    out += t
+    out += np.multiply(c[i][1], df[1], out=t)
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -433,9 +491,13 @@ def grad_sq(f: np.ndarray, metric: MetricField) -> np.ndarray:
     semidefinite, negatives are pure roundoff).  A density that is not
     finite raises NumericalFailureError (`_finite`)."""
     df = _derivatives(f, metric.grid)
-    flux = [_flux(metric.inv, df, i) for i in range(3)]
-    out = np.maximum((df[0] * flux[0] + df[2] * flux[2]) + df[1] * flux[1], 0.0)
-    return _finite(out, "the gradient density |df|^2")
+    terms = [_flux(metric.inv, df, i) for i in range(3)]
+    for term, d in zip(terms, df):
+        term *= d
+    out = terms[0]
+    out += terms[2]
+    out += terms[1]
+    return _finite(np.maximum(out, 0.0, out=out), "the gradient density |df|^2")
 
 
 @dataclass(frozen=True)
@@ -456,9 +518,10 @@ class _Stiffness:
         shape = self.grid.shape
         d = _derivatives(f.reshape(shape), self.grid)
         t0, t1, t2 = self.axes
-        out = (t0 @ _flux(self.coef, d, 0).reshape(shape[0], -1)).reshape(shape)
-        out += np.matmul(t1, _flux(self.coef, d, 1))
-        out += _flux(self.coef, d, 2) @ t2.T
+        flux = _flux(self.coef, d, 0)
+        out = (t0 @ flux.reshape(shape[0], -1)).reshape(shape)
+        out += np.matmul(t1, _flux(self.coef, d, 1, flux))
+        out += _flux(self.coef, d, 2, flux) @ t2.T
         return out.reshape(-1)
 
 

@@ -19,11 +19,11 @@ A is `su2_chart._stiffness`, never assembled: a product takes the
 three difference-form derivatives of its field, contracts them with the
 six per-cell fields w g^{ij} formed once per estimate, and applies each
 transposed derivative as a dense n x n axis matrix.  At n = 32 (32,768
-cells) on one thread of a 2-core x86 VM, the product takes about 1.1 ms,
-the gradient 0.08 ms and each trial 0.2 ms, 0.07 ms of it the
+cells) on one thread of a 2-core x86 VM, the product takes about 0.8 ms,
+the gradient 0.07 ms and each trial 0.25 ms, 0.05 ms of it the
 critical-norm sum.  An estimate makes 5 to 7 trials in its 5
 iterations on round and Berger backgrounds at n = 8 to 32 (26 once),
-and takes about 16 ms at n = 32.
+and takes about 10 ms at n = 32.
 
 The descent runs once, from the constant, for at most `_MAX_ITERS`
 iterations; it has no options and is reproducible bit for bit.  For

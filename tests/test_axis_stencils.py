@@ -6,6 +6,10 @@ over the flattened `HopfGrid.diff_ops` matrices with `np.bincount`, and
 the contraction g^{ij} d_j f formed by `einsum` (`einsum_flux`) for
 |df|^2, the Neumann residual and the nine-derivative divergence.  Every
 library operator contracts through `su2_chart._flux`, counted here.
+`grad_sq`, `rayleigh_quotient`, `laplace_beltrami` and
+`neumann_residual` are also compared with copies of themselves written
+on the gathering kernel, on fields with signed zeros, subnormal cells
+or an infinite cell, and must fail alike in class and message.
 The `einsum` references take contiguous cells-major operands, the
 layout the library used when they were written: on a strided view
 `einsum` may sum its terms in another order.
@@ -47,14 +51,16 @@ from relyamabe import (
     rayleigh_quotient,
     yamabe_property_probe,
 )
-from relyamabe import conformal_energy, su2_chart
-from relyamabe.conformal_energy import CONFORMAL_COEFF, laplace_beltrami
+from relyamabe import DegenerateTrialError, InputFormatError, conformal_energy, su2_chart
+from relyamabe.conformal_energy import CONFORMAL_COEFF, _critical_sum, laplace_beltrami
 from relyamabe.su2_chart import (
     _axis_derivative,
     _axis_stencil,
+    _finite,
     _level_second_form,
     _slopes,
     grad_sq,
+    integrate,
     partial_derivatives,
 )
 from relyamabe.yamabe_estimator import (
@@ -205,6 +211,23 @@ def test_centered_windows_are_exactly_antisymmetric(n, axis, width):
     assert centered == (n if periodic else n - 2 * half if k % 2 else 0)
 
 
+@settings(max_examples=40, **SETTINGS)
+@given(st.integers(4, 40), st.sampled_from([0, 1, 2]))
+def test_centered_width3_windows_share_one_weight_pair(n, axis):
+    # every interior point of eta and xi1 and every point of the periodic
+    # xi2 weighs its neighbours i - 1, i + 1 by the same two floats -w, +w,
+    # which the derivative kernel applies as scalars
+    periodic = axis == 2
+    wts, idx = _axis_stencil(n, HopfGrid.cube(n).spacings[axis], periodic, 3)
+    centered = np.arange(n) if periodic else np.arange(1, n - 1)
+    w = wts[2, 1]
+    assert w > 0.0
+    assert np.array_equal(idx[1, centered], (centered - 1) % n)
+    assert np.array_equal(idx[2, centered], (centered + 1) % n)
+    assert same_bits(wts[1, centered], np.full(len(centered), -w))
+    assert same_bits(wts[2, centered], np.full(len(centered), w))
+
+
 @settings(max_examples=30, **SETTINGS)
 @given(st.tuples(*(st.integers(4, 24),) * 3), WIDTH)
 def test_diff_ops_store_no_zero(shape, width):
@@ -287,17 +310,38 @@ def full_window_derivative(f: np.ndarray, grid: HopfGrid, axis: int) -> np.ndarr
     return out
 
 
-@settings(max_examples=40, **SETTINGS)
-@given(st.tuples(*(st.integers(4, 32),) * 3), SEED, st.sampled_from(["random", "constant"]))
+def trial_field(shape, seed: int, kind: str) -> np.ndarray:
+    """A random, constant, signed-zero (+0.0 and -0.0 cells), mixed
+    (signed zeros among +/-1 cells) or subnormal (signed zeros among
+    +/-5e-324 cells) field.  On xi2 with at most 6 cells the weights are
+    below 1/2, so a subnormal difference times a weight rounds to a
+    signed zero: there two zero terms of one window can both be -0.0."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.standard_normal(shape)
+    if kind == "constant":
+        return np.full(shape, rng.normal())
+    cells = {"signed_zero": [], "mixed": [1.0, -1.0], "subnormal": [5e-324, -5e-324]}[kind]
+    return rng.choice([0.0, -0.0] + cells, size=shape)
+
+
+FIELD_KIND = st.sampled_from(["random", "constant", "signed_zero", "mixed", "subnormal"])
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(st.tuples(*(st.integers(4, 32),) * 3), SEED, FIELD_KIND)
 def test_axis_derivative_skips_own_entry_bit_for_bit(shape, seed, kind):
     # the own entry's term is a signed zero on finite fields, which a sum
-    # starting at +0.0 absorbs without changing a bit
+    # starting at +0.0 absorbs without changing a bit; on fields of
+    # signed zeros the sign of every zero derivative is compared too
     grid = HopfGrid(*shape)
     rng = np.random.default_rng(seed)
-    f = rng.standard_normal(shape) if kind == "random" else np.full(shape, rng.normal())
+    f = trial_field(shape, seed, kind)
     for axis in range(3):
         want = full_window_derivative(f, grid, axis)
-        assert same_bits(_axis_derivative(f, grid, axis), want)
+        got = _axis_derivative(f, grid, axis)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert same_bits(got, want)
     # a non-finite cell still gives non-finite derivatives, where the
     # full sum has them (NaN there may read +/-inf here)
     f[tuple(rng.integers(0, shape))] = np.inf
@@ -418,11 +462,12 @@ def test_neumann_residual_equals_einsum_form(shape, seed, berger):
 def test_every_operator_contracts_through_one_flux(monkeypatch):
     # grad_sq, laplace_beltrami, neumann_residual and the stiffness
     # product form g^{ij} d_j f only through su2_chart._flux, row by row
+    # (into an output buffer where they pass one)
     flux, rows = su2_chart._flux, []
 
-    def counting_flux(c, df, i):
+    def counting_flux(c, df, i, out=None):
         rows.append(i)
-        return flux(c, df, i)
+        return flux(c, df, i, out)
 
     monkeypatch.setattr(su2_chart, "_flux", counting_flux)
     monkeypatch.setattr(conformal_energy, "_flux", counting_flux)
@@ -434,6 +479,154 @@ def test_every_operator_contracts_through_one_flux(monkeypatch):
         op(f, metric)
         calls.append(list(rows))
     assert calls == [[0, 1, 2], [0, 1, 2], [1], [0, 1, 2]]
+
+
+# --- the callers against copies of their gathering formulation ----------
+# Each reference below is the operator as it was written on the gathering
+# kernel: every neighbour taken with np.take over the whole field, every
+# term a fresh array, the constant scalar curvature broadcast before its
+# finiteness check, and the Neumann residual differentiating every xi1
+# layer.  Results must agree bit for bit, and failures in class and
+# message.
+
+
+def taken_derivative(f: np.ndarray, grid: HopfGrid, axis: int) -> np.ndarray:
+    """out_i = sum_j w_ij (f_j - f_i) over rows 1: of the width-3 axis
+    tables, each neighbour gathered over the whole field."""
+    n = grid.shape[axis]
+    wts, idx = _axis_stencil(n, grid.spacings[axis], axis == 2, 3)
+    bcast = [1, 1, 1]
+    bcast[axis] = n
+    out = np.zeros(f.shape)
+    for w, j in zip(wts[1:], idx[1:]):
+        out += w.reshape(bcast) * (np.take(f, j, axis=axis) - f)
+    return out
+
+
+def taken_derivatives(f, grid: HopfGrid) -> list[np.ndarray]:
+    f = np.asarray(f, dtype=float)
+    if f.shape != grid.shape:
+        raise InputFormatError(f"field shape {f.shape} does not match grid {grid.shape}")
+    return [taken_derivative(f, grid, i) for i in range(3)]
+
+
+def sum_flux(c, df, i: int) -> np.ndarray:
+    return (c[i][0] * df[0] + c[i][2] * df[2]) + c[i][1] * df[1]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def gathered_grad_sq(f, metric: MetricField) -> np.ndarray:
+    df = taken_derivatives(f, metric.grid)
+    flux = [sum_flux(metric.inv, df, i) for i in range(3)]
+    out = np.maximum((df[0] * flux[0] + df[2] * flux[2]) + df[1] * flux[1], 0.0)
+    return _finite(out, "the gradient density |df|^2")
+
+
+def gathered_rayleigh_quotient(f, metric: MetricField, scalar) -> float:
+    f = np.asarray(f, dtype=float)
+    if f.shape != metric.grid.shape:
+        raise InputFormatError(f"trial shape {f.shape} does not match grid {metric.grid.shape}")
+    if not np.all(np.isfinite(f)):
+        raise InputFormatError("trial function has non-finite entries")
+    if np.abs(f).max() <= 0.0:
+        raise DegenerateTrialError("trial function is identically zero")
+    r = np.asarray(scalar, dtype=float)
+    if r.ndim == 0:
+        r = np.full(f.shape, float(r))
+    if r.shape != f.shape:
+        raise InputFormatError(f"scalar curvature shape {r.shape} does not match grid {f.shape}")
+    if not np.all(np.isfinite(r)):
+        raise InputFormatError("scalar curvature has non-finite entries")
+    with np.errstate(over="ignore"):
+        denom = float(_critical_sum(f.reshape(-1), metric.weight.reshape(-1)))
+    if not np.isfinite(denom):
+        raise DegenerateTrialError("critical norm overflow")
+    if denom ** (1.0 / 6) < 1e-30:
+        raise DegenerateTrialError(
+            f"critical norm underflow: ||f||_6 = {denom ** (1.0 / 6):.3e}"
+        )
+    numer = integrate(CONFORMAL_COEFF * gathered_grad_sq(f, metric) + r * f * f, metric)
+    return numer / denom ** (1.0 / 3)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def gathered_laplace_beltrami(f, metric: MetricField) -> np.ndarray:
+    df, root = taken_derivatives(f, metric.grid), metric.sqrt_det
+    grid = metric.grid
+    div = sum(taken_derivative(root * sum_flux(metric.inv, df, i), grid, i) for i in range(3))
+    return _finite(div / root, "the Laplacian")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def gathered_neumann_residual(u, metric: MetricField) -> float:
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise InputFormatError("conformal factor has non-finite entries")
+    grid = metric.grid
+    if u.shape != grid.shape:
+        raise InputFormatError(f"field shape {u.shape} does not match grid {grid.shape}")
+    faces = u[:, [0, -1]]
+    du = [taken_derivative(faces, grid, 0), taken_derivative(u, grid, 1)[:, [0, -1]],
+          taken_derivative(faces, grid, 2)]
+    inv = metric.inv[:, :, :, [0, -1]]
+    return float(_finite((np.abs(sum_flux(inv, du, 1)) / np.sqrt(inv[1, 1])).max(),
+                         "the Neumann residual"))
+
+
+def outcome(fn, *args):
+    """("ok", result bytes) or (error class, message) of fn(*args)."""
+    try:
+        return "ok", np.asarray(fn(*args), dtype=float).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+
+
+OPERATOR_FIELD = st.sampled_from(
+    ["random", "constant", "signed_zero", "mixed", "subnormal", "one_inf"]
+)
+
+
+def operator_field(shape, seed: int, kind: str) -> np.ndarray:
+    """`trial_field`, or a random field with one infinite cell."""
+    if kind != "one_inf":
+        return trial_field(shape, seed, kind)
+    f = trial_field(shape, seed, "random")
+    f[tuple(np.random.default_rng(seed + 2).integers(0, shape))] = np.inf
+    return f
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(SHAPE, SEED, st.booleans(), OPERATOR_FIELD)
+def test_grad_sq_laplacian_and_neumann_equal_gathered_form(shape, seed, berger, kind):
+    metric = metric_field(HopfGrid(*shape), seed, berger)
+    f = operator_field(shape, seed, kind)
+    for new, old in ((grad_sq, gathered_grad_sq), (laplace_beltrami, gathered_laplace_beltrami),
+                     (neumann_residual, gathered_neumann_residual)):
+        assert outcome(new, f, metric) == outcome(old, f, metric)
+    # a mis-shaped field fails alike
+    for new, old in ((grad_sq, gathered_grad_sq), (neumann_residual, gathered_neumann_residual)):
+        assert outcome(new, f[:-1], metric) == outcome(old, f[:-1], metric)
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(SHAPE, SEED, st.booleans(), OPERATOR_FIELD,
+       st.sampled_from(["constant", "field", "inf", "nan_cell", "mis_shaped"]))
+def test_rayleigh_quotient_equals_gathered_form(shape, seed, berger, kind, scalar_kind):
+    metric = metric_field(HopfGrid(*shape), seed, berger)
+    f = operator_field(shape, seed, kind)
+    rng = np.random.default_rng(seed + 3)
+    scalar = {
+        "constant": rng.normal(),
+        "field": rng.standard_normal(shape),
+        "inf": np.inf,
+        "nan_cell": np.where(np.arange(f.size).reshape(shape) == 1, np.nan, 1.0),
+        "mis_shaped": np.ones(shape[:-1]),
+    }[scalar_kind]
+
+    def new(f, metric, scalar):
+        return rayleigh_quotient(QuotientInput(f, metric, scalar))
+
+    assert outcome(new, f, metric, scalar) == outcome(gathered_rayleigh_quotient, f, metric, scalar)
 
 
 def mesh_trials(grid: HopfGrid, n_trials: int, seed: int):
