@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DegenerateTrialError, InputFormatError, InvalidMetricError
 from .su2_chart import (
-    MetricField, _axis_derivative, _derivatives, _end_layers, _finite, _flux, grad_sq, integrate,
+    MetricField, _axis_derivative, _derivatives, _end_layers, _finite, _flux, _upper_rows, grad_sq,
+    integrate,
 )
 
 __all__ = [
@@ -64,12 +65,14 @@ class EnergyReport:
 
 
 def _scalar_field(scalar, grid_shape) -> np.ndarray:
+    """R as a grid field: a constant as a read-only broadcast of its
+    value, no grid filled; a field checked for shape and finiteness."""
     arr = np.asarray(scalar, dtype=float)
     if arr.ndim == 0:
         value = float(arr)
         if not math.isfinite(value):
             raise InputFormatError("scalar curvature has non-finite entries")
-        return np.full(grid_shape, value)
+        return np.broadcast_to(value, grid_shape)
     if arr.shape != grid_shape:
         raise InputFormatError(
             f"scalar curvature shape {arr.shape} does not match grid {grid_shape}"
@@ -162,8 +165,8 @@ def laplace_beltrami(f: np.ndarray, metric: MetricField) -> np.ndarray:
     """Laplace-Beltrami operator in divergence form:
     Delta f = det^{-1/2} d_i ( det^{1/2} g^{ij} d_j f ).  A Laplacian
     that is not finite raises NumericalFailureError (`_finite`)."""
-    df, root = _derivatives(f, metric.grid), metric.sqrt_det
-    div = sum(_axis_derivative(root * _flux(metric.inv, df, i), metric.grid, i) for i in range(3))
+    df, inv, root = _derivatives(f, metric.grid), _upper_rows(metric.inv), metric.sqrt_det
+    div = sum(_axis_derivative(root * _flux(inv, df, i), metric.grid, i) for i in range(3))
     return _finite(div / root, "the Laplacian")
 
 
@@ -200,6 +203,6 @@ def neumann_residual(u: np.ndarray, metric: MetricField) -> float:
     faces = u[:, [0, -1]]
     du = [_axis_derivative(faces, grid, 0), np.empty(faces.shape), _axis_derivative(faces, grid, 2)]
     _end_layers(u, grid, 1, du[1])  # the face windows read layers 0-2 and n-3..n-1 alone
-    inv = metric.inv[:, :, :, [0, -1]]
-    residual = (np.abs(_flux(inv, du, 1)) / np.sqrt(inv[1, 1])).max()
+    inv = _upper_rows(metric.inv[:, :, :, [0, -1]])
+    residual = (np.abs(_flux(inv, du, 1)) / np.sqrt(inv[1][1])).max()
     return float(_finite(residual, "the Neumann residual"))

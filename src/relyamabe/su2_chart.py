@@ -238,8 +238,12 @@ class MetricField:
 
     Every cell must be finite, symmetric to 1e-12 relative to its
     largest entry, and positive definite (all leading minors positive);
-    otherwise InvalidMetricError.  inv and sqrt_det come from the 3x3
-    cofactors of the symmetrized cells."""
+    otherwise InvalidMetricError.  The scale max |g_ab| of each cell is
+    formed only when some mirrored pair g_ab, g_ba differs: when all are
+    equal every asymmetry is 0, which no scale >= 0 rejects.  g is
+    stored symmetrized, (g_ab + g_ba) / 2, each mirrored sum formed once
+    and copied to its mirror; inv and sqrt_det come from the 3x3
+    cofactors of the symmetrized cells, inv[j, i] a copy of inv[i, j]."""
 
     grid: HopfGrid
     g: np.ndarray = field(repr=False)
@@ -259,31 +263,48 @@ class MetricField:
         # definiteness (Sylvester).  Entries far from 1 can overflow det
         # or the inverse; such cells are rejected below rather than
         # warned about.
-        inv = np.empty(g.shape)
+        pairs = ((0, 1), (0, 2), (1, 2))
+        upper = ((0, 0), (1, 1), (2, 2)) + pairs
+        sym, inv = np.empty(g.shape), np.empty(g.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             # a difference that overflows is inf, and fails the test; the
             # diagonal differences of a finite field are 0 and decide nothing
-            asym = np.abs(g[0, 1] - g[1, 0])
-            for a, b in ((0, 2), (1, 2)):
-                np.maximum(asym, np.abs(g[a, b] - g[b, a]), out=asym)
-            if np.any(asym > _SYMMETRY_TOL * np.abs(g).max(axis=(0, 1))):
-                raise InvalidMetricError("metric field is not symmetric at every cell")
-            g = g + g.swapaxes(0, 1)
-            g *= 0.5
-            (g00, g01, g02), (_, g11, g12), (_, _, g22) = g
-            inv[0, 0] = g11 * g22 - g12 * g12
-            inv[0, 1] = inv[1, 0] = g02 * g12 - g01 * g22
-            inv[0, 2] = inv[2, 0] = g01 * g12 - g02 * g11
-            inv[1, 1] = g00 * g22 - g02 * g02
-            inv[1, 2] = inv[2, 1] = g01 * g02 - g00 * g12
-            inv[2, 2] = g00 * g11 - g01 * g01
+            if not all(np.array_equal(g[a, b], g[b, a]) for a, b in pairs):
+                asym = np.abs(g[0, 1] - g[1, 0])
+                scale = np.abs(g[0, 0])
+                for a, b in pairs[1:]:
+                    np.maximum(asym, np.abs(g[a, b] - g[b, a]), out=asym)
+                for component in g.reshape((9,) + self.grid.shape)[1:]:
+                    np.maximum(scale, np.abs(component), out=scale)
+                if np.any(asym > _SYMMETRY_TOL * scale):
+                    raise InvalidMetricError("metric field is not symmetric at every cell")
+            for a, b in upper:
+                np.add(g[a, b], g[b, a], out=sym[a, b])
+                sym[a, b] *= 0.5
+            (g00, g01, g02), (_, g11, g12), (_, _, g22) = sym
+            np.multiply(g11, g22, out=inv[0, 0])
+            inv[0, 0] -= g12 * g12
+            np.multiply(g02, g12, out=inv[0, 1])
+            inv[0, 1] -= g01 * g22
+            np.multiply(g01, g12, out=inv[0, 2])
+            inv[0, 2] -= g02 * g11
+            np.multiply(g00, g22, out=inv[1, 1])
+            inv[1, 1] -= g02 * g02
+            np.multiply(g01, g02, out=inv[1, 2])
+            inv[1, 2] -= g00 * g12
+            np.multiply(g00, g11, out=inv[2, 2])
+            inv[2, 2] -= g01 * g01
             det = g00 * inv[0, 0] + g01 * inv[0, 1] + g02 * inv[0, 2]
             if not (np.all(g00 > 0.0) and np.all(inv[2, 2] > 0.0) and np.all(det > 0.0)):
                 raise InvalidMetricError("metric field is not positive definite at every cell")
-            inv /= det
+            for a, b in upper:
+                inv[a, b] /= det
+            for a, b in pairs:
+                sym[b, a] = sym[a, b]
+                inv[b, a] = inv[a, b]
         if not (np.all(np.isfinite(det)) and np.all(np.isfinite(inv))):
             raise InvalidMetricError("metric field determinant or inverse is not finite")
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", sym)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "sqrt_det", np.sqrt(det))
         object.__setattr__(self, "weight", self.sqrt_det * self.grid.cell_volume)
@@ -309,6 +330,26 @@ def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
     sin eta sin xi2): it must reproduce the coordinate vectors to 1e-10
     (the frame spans the tangent space at interior cells).  A field that
     fails MetricField's checks in floating point raises NumericalFailureError.
+
+    Every value is that of the term-by-term sums
+    (em_a0 em_b0 + (s em_a1) em_b1) + (t em_a2) em_b2 and residuals
+    ((dE_a - em_a0 V_0) - em_a1 V_1) - em_a2 V_2, but each full-grid
+    product is formed once.  With cs = cos eta sin eta, p = cs sin theta
+    and q = cs cos theta, em_xi1 ends in (-cs) sin theta = -p and
+    (-cs) cos theta = -q, and negation is exact ((-a) b = -(a b) and
+    x - (-y) = x + y bit for bit), so:
+
+    - the xi1 and xi2 residuals share P1 = p V_1 and P2 = q V_2:
+      (h_xi1 + P1) + P2 and (h_xi2 - P1) - P2, h_a = dE_a - em_a0 V_0;
+    - the eta residual drops its zero term em_00 V_0, which can change
+      no more than the sign of a zero, and max |r| is max(max r, -min r);
+    - A = (s p) p and B = (t q) q give g_11 = (cos^4 eta + A) + B,
+      g_22 = (sin^4 eta + A) + B and g_12 = (cos^2 eta sin^2 eta - A) - B;
+    - P = (s cos theta) p and Q = (-t sin theta) q give g_01 = P + Q and
+      g_02 = (-P) - Q, the zero terms em_00 em_b0 dropped: adding +0.0
+      to a nonzero product changes no bit, and s, t >= 1 keep every
+      product off zero and below overflow;
+    - g_00 depends on theta alone, formed on one eta layer and broadcast.
     """
     e = grid.eta[:, None, None]
     x1 = grid.xi1[None, :, None]
@@ -316,12 +357,9 @@ def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
     ce, se = np.cos(e), np.sin(e)
     ct, st = np.cos(x1 + x2), np.sin(x1 + x2)
     cs = ce * se
+    p, q = cs * st, cs * ct
+    ce2, se2 = ce * ce, se * se
     zero = np.zeros((1, 1, 1))
-    em = (
-        (zero, -ct, st),
-        (ce * ce, -cs * st, -cs * ct),
-        (se * se, cs * st, cs * ct),
-    )
     c1, s1, c2, s2 = np.cos(x1), np.sin(x1), np.cos(x2), np.sin(x2)
     de = (  # (Re z, Im z, Re w, Im w) parts of d/d_eta, d/d_xi1, d/d_xi2
         (-se * c1, -se * s1, ce * c2, ce * s2),
@@ -332,28 +370,45 @@ def chart_metric(grid: HopfGrid, params: BergerParams) -> MetricField:
     # each frame component _FRAME_MAPS[k, c] @ x is one signed coordinate of x
     frame = [[x[d] if m[c, d] > 0 else -x[d] for c, d in enumerate(np.abs(m).argmax(axis=1))]
              for m in _FRAME_MAPS]
-    # each residual de - em_0 frame_0 - em_1 frame_1 - em_2 frame_2, in
-    # that order, formed in two grid buffers
-    diff, term = np.empty(grid.shape), np.empty(grid.shape)
-    resids = []
-    for a in range(3):
-        for c in range(4):
-            np.subtract(de[a][c], np.multiply(em[a][0], frame[0][c], out=term), out=diff)
-            for k in (1, 2):
-                diff -= np.multiply(em[a][k], frame[k][c], out=term)
-            resids.append(float(np.abs(diff, out=diff).max()))
-    resid = max(resids)
+    r, p1, p2 = np.empty(grid.shape), np.empty(grid.shape), np.empty(grid.shape)
+    resid = 0.0
+    for c in range(4):
+        v0, v1, v2 = frame[0][c], frame[1][c], frame[2][c]
+        # eta: dE - (-cos theta) V_1 is dE + cos theta V_1
+        np.add(de[0][c], np.multiply(ct, v1, out=p1), out=r)
+        r -= np.multiply(st, v2, out=p2)
+        np.multiply(p, v1, out=p1)  # P1 and P2, shared by xi1 and xi2
+        np.multiply(q, v2, out=p2)
+        resid = max(resid, float(r.max()), -float(r.min()))
+        np.add(de[1][c] - ce2 * v0, p1, out=r)
+        r += p2
+        resid = max(resid, float(r.max()), -float(r.min()))
+        np.subtract(de[2][c] - se2 * v0, p1, out=r)
+        r -= p2
+        resid = max(resid, float(r.max()), -float(r.min()))
     if resid > _CHART_TOL:
         raise ChartConsistencyError(
             f"coordinate vectors are not spanned by the frame (residual {resid:.3e})"
         )
     s, t = params.s, params.t
     g = np.empty((3, 3) + grid.shape)
-    for a in range(3):
-        for b in range(a, 3):
-            g[a, b] = g[b, a] = (
-                em[a][0] * em[b][0] + s * em[a][1] * em[b][1] + t * em[a][2] * em[b][2]
-            )
+    g[0, 0] = (s * ct) * ct + (t * st) * st
+    big_a = np.multiply(s, p, out=p1)
+    big_a *= p
+    big_b = np.multiply(t, q, out=p2)
+    big_b *= q
+    for a, head in ((1, ce2 * ce2), (2, se2 * se2)):
+        np.add(head, big_a, out=g[a, a])
+        g[a, a] += big_b
+    np.subtract(ce2 * se2, big_a, out=g[1, 2])
+    g[1, 2] -= big_b
+    big_p = np.multiply(s * ct, p, out=p1)
+    big_q = np.multiply(-t * st, q, out=p2)
+    np.add(big_p, big_q, out=g[0, 1])
+    np.negative(big_p, out=g[0, 2])
+    g[0, 2] -= big_q
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        g[b, a] = g[a, b]
     try:
         return MetricField(grid=grid, g=g, params=params, chart_residual=resid)
     except InvalidMetricError as exc:  # in-domain weights: cancellation or overflow
@@ -389,9 +444,15 @@ def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int) -> np.ndarray:
     the neighbour one axis stride away (xi2 writes its wrap
     d_{n-1} = f_0 - f_{n-1} apart): f_{i-1} - f_i is exactly -d_{i-1} but
     for the sign of a zero, which the 0.0 the sum starts from removes.
-    Differences across two rows or eta slabs are overwritten by that wrap
-    or by the one-sided end layers (`_end_layers`); they may overflow, so
-    the kernel runs with overflow ignored, as its callers do.
+    On xi2 that 0.0 is added: its w = n / (4 pi) is below 1/2 for n <= 6,
+    where w d rounds a subnormal d to a signed zero.  The interior of eta
+    and xi1 sums w d_{i-1} + w d_i without it: there w = n / pi and
+    n / (2 pi) exceed 1/2, so w d is a signed zero only when d is, and
+    the 0.0 could change a bit only where d_{i-1} = f_i - f_{i-1} and
+    d_i = f_{i+1} - f_i are both -0.0, which needs f_i to be both -0.0
+    and +0.0.  Differences across two rows or eta slabs are overwritten
+    by that wrap or by the one-sided end layers (`_end_layers`); they may
+    overflow, so the kernel runs with overflow ignored, as its callers do.
     """
     shape = f.shape
     n, step = shape[axis], math.prod(shape[axis + 1:])
@@ -409,9 +470,7 @@ def _axis_derivative(f: np.ndarray, grid: HopfGrid, axis: int) -> np.ndarray:
         out += dv
         return out
     d[:-step] *= w
-    mid = out.reshape(-1)[step:-step]
-    np.add(d[:-2 * step], 0.0, out=mid)
-    mid += d[step:-step]
+    np.add(d[:-2 * step], d[step:-step], out=out.reshape(-1)[step:-step])
     _end_layers(f, grid, axis, out[(slice(None),) * axis + (slice(None, None, n - 1),)])
     return out
 
@@ -471,6 +530,18 @@ def integrate(f, metric: MetricField) -> float:
     return float(_finite(np.sum(f * metric.weight), "the integral"))
 
 
+def _upper_rows(c) -> tuple:
+    """The rows of the symmetric per-cell coefficients c (an array, or a
+    dict keyed (i, j) for i <= j) that read only the six entries
+    c[i, j], i <= j: c[j, i] is a copy of c[i, j], so each read gives
+    the same bits."""
+    return (
+        (c[0, 0], c[0, 1], c[0, 2]),
+        (c[0, 1], c[1, 1], c[1, 2]),
+        (c[0, 2], c[1, 2], c[2, 2]),
+    )
+
+
 def _flux(c, df, i: int, out: np.ndarray | None = None) -> np.ndarray:
     """Row i of the per-cell coefficients c (g^{ij}, or w g^{ij})
     contracted with the derivatives df: sum_j c[i][j] df[j], summed in
@@ -490,8 +561,8 @@ def grad_sq(f: np.ndarray, metric: MetricField) -> np.ndarray:
     summed in `_flux`'s order (clamped at zero: the form is positive
     semidefinite, negatives are pure roundoff).  A density that is not
     finite raises NumericalFailureError (`_finite`)."""
-    df = _derivatives(f, metric.grid)
-    terms = [_flux(metric.inv, df, i) for i in range(3)]
+    df, inv = _derivatives(f, metric.grid), _upper_rows(metric.inv)
+    terms = [_flux(inv, df, i) for i in range(3)]
     for term, d in zip(terms, df):
         term *= d
     out = terms[0]
@@ -530,7 +601,7 @@ def _stiffness(metric: MetricField) -> _Stiffness:
     per-cell coefficients w g^{ij} (g is symmetric) formed once."""
     grid = metric.grid
     c = {(i, j): metric.weight * metric.inv[i, j] for i in range(3) for j in range(i, 3)}
-    coef = tuple(tuple(c[min(i, j), max(i, j)] for j in range(3)) for i in range(3))
+    coef = _upper_rows(c)
     axes = []
     for n, h, periodic in zip(grid.shape, grid.spacings, (False, False, True)):
         wts, idx = _axis_stencil(n, h, periodic, 3)

@@ -228,6 +228,16 @@ def test_centered_width3_windows_share_one_weight_pair(n, axis):
     assert same_bits(wts[2, centered], np.full(len(centered), w))
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_centered_weight_exceeds_one_half_on_eta_and_xi1(axis):
+    # the kernel sums w d_{i-1} + w d_i on the interior of eta and xi1
+    # without the 0.0 it adds on xi2: with w > 1/2, w d is a signed zero
+    # only when d is, so that 0.0 could change no bit there
+    for n in range(4, 65):
+        wts, _ = _axis_stencil(n, HopfGrid.cube(n).spacings[axis], False, 3)
+        assert wts[2, 1] > 0.5, n
+
+
 @settings(max_examples=30, **SETTINGS)
 @given(st.tuples(*(st.integers(4, 24),) * 3), WIDTH)
 def test_diff_ops_store_no_zero(shape, width):
