@@ -125,14 +125,14 @@ class QuotientInput:
 
 
 def _critical_sum(f: np.ndarray, w: np.ndarray):
-    """sum(w |f|^6) over the last axis, the critical-norm integral under
-    quadrature weights w of a flat field or of each row of a block of
-    them, with |f|^6 formed as (f^2)^3 by two products: no abs, no pow."""
+    """sum(w |f|^6), the critical-norm integral of a flat field under
+    quadrature weights w, with |f|^6 formed as (f^2)^3 by two products:
+    no abs, no pow."""
     f2 = np.square(f)
     u = f2 * f2
     u *= f2
     u *= w
-    return np.sum(u, axis=-1)
+    return np.sum(u)
 
 
 def rayleigh_quotient(qi: QuotientInput) -> float:

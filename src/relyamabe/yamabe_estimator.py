@@ -19,11 +19,12 @@ A is `su2_chart._stiffness`, never assembled: a product takes the
 three difference-form derivatives of its field, contracts them with the
 six per-cell fields w g^{ij} formed once per estimate, and applies each
 transposed derivative as a dense n x n axis matrix.  At n = 32 (32,768
-cells) on one thread of a 2-core x86 VM, the product takes about 0.8 ms,
-the gradient 0.07 ms and each trial 0.25 ms, 0.05 ms of it the
+cells) on one thread of a 2-core x86 VM, the product takes about 0.7 ms,
+the gradient 0.08 ms and each trial 0.25 ms, 0.06 ms of it the
 critical-norm sum.  An estimate makes 5 to 7 trials in its 5
 iterations on round and Berger backgrounds at n = 8 to 32 (26 once),
-and takes about 10 ms at n = 32.
+and takes about 9 ms at n = 32; a 100-trial probe takes about 13 ms,
+5 ms of it its span form and 6 ms its denominators.
 
 The descent runs once, from the constant, for at most `_MAX_ITERS`
 iterations; it has no options and is reproducible bit for bit.  For
@@ -100,9 +101,9 @@ class QuotientEstimate:
 
 class _QuotientWork:
     """Flattened-array quotient, search direction and trial steps used
-    inside the descent loop, and by the probe for its span form; R is
-    parsed as the public quotient parses it.  `stiffness` is the
-    matrix-free operator A of `su2_chart._stiffness`, applied as
+    inside the descent loop; the probe's span form reads its `stiffness`
+    and `wr`.  R is parsed as the public quotient parses it.  `stiffness`
+    is the matrix-free operator A of `su2_chart._stiffness`, applied as
     `stiffness @ f`.  The methods take stiffness products from the
     caller and form none; the loop decides which ones it makes."""
 
@@ -233,8 +234,8 @@ class ProbeReport:
     argmin_trial: int
 
 
-#: entries of trial-by-cell values formed at once by the probe's denominator
-_PROBE_BLOCK = 1 << 18
+#: trial-by-cell entries per block of the probe's denominator (256 KiB, an L2-sized block)
+_PROBE_BLOCK = 1 << 15
 
 
 def _probe_span(grid: HopfGrid) -> np.ndarray:
@@ -253,10 +254,12 @@ def _probe_span(grid: HopfGrid) -> np.ndarray:
 
 def _span_form(flat: np.ndarray, work: _QuotientWork) -> np.ndarray:
     """The quotient's numerator as a matrix on the span of the flat
-    fields `flat`: M_ba = phi_a . (8 A phi_b + w R phi_b) with the
-    descent's stiffness operator A, one product per field, so c^T M c
-    is the numerator of the field sum_a c_a phi_a."""
-    rows = [CONFORMAL_COEFF * (work.stiffness @ phi) + work.wr * phi for phi in flat]
+    fields `flat`, the constant first: M_ba = phi_a . (8 A phi_b + w R phi_b)
+    with the descent's stiffness operator A, so c^T M c is the numerator
+    of sum_a c_a phi_a.  A 1 is +-0.0, so row 0 is w R (the product's row
+    up to the sign of a zero); the other fields take one product each."""
+    rows = [work.wr]
+    rows += [CONFORMAL_COEFF * (work.stiffness @ phi) + work.wr * phi for phi in flat[1:]]
     return np.stack(rows) @ flat.T
 
 
@@ -297,11 +300,13 @@ def yamabe_property_probe(
 
     with c = (1, a0 [m = 1], a0 [m = 2], a1 [p = 1], a1 [p = 2],
     a2 cos ph, -a2 sin ph).  The numerator of Q is c^T M c with M the
-    7x7 numerator matrix of the span, formed once per call from seven
-    products with the descent's stiffness operator; only the denominator
-    sum w u^6 is formed on the grid, for all trials at once in blocks of
-    cells.  Trial 0, the constant, is not evaluated: its quotient is the
-    energy E (Q(1) = E, see `rayleigh_quotient`)."""
+    7x7 numerator matrix of the span, formed once per call from six
+    products with the descent's stiffness operator (A 1 = 0 is not
+    formed); only the denominator sum w u^6 is formed on the grid, for
+    all trials at once in blocks of `_PROBE_BLOCK` trial-by-cell entries,
+    each summed against w by one matrix-vector product.  Trial 0, the
+    constant, is not evaluated: its quotient is the energy E (Q(1) = E,
+    see `rayleigh_quotient`)."""
     n_trials = _whole(n_trials, "n_trials", 1)
     seed = _whole(seed, "seed", 0)
     energy = einstein_hilbert(metric, scalar).energy
@@ -314,11 +319,10 @@ def yamabe_property_probe(
         denom = np.zeros(len(c))
         step = max(1, _PROBE_BLOCK // len(c))
         for lo in range(0, work.w.size, step):
-            # a named block lives until the next one is formed, so the
-            # allocator reuses its pages instead of returning them and
-            # faulting them in again on every block
-            block = c @ flat[:, lo:lo + step]
-            denom += _critical_sum(block, work.w[lo:lo + step])
+            v = c @ flat[:, lo:lo + step]
+            v *= v * v
+            v *= v
+            denom += v @ work.w[lo:lo + step]
         q[1:] = numer / denom ** _VOL_EXP
     best_k = int(np.argmin(q))
     return ProbeReport(

@@ -51,7 +51,9 @@ from relyamabe import (
     rayleigh_quotient,
     yamabe_property_probe,
 )
-from relyamabe import DegenerateTrialError, InputFormatError, conformal_energy, su2_chart
+from relyamabe import (
+    DegenerateTrialError, InputFormatError, conformal_energy, su2_chart, yamabe_estimator,
+)
 from relyamabe.conformal_energy import CONFORMAL_COEFF, _critical_sum, laplace_beltrami
 from relyamabe.su2_chart import (
     _axis_derivative,
@@ -685,3 +687,56 @@ def test_probe_span_reproduces_each_mesh_trial(shape, seed, field_seed):
         assert np.abs(np.tensordot(c, phi, 1) - u).max() <= 1e-14
         numer = np.sum(metric.weight * (CONFORMAL_COEFF * grad_sq(u, metric) + scalar * u * u))
         assert c @ form @ c == pytest.approx(numer, rel=1e-12)
+
+
+def seven_product_form(flat: np.ndarray, work: _QuotientWork):
+    """The span form's rows and form with one stiffness product per span
+    field, the constant's included."""
+    rows = np.stack([CONFORMAL_COEFF * (work.stiffness @ phi) + work.wr * phi for phi in flat])
+    return rows, rows @ flat.T
+
+
+SCALAR_KIND = st.sampled_from(["constant", "+0.0", "-0.0", "field", "field with zeros"])
+
+
+@settings(max_examples=40, **SETTINGS)
+@given(SHAPE, SEED, st.booleans(), SCALAR_KIND)
+def test_span_form_equals_seven_product_form(shape, seed, berger, scalar_kind):
+    # A 1 is +-0.0 in every cell, so row 0 of the form, 8 A 1 + w R, is
+    # w R bit for bit except where w R is -0.0 and A 1 is +0.0: there
+    # the product's row holds +0.0, and an entry of row 0 can differ
+    # only in the sign of a sum whose terms are all zeros
+    grid = HopfGrid(*shape)
+    metric = metric_field(grid, seed, berger)
+    rng = np.random.default_rng(seed)
+    field = rng.uniform(-6.0, 6.0, shape)
+    field[rng.random(shape) < 0.3] = 0.0
+    field[rng.random(shape) < 0.3] = -0.0
+    scalar = {
+        "constant": rng.uniform(-6.0, 6.0), "+0.0": 0.0, "-0.0": -0.0,
+        "field": rng.uniform(-6.0, 6.0, shape), "field with zeros": field,
+    }[scalar_kind]
+    work = _QuotientWork(metric, scalar)
+    flat = _probe_span(grid).reshape(7, -1)
+    rows, want = seven_product_form(flat, work)
+    got = _span_form(flat, work)
+    assert np.array_equal(got, want)
+    assert same_bits(got[1:], want[1:])
+    all_zero_terms = ~np.any(rows[0] * flat, axis=-1)
+    assert np.all((got[0].view(np.uint64) == want[0].view(np.uint64)) | all_zero_terms)
+
+
+@pytest.mark.parametrize("seed, berger", [(0, False), (1, False), (5, False), (0, True)])
+@pytest.mark.parametrize("block", [11 * 40, 5])
+def test_probe_sums_blocks_of_cells(monkeypatch, block, seed, berger):
+    # 11 trials after the constant on 315 cells: 11 * 40 entries make
+    # eight blocks of 40 cells, the last holding 35; 5 entries are fewer
+    # than one cell's trials and make 315 blocks of one cell
+    monkeypatch.setattr(yamabe_estimator, "_PROBE_BLOCK", block)
+    grid = HopfGrid(5, 7, 9)
+    metric = metric_field(grid, seed, berger)
+    scalar = np.random.default_rng(seed).uniform(0.5, 6.0, grid.shape)
+    qs = [rayleigh_quotient(QuotientInput(v, metric, scalar)) for v in mesh_trials(grid, 12, seed)]
+    rep = yamabe_property_probe(metric, scalar, n_trials=12, seed=seed)
+    assert rep.min_over_trials == pytest.approx(min(qs), rel=1e-12)
+    assert rep.argmin_trial == qs.index(min(qs))

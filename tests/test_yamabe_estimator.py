@@ -308,8 +308,9 @@ class TestProbe:
         assert type(report.n_trials) is int
 
     def test_span_form_from_the_descent_operator(self, berger13_16, counted_stiffness):
-        # the 7x7 form takes one product per span field with the
-        # stiffness operator the descent uses
+        # the 7x7 form takes one product per non-constant span field
+        # with the stiffness operator the descent uses; the constant's
+        # product A 1 is +-0.0 and is not formed
         yamabe_property_probe(berger13_16, 2.0, n_trials=12, seed=0)
         assert len(counted_stiffness) == 1
-        assert counted_stiffness[0].products == 7
+        assert counted_stiffness[0].products == 6
